@@ -129,9 +129,6 @@ class MemoryHierarchy:
                 self.stats.add(f"{mshr.name}_stalls")
         return t
 
-    def _release_resolved(self, mshr: MSHRFile) -> None:
-        mshr.release_resolved()
-
     # --------------------------------------------------------------- demand
 
     def access(self, core: int, addr: int, is_write: bool, t: int,
@@ -166,7 +163,7 @@ class MemoryHierarchy:
         line = self.llc.line_addr(line)
         if self.llc.lookup(line, update_lru=False):
             return
-        self._release_resolved(self.llc_mshr)
+        self.llc_mshr.release_resolved()
         if line in self.llc_mshr._entries or self.llc_mshr.full:
             self.stats.add("dmp_prefetch_dropped")
             return

@@ -5,10 +5,17 @@
 engine's per-request object dispatch for structure-of-arrays state:
 
 * **SoA request buffer** — a request's arrival / direction / row / dense
-  bank id live in parallel lists indexed by a monotone request id (rid);
-  the scheduler's heaps hold bare ``(arrival, rid)`` int pairs instead of
-  entry objects, with liveness in one ``bytearray`` (lazy deletion and
-  wholesale compaction exactly as in :class:`~repro.dram.scheduler.FRFCFS`).
+  bank id live in parallel lists indexed by a monotone request id (rid),
+  with liveness in one ``bytearray``.
+* **Indexed FR-FCFS** — instead of rescanning the buffer per pick, the
+  engine keeps min-heaps of bare ``(arrival, rid)`` pairs: one over every
+  buffered request (the oldest, for the age cap and the no-hit fallback)
+  and one per (bank, row, direction).  The *hot* set holds the banks
+  whose open row has pending requests, updated on every ACT/PRE, so a
+  pick peeks at the hot banks' heap heads (usually zero or one).
+  Requests taken out of arrival order leave dead nodes behind; they are
+  popped lazily when they surface and compacted away wholesale once they
+  outnumber live ones.  FCFS needs only the all-request heap.
 * **Dense bank state** — per-channel banks are numbered
   ``(rank * bankgroups + bankgroup) * banks_per_group + bank`` and kept in
   one flat list, killing the per-access dict hashing of flat-bank tuples.
@@ -21,8 +28,8 @@ engine's per-request object dispatch for structure-of-arrays state:
   inlined from :mod:`repro.dram.bank`.
 
 The engine is *bitwise equivalent* to the scalar oracle: identical pick
-order (``(arrival, rid)`` reproduces the oracle's ``(arrival, seq)`` — rids
-are assigned in enqueue order and refill is FIFO), identical command
+order (``(arrival, rid)`` reproduces the linear scan's first-minimum order
+— rids are assigned in enqueue order and refill is FIFO), identical command
 streams (including refresh, which walks banks in dense order on both
 sides), and identical statistics accumulated in the same order with the
 same float operations.  ``tests/dram/test_engine_differential.py`` holds
@@ -40,9 +47,7 @@ from repro.common.stats import Stats
 from repro.common.types import DRAMCoord, DRAMRequest
 from repro.dram.address import AddressMapper
 from repro.dram.bank import BankState, ChannelBusState, RankState
-
-#: FR-FCFS starvation bound, matching :class:`repro.dram.scheduler.FRFCFS`.
-AGE_CAP = 2000
+from repro.dram.scheduler import AGE_CAP, check_scheduler
 
 #: Reclaim SoA storage once the retired tail exceeds this many slots (only
 #: at quiescent points, where no rid can still be referenced).
@@ -57,11 +62,10 @@ class _SchedulerHandle:
     :meth:`repro.obs.events.EventBus.attach`) — this is that attach point.
     """
 
-    __slots__ = ("obs", "age_cap")
+    __slots__ = ("obs",)
 
-    def __init__(self, age_cap: int = AGE_CAP) -> None:
+    def __init__(self) -> None:
         self.obs = None
-        self.age_cap = age_cap
 
 
 class _BufferView:
@@ -88,16 +92,8 @@ class BatchedController:
     """
 
     def __init__(self, channel: int, config: DRAMConfig,
-                 mapper: AddressMapper, scheduler=None,
-                 command_log_limit: int | None = None) -> None:
-        if config.scheduler not in ("frfcfs", "fcfs"):
-            raise ValueError(
-                f"batched engine supports frfcfs/fcfs, not "
-                f"{config.scheduler!r} (use engine='scalar')"
-            )
-        if scheduler is not None:
-            raise ValueError("batched engine schedules inline; "
-                             "use engine='scalar' for custom schedulers")
+                 mapper: AddressMapper) -> None:
+        check_scheduler(config.scheduler)
         self.channel = channel
         self.config = config
         self.timing = config.timing
@@ -172,35 +168,10 @@ class BatchedController:
         self._tRRD_L = t.tRRD_L
         self._tFAW = t.tFAW
         self.command_observers: list = []
-        self.command_log: list[tuple] = []
-        self.command_log_limit = command_log_limit
         # Far-memory link (:class:`repro.dram.remote.RemoteLink`), shared
         # across channels; assigned by :class:`~repro.dram.system.DRAMSystem`
         # when the remote tier is enabled.  None = all addresses are local.
         self.remote = None
-
-    # ------------------------------------------------------------- observers
-
-    @property
-    def record_commands(self) -> bool:
-        """Whether commands are appended to ``command_log`` (legacy API)."""
-        return self._record_command in self.command_observers
-
-    @record_commands.setter
-    def record_commands(self, value: bool) -> None:
-        recording = self.record_commands
-        if value and not recording:
-            self.command_observers.append(self._record_command)
-        elif not value and recording:
-            self.command_observers.remove(self._record_command)
-
-    def _record_command(self, kind: str, cycle: int, bank: tuple,
-                        row: int) -> None:
-        limit = self.command_log_limit
-        if limit is not None and len(self.command_log) >= limit:
-            self.stats.add("command_log_dropped")
-            return
-        self.command_log.append((kind, cycle, bank, row))
 
     # ------------------------------------------------------------- producers
 

@@ -14,12 +14,10 @@ through per-bank ready times; the channel column/data bus is the global
 serialization point, so controller time advances monotonically along column
 command issue times.
 
-Schedulers come in two flavours (see :mod:`repro.dram.scheduler`): indexed
-ones expose ``insert``/``take`` plus bank-state callbacks and are driven
-incrementally — the controller feeds them on buffer refill and notifies
-them of every ACT/PRE so the next pick is a few heap peeks; stateless ones
-only answer :meth:`Scheduler.pick` over the whole buffer and are rescanned
-per pick (the reference/oracle path).
+This is the scalar oracle: every pick is one linear scan of the buffer by
+the policy in :mod:`repro.dram.scheduler`, the readable specification the
+production :class:`~repro.dram.batched.BatchedController` must match bit
+for bit.
 """
 
 from __future__ import annotations
@@ -38,13 +36,12 @@ class MemoryController:
     """Timing model of a single DDR4 channel."""
 
     def __init__(self, channel: int, config: DRAMConfig,
-                 mapper: AddressMapper, scheduler=None,
-                 command_log_limit: int | None = None) -> None:
+                 mapper: AddressMapper) -> None:
         self.channel = channel
         self.config = config
         self.timing = config.timing
         self.mapper = mapper
-        self.scheduler = scheduler or make_scheduler(config.scheduler)
+        self.scheduler = make_scheduler(config.scheduler)
         self.banks: dict[tuple, BankState] = {}
         # Ranks are created eagerly: the refresh schedule ticks for every
         # rank from cycle zero, not just ranks that have seen traffic.
@@ -67,55 +64,20 @@ class MemoryController:
         self._last_occ_time = 0
         self._buffer_cap = config.request_buffer
         self._line_bytes = config.line_bytes
-        # Indexed-scheduler fast path: feed inserts/takes and bank-state
-        # changes to the scheduler instead of rescanning the buffer.
-        self._sched_take = getattr(self.scheduler, "take", None)
-        self._sched_insert = getattr(self.scheduler, "insert", None)
-        self._on_activate = getattr(self.scheduler, "notify_activate", None)
-        self._on_precharge = getattr(self.scheduler, "notify_precharge", None)
         # Command-stream observers: each is called as
         # ``obs(kind, cycle, (channel, rank, bankgroup, bank), row)`` at the
         # moment a command's issue cycle is decided.  The legality auditor
         # (:class:`repro.dram.audit.CommandAuditor`), the observability
         # event bus (:class:`repro.obs.events.EventBus` — row-open tracks
-        # and the sampled timeline hang off this stream), and the legacy
-        # ``command_log`` recorder all attach here.
+        # and the sampled timeline hang off this stream), and any test
+        # recorder all attach here.
         self.command_observers: list = []
-        self.command_log: list[tuple] = []
         # Far-memory link (:class:`repro.dram.remote.RemoteLink`), shared
         # across channels; assigned by :class:`~repro.dram.system.DRAMSystem`
         # when the remote tier is enabled.  None = all addresses are local.
         self.remote = None
-        # Bound on ``command_log`` growth (None = unlimited, the default).
-        # A full sweep with ``record_commands`` on accumulates hundreds of
-        # thousands of command tuples per channel; with a limit the log
-        # keeps the *first* ``command_log_limit`` commands (a legal prefix,
-        # still replayable through the auditor) and counts the rest in the
-        # ``command_log_dropped`` statistic.
-        self.command_log_limit = command_log_limit
 
     # ------------------------------------------------------------- observers
-
-    @property
-    def record_commands(self) -> bool:
-        """Whether commands are appended to ``command_log`` (legacy API)."""
-        return self._record_command in self.command_observers
-
-    @record_commands.setter
-    def record_commands(self, value: bool) -> None:
-        recording = self.record_commands
-        if value and not recording:
-            self.command_observers.append(self._record_command)
-        elif not value and recording:
-            self.command_observers.remove(self._record_command)
-
-    def _record_command(self, kind: str, cycle: int, bank: tuple,
-                        row: int) -> None:
-        limit = self.command_log_limit
-        if limit is not None and len(self.command_log) >= limit:
-            self.stats.add("command_log_dropped")
-            return
-        self.command_log.append((kind, cycle, bank, row))
 
     def _emit(self, kind: str, cycle: int, coord: DRAMCoord) -> None:
         for obs in self.command_observers:
@@ -179,12 +141,8 @@ class MemoryController:
         buffer = self.buffer
         cap = self._buffer_cap
         now = self.time
-        insert = self._sched_insert
         while queue and len(buffer) < cap and queue[0][0].arrival <= now:
-            item = queue.popleft()
-            buffer.append(item)
-            if insert is not None:
-                insert(item)
+            buffer.append(queue.popleft())
 
     def _note_occupancy(self, now: int) -> None:
         dt = now - self._last_occ_time
@@ -204,18 +162,9 @@ class MemoryController:
             self.time = max(self.time, self.input_queue[0][0].arrival)
             self._last_occ_time = self.time
             self._refill()
-        take = self._sched_take
-        if take is not None:
-            item = take(self.bus.last_was_write, self.time)
-            for i, held in enumerate(buffer):
-                if held is item:
-                    del buffer[i]
-                    break
-            req, coord = item
-        else:
-            idx = self.scheduler.pick(buffer, self.banks,
-                                      self.bus.last_was_write, self.time)
-            req, coord = buffer.pop(idx)
+        idx = self.scheduler.pick(buffer, self.banks,
+                                  self.bus.last_was_write, self.time)
+        req, coord = buffer.pop(idx)
         self._execute(req, coord)
         return req
 
@@ -230,16 +179,6 @@ class MemoryController:
 
     # ------------------------------------------------------------- execution
 
-    def _bank(self, coord: DRAMCoord) -> BankState:
-        state = self.banks.get(coord.flat_bank)
-        if state is None:
-            state = BankState()
-            self.banks[coord.flat_bank] = state
-        return state
-
-    def _rank(self, coord: DRAMCoord) -> RankState:
-        return self.ranks[coord.rank]
-
     def _refresh_catch_up(self, now: int) -> None:
         """Issue every REF whose tREFI point has passed, on every rank.
 
@@ -252,7 +191,6 @@ class MemoryController:
         timing = self.timing
         observers = self.command_observers
         counters = self.stats.counters
-        on_precharge = self._on_precharge
         for rank_id, rank in self.ranks.items():
             while rank.next_ref <= now:
                 due = rank.next_ref
@@ -270,8 +208,6 @@ class MemoryController:
                             t_pre = due
                         row = bank.open_row
                         bank.precharge(t_pre, timing)
-                        if on_precharge is not None:
-                            on_precharge(fb)
                         if observers:
                             for obs in observers:
                                 obs("PRE", t_pre, fb, row)
@@ -319,8 +255,6 @@ class MemoryController:
                     t_pre = earliest
                 old_row = bank.open_row
                 bank.precharge(t_pre, timing)
-                if self._on_precharge is not None:
-                    self._on_precharge(flat_bank)
                 if observers:
                     # A PRE reports the row it closes (as on the refresh
                     # path), not the conflicting requester's row.
@@ -338,8 +272,6 @@ class MemoryController:
                 t_act = rank.ref_done
             bank.activate(coord.row, t_act, timing)
             rank.record_act(coord.bankgroup, t_act)
-            if self._on_activate is not None:
-                self._on_activate(flat_bank, coord.row)
             if observers:
                 self._emit("ACT", t_act, coord)
             t_col_min = bank.col_ready
@@ -371,8 +303,6 @@ class MemoryController:
             # the column command's tRTP / tWR recovery window.
             t_pre = bank.pre_ready
             bank.precharge(t_pre, timing)
-            if self._on_precharge is not None:
-                self._on_precharge(flat_bank)
             if observers:
                 self._emit("PRE", t_pre, coord)
 

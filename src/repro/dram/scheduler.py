@@ -1,63 +1,36 @@
-"""Request scheduling policies for the memory controller.
+"""Request scheduling policies for the scalar memory controller.
 
 FR-FCFS (first-ready, first-come-first-served) prefers requests that hit the
 currently open row of their bank — the industry-standard policy the paper's
 baseline uses (Table 3) — falling back to the oldest request.  FCFS is
 provided as an ablation baseline.
 
-Two implementations exist per policy:
-
-* ``ReferenceFRFCFS`` / ``ReferenceFCFS`` — the original linear scans over
-  the whole request buffer.  They are stateless, trivially correct, and kept
-  as the oracle the differential tests compare against
-  (``tests/dram/test_scheduler_differential.py``).
-* ``FRFCFS`` / ``FCFS`` — the production schedulers.  They still answer the
-  stateless :meth:`pick` protocol (delegating to the reference scan), but
-  additionally expose an *indexed* interface the controller drives
-  incrementally: :meth:`insert` on buffer refill, ``notify_activate`` /
-  ``notify_precharge`` as bank state changes, and :meth:`take` to pop the
-  next request.  The common pick — the oldest direction-matching row hit —
-  then costs a few heap peeks instead of an O(buffer) rescan, which was the
-  single largest line item of a profiled run (~24% of wall time).
-
-The index reproduces the reference pick order *exactly*, including the
-age-cap override and the tie-break on equal arrivals (earlier buffer
-insertion wins): every candidate set is ordered by ``(arrival, seq)`` where
-``seq`` is the monotone insertion number, which is precisely the order a
-first-match linear scan over the buffer discovers minima in.
+Each policy is one linear scan over the request buffer: stateless apart
+from the starvation probe, and the readable specification of the pick
+order.  Ties on equal arrival go to the earlier buffer insertion (the
+first minimum the scan meets).  The production engine
+(:class:`~repro.dram.batched.BatchedController`) keeps its own heap index
+over the same order, and ``tests/dram/test_engine_differential.py`` checks
+the two agree command for command.
 """
 
 from __future__ import annotations
 
-from heapq import heapify, heappop, heappush
-from typing import Protocol, Sequence
-
 from repro.common.types import DRAMCoord, DRAMRequest
 from repro.dram.bank import BankState
 
-
-class Scheduler(Protocol):
-    """The stateless pick protocol every scheduler satisfies.
-
-    ``last_was_write`` and ``now`` carry no defaults here: the controller
-    always passes them, and the protocol advertises exactly that contract
-    (implementations may still default them for direct/test callers).
-    """
-
-    def pick(self, buffer: Sequence[tuple[DRAMRequest, DRAMCoord]],
-             banks: dict[tuple, BankState],
-             last_was_write: bool, now: int) -> int:
-        """Return the index of the next request in ``buffer`` to service."""
-        ...
+#: FR-FCFS starvation bound: once the oldest buffered request has waited
+#: more than this many cycles it is serviced regardless of row state.
+AGE_CAP = 2000
 
 
-# ------------------------------------------------------- reference scans
+class FCFS:
+    """Strict arrival-order scheduling."""
 
-class ReferenceFCFS:
-    """Strict arrival-order scheduling, by linear scan (the oracle)."""
-
-    def pick(self, buffer, banks, last_was_write: bool = False,
+    def pick(self, buffer: list[tuple[DRAMRequest, DRAMCoord]],
+             banks: dict[tuple, BankState], last_was_write: bool = False,
              now: int = 0) -> int:
+        """Return the buffer index of the oldest request."""
         best = 0
         for i, (req, _) in enumerate(buffer):
             if req.arrival < buffer[best][0].arrival:
@@ -65,28 +38,33 @@ class ReferenceFCFS:
         return best
 
 
-class ReferenceFRFCFS:
-    """First-ready FCFS with read/write grouping, by linear scan.
+class FRFCFS:
+    """First-ready FCFS with read/write grouping.
 
     Preference order: oldest row-buffer hit *matching the bus's current
     transfer direction*, then oldest row-buffer hit, then the oldest
     request.  Direction grouping models the write-buffering every modern
     controller performs to avoid paying the bus-turnaround penalty on
     each alternation.  A starvation cap ages requests: once the oldest
-    buffered request has waited ``age_cap`` cycles it is serviced
+    buffered request has waited :data:`AGE_CAP` cycles it is serviced
     regardless of row state (real FR-FCFS implementations bound reordering
     the same way).
     """
 
-    def __init__(self, age_cap: int = 2000) -> None:
-        self.age_cap = age_cap
+    def __init__(self) -> None:
+        # Observability probe (:class:`repro.obs.events._SchedulerProbe`):
+        # stamped with this scheduler's channel when an EventBus attaches;
+        # publishes age-cap (starvation) overrides.  None when off.
+        self.obs = None
 
-    def pick(self, buffer, banks, last_was_write: bool = False,
+    def pick(self, buffer: list[tuple[DRAMRequest, DRAMCoord]],
+             banks: dict[tuple, BankState], last_was_write: bool = False,
              now: int = 0) -> int:
+        """Return the buffer index of the next request to service."""
         best_dir_hit = -1
-        best_dir_arrival = None
+        best_dir_arrival = 0
         best_hit = -1
-        best_hit_arrival = None
+        best_hit_arrival = 0
         best_any = 0
         best_any_arrival = buffer[0][0].arrival
         for i, (req, coord) in enumerate(buffer):
@@ -102,225 +80,28 @@ class ReferenceFRFCFS:
                         best_dir_hit < 0 or req.arrival < best_dir_arrival):
                     best_dir_hit = i
                     best_dir_arrival = req.arrival
-        if now - buffer[best_any][0].arrival > self.age_cap:
+        if now - best_any_arrival > AGE_CAP:
+            if self.obs is not None:
+                self.obs.starvation(now)
             return best_any
         if best_dir_hit >= 0:
             return best_dir_hit
         return best_hit if best_hit >= 0 else best_any
 
 
-# --------------------------------------------------------- indexed variants
-
-class _Entry:
-    """One buffered request inside the scheduler index."""
-
-    __slots__ = ("arrival", "seq", "item", "alive")
-
-    def __init__(self, arrival: int, seq: int, item) -> None:
-        self.arrival = arrival
-        self.seq = seq
-        self.item = item
-        self.alive = True
+#: The policy names ``DRAMConfig.scheduler`` accepts.
+SCHEDULERS: dict[str, type[FRFCFS | FCFS]] = {"frfcfs": FRFCFS,
+                                               "fcfs": FCFS}
 
 
-class FCFS(ReferenceFCFS):
-    """Arrival-order scheduling with an incrementally-maintained index.
-
-    Buffer insertion order is *not* guaranteed to be arrival order: the
-    input queue is FIFO in *enqueue* order, and producers (interleaved
-    cores, LLC writebacks stamped with a bus-time hint) enqueue with
-    arrival timestamps that can run backwards across producers.  A plain
-    pop-left would therefore mis-order ties with out-of-order arrivals, so
-    the index is a min-heap on ``(arrival, seq)``: the oldest request is an
-    O(1) peek away and every pop is one O(log buffer) sift instead of the
-    reference's O(buffer) rescan.  Since FCFS always services the heap
-    minimum, no lazy deletion is ever needed.
-    """
-
-    def __init__(self) -> None:
-        self._heap: list[tuple[int, int, tuple]] = []
-        self._seq = 0
-
-    # Indexed interface driven by the controller.
-
-    def insert(self, item: tuple[DRAMRequest, DRAMCoord]) -> None:
-        heappush(self._heap, (item[0].arrival, self._seq, item))
-        self._seq += 1
-
-    def take(self, last_was_write: bool, now: int) -> tuple:
-        """Pop and return the oldest buffered (request, coord) item."""
-        return heappop(self._heap)[2]
+def check_scheduler(name: str) -> None:
+    """Raise ``ValueError`` unless ``name`` is a known policy."""
+    if name not in SCHEDULERS:
+        raise ValueError(f"unknown scheduler {name!r}; "
+                         f"expected one of {', '.join(SCHEDULERS)}")
 
 
-class FRFCFS(ReferenceFRFCFS):
-    """FR-FCFS with an incrementally-maintained open-row-hit index.
-
-    State mirrors exactly what the reference scan recomputes per pick:
-
-    * ``_any`` — a min-heap of every buffered request by (arrival, seq),
-      answering "oldest request" for the age-cap check and the no-hit
-      fallback;
-    * ``_groups`` — per (bank, row, direction) heaps of pending requests;
-    * ``_open`` — each bank's currently open row, maintained by the
-      controller's ``notify_activate`` / ``notify_precharge`` callbacks;
-    * ``_hot`` — the subset of banks whose open row has pending requests:
-      the row-hit candidates.  A pick scans only the hot banks' heap heads
-      (usually zero or one) instead of the whole buffer.
-
-    Requests taken out of arrival order leave dead entries behind in the
-    heaps; they are popped lazily when they surface and compacted away
-    wholesale if they ever outnumber live entries (buffer occupancy is
-    bounded by the controller, so compaction is rare and O(buffer)).
-    """
-
-    def __init__(self, age_cap: int = 2000) -> None:
-        super().__init__(age_cap)
-        # Observability probe (:class:`repro.obs.events._SchedulerProbe`):
-        # stamped with this scheduler's channel when an EventBus attaches;
-        # publishes age-cap (starvation) overrides.  None when off.
-        self.obs = None
-        self._seq = 0
-        self._live = 0
-        self._dead = 0
-        self._any: list[tuple[int, int, _Entry]] = []
-        # flat_bank -> row -> (read_heap, write_heap)
-        self._groups: dict[tuple, dict[int, tuple[list, list]]] = {}
-        self._open: dict[tuple, int] = {}
-        self._hot: dict[tuple, tuple[list, list]] = {}
-
-    # ------------------------------------------------- controller callbacks
-
-    def insert(self, item: tuple[DRAMRequest, DRAMCoord]) -> None:
-        req, coord = item
-        entry = _Entry(req.arrival, self._seq, item)
-        self._seq += 1
-        self._live += 1
-        node = (entry.arrival, entry.seq, entry)
-        heappush(self._any, node)
-        fb = coord.flat_bank
-        rows = self._groups.get(fb)
-        if rows is None:
-            rows = self._groups[fb] = {}
-        pair = rows.get(coord.row)
-        if pair is None:
-            pair = rows[coord.row] = ([], [])
-        heappush(pair[1] if req.is_write else pair[0], node)
-        if self._open.get(fb) == coord.row:
-            self._hot[fb] = pair
-
-    def notify_activate(self, flat_bank: tuple, row: int) -> None:
-        self._open[flat_bank] = row
-        rows = self._groups.get(flat_bank)
-        pair = rows.get(row) if rows is not None else None
-        if pair is not None and (pair[0] or pair[1]):
-            self._hot[flat_bank] = pair
-        else:
-            self._hot.pop(flat_bank, None)
-
-    def notify_precharge(self, flat_bank: tuple) -> None:
-        self._open.pop(flat_bank, None)
-        self._hot.pop(flat_bank, None)
-
-    # ------------------------------------------------------------- picking
-
-    def take(self, last_was_write: bool, now: int) -> tuple:
-        """Pop and return the next (request, coord) item to service.
-
-        Reproduces :meth:`ReferenceFRFCFS.pick` order exactly; see the
-        differential tests.
-        """
-        any_heap = self._any
-        while not any_heap[0][2].alive:
-            heappop(any_heap)
-            self._dead -= 1
-        oldest = any_heap[0]
-        if now - oldest[0] > self.age_cap:
-            chosen = oldest[2]
-            if self.obs is not None:
-                self.obs.starvation(now)
-        else:
-            best_dir = best_hit = None
-            hot = self._hot
-            stale = None
-            for fb, pair in hot.items():
-                read_heap, write_heap = pair
-                while read_heap and not read_heap[0][2].alive:
-                    heappop(read_heap)
-                    self._dead -= 1
-                while write_heap and not write_heap[0][2].alive:
-                    heappop(write_heap)
-                    self._dead -= 1
-                if read_heap:
-                    head = read_heap[0]
-                    if best_hit is None or head < best_hit:
-                        best_hit = head
-                    if not last_was_write and (
-                            best_dir is None or head < best_dir):
-                        best_dir = head
-                if write_heap:
-                    head = write_heap[0]
-                    if best_hit is None or head < best_hit:
-                        best_hit = head
-                    if last_was_write and (
-                            best_dir is None or head < best_dir):
-                        best_dir = head
-                elif not read_heap:
-                    stale = [fb] if stale is None else stale + [fb]
-            if stale is not None:
-                for fb in stale:
-                    del hot[fb]
-            if best_dir is not None:
-                chosen = best_dir[2]
-            elif best_hit is not None:
-                chosen = best_hit[2]
-            else:
-                chosen = oldest[2]
-        chosen.alive = False
-        self._live -= 1
-        self._dead += 1
-        if self._dead > 64 and self._dead > 2 * self._live:
-            self._compact()
-        return chosen.item
-
-    # ------------------------------------------------------------ plumbing
-
-    def _compact(self) -> None:
-        """Drop dead entries from every heap and rebuild the hot set."""
-        self._any = [node for node in self._any if node[2].alive]
-        heapify(self._any)
-        for rows in self._groups.values():
-            for row in list(rows):
-                read_heap, write_heap = rows[row]
-                read_heap[:] = [n for n in read_heap if n[2].alive]
-                write_heap[:] = [n for n in write_heap if n[2].alive]
-                if read_heap:
-                    heapify(read_heap)
-                if write_heap:
-                    heapify(write_heap)
-                if not read_heap and not write_heap:
-                    del rows[row]
-        self._hot = {}
-        for fb, row in self._open.items():
-            rows = self._groups.get(fb)
-            pair = rows.get(row) if rows is not None else None
-            if pair is not None and (pair[0] or pair[1]):
-                self._hot[fb] = pair
-        self._dead = 0
-
-
-def make_scheduler(name: str) -> Scheduler:
-    """Build a scheduler by policy name.
-
-    ``frfcfs`` / ``fcfs`` are the production (indexed) implementations;
-    ``ref-frfcfs`` / ``ref-fcfs`` select the linear-scan oracles (useful
-    for differential testing and ablations).
-    """
-    if name == "frfcfs":
-        return FRFCFS()
-    if name == "fcfs":
-        return FCFS()
-    if name == "ref-frfcfs":
-        return ReferenceFRFCFS()
-    if name == "ref-fcfs":
-        return ReferenceFCFS()
-    raise ValueError(f"unknown scheduler {name!r}")
+def make_scheduler(name: str) -> FRFCFS | FCFS:
+    """Build a scheduler by policy name (``frfcfs`` or ``fcfs``)."""
+    check_scheduler(name)
+    return SCHEDULERS[name]()

@@ -21,9 +21,7 @@ class DRAMSystem:
     structure-of-arrays production engine,
     :class:`~repro.dram.batched.BatchedController`) or ``"scalar"`` (the
     per-request oracle, :class:`~repro.dram.controller.MemoryController`).
-    Both produce bitwise-identical command streams and metrics; reference
-    (``ref-*``) schedulers are only available on the scalar engine, so the
-    system falls back to it for those.
+    Both produce bitwise-identical command streams and metrics.
 
     ``audit=True`` (or ``config.audit``) attaches one
     :class:`~repro.dram.audit.CommandAuditor` to every channel's command
@@ -39,10 +37,8 @@ class DRAMSystem:
         engine = self.config.engine
         if engine not in ("batched", "scalar"):
             raise ValueError(f"unknown DRAM engine {engine!r}")
-        if engine == "batched" and self.config.scheduler in ("frfcfs", "fcfs"):
-            controller_cls = BatchedController
-        else:
-            controller_cls = MemoryController
+        controller_cls = (BatchedController if engine == "batched"
+                          else MemoryController)
         self.controllers = [
             controller_cls(ch, self.config, self.mapper)
             for ch in range(self.config.channels)

@@ -44,12 +44,14 @@ def test_auditor_attaches_via_observer_hook():
 def test_observer_and_log_recorder_coexist():
     cfg = DRAMConfig(channels=1)
     ctrl = MemoryController(0, cfg, AddressMapper(cfg))
-    ctrl.record_commands = True
+    log: list[tuple] = []
+    ctrl.command_observers.append(
+        lambda kind, cycle, bank, row: log.append((kind, cycle, bank, row)))
     auditor = CommandAuditor(cfg.timing).attach(ctrl)
     _drive(ctrl, n=16)
-    assert auditor.commands_seen == len(ctrl.command_log)
+    assert auditor.commands_seen == len(log)
     # Replaying the recorded log reproduces the streaming verdict.
-    assert audit_log(ctrl.command_log, cfg.timing) == []
+    assert audit_log(log, cfg.timing) == []
 
 
 def test_dram_system_audit_knob():

@@ -9,6 +9,9 @@ layers:
 * hypothesis property tests drive randomized request programs (mixed
   reads/writes, bursty and sparse arrivals, open and closed page, one and
   two ranks, DDR4 and DDR5) through both engines side by side;
+* deterministic programs pin the FR-FCFS corners random programs rarely
+  reach: the age cap firing (with equal starvation counts on both
+  engines) and equal-arrival ties, where the earlier insertion wins;
 * seeded long-run tests cross several tREFI refresh intervals and check
   the refresh machinery (REF/PRE emission, tRFC blocking) agrees command
   for command, plus system-level equivalence through
@@ -29,6 +32,8 @@ from repro.common.config import RemoteLinkConfig, ddr5_6400
 from repro.dram import (AddressMapper, CommandAuditor, DRAMSystem,
                         MemoryController)
 from repro.dram.batched import BatchedController
+from repro.dram.scheduler import AGE_CAP
+from repro.obs.events import EventBus, _SchedulerProbe
 
 T = DDR4Timing()
 
@@ -37,7 +42,8 @@ T = DDR4Timing()
 
 def _pair(cfg: DRAMConfig):
     """One scalar oracle + one batched engine on the same channel-0
-    config, each with a command-stream recorder attached."""
+    config, each with a command-stream recorder and (where the policy has
+    one) a starvation probe publishing to its own event bus."""
     mapper = AddressMapper(cfg)
     scalar = MemoryController(0, cfg, mapper)
     batched = BatchedController(0, cfg, mapper)
@@ -47,7 +53,16 @@ def _pair(cfg: DRAMConfig):
         lambda kind, cycle, bank, row: slog.append((kind, cycle, bank, row)))
     batched.command_observers.append(
         lambda kind, cycle, bank, row: blog.append((kind, cycle, bank, row)))
+    for ctrl in (scalar, batched):
+        if hasattr(ctrl.scheduler, "obs"):
+            ctrl.scheduler.obs = _SchedulerProbe(EventBus(), 0)
     return scalar, batched, slog, blog
+
+
+def _starvations(ctrl) -> list[tuple]:
+    """The (channel, cycle) age-cap overrides ``ctrl`` published."""
+    probe = getattr(ctrl.scheduler, "obs", None)
+    return [] if probe is None else probe.bus.starvations
 
 
 def _requests(cfg: DRAMConfig, program: list[tuple]):
@@ -76,8 +91,9 @@ def _requests(cfg: DRAMConfig, program: list[tuple]):
     )
 
 
-def _assert_equivalent(cfg: DRAMConfig,
-                       program: list[tuple[int, bool, int]]) -> None:
+def _assert_equivalent(cfg: DRAMConfig, program: list[tuple]) -> int:
+    """Drive ``program`` through both engines and assert they agree;
+    returns the (equal) number of age-cap overrides."""
     scalar, batched, slog, blog = _pair(cfg)
     reqs_s, reqs_b = _requests(cfg, program)
     for rs, rb in zip(reqs_s, reqs_b):
@@ -94,6 +110,8 @@ def _assert_equivalent(cfg: DRAMConfig,
     assert scalar.stats.mins == batched.stats.mins
     assert scalar.stats.maxs == batched.stats.maxs
     assert scalar.mean_occupancy() == batched.mean_occupancy()
+    assert _starvations(scalar) == _starvations(batched)
+    return len(_starvations(scalar))
 
 
 # ------------------------------------------------- property: random programs
@@ -123,6 +141,53 @@ _CONFIGS = {
 @given(program=_program)
 def test_batched_matches_scalar_randomized(name, program):
     _assert_equivalent(_CONFIGS[name], program)
+
+
+# ------------------------------------------- deterministic FR-FCFS corners
+
+def _line(cfg: DRAMConfig, bank: int, row: int, column: int) -> int:
+    """Line number of a channel-0 coordinate (the programs' address unit)."""
+    addr = AddressMapper(cfg).compose(bank=bank, row=row, column=column)
+    return addr // cfg.line_bytes
+
+
+def _age_cap_program(cfg: DRAMConfig) -> list[tuple]:
+    """Open row 1, queue one conflict to row 9 of the same bank, then keep
+    the tiny buffer fed with younger row-1 hits for longer than the age
+    cap: only the cap's override can service the conflict.  The hits
+    arrive a little faster than the bank serves them, so the buffer never
+    runs dry but the backlog stays well under the cap (one override)."""
+    return ([(_line(cfg, 0, 1, 0), False, 0),
+             (_line(cfg, 0, 9, 0), False, 1)]
+            + [(_line(cfg, 0, 1, i % 64), False, 14)
+               for i in range(1, AGE_CAP // 6)])
+
+
+def _tie_program(cfg: DRAMConfig) -> list[tuple]:
+    """Bursts of equal-arrival requests over two rows in each of four
+    banks, both directions: every pick breaks an arrival tie, which the
+    earlier buffer insertion must win."""
+    return [(_line(cfg, i % 4, (i // 4) % 2, i % 64), i % 3 == 0,
+             300 if i % 24 == 0 else 0)
+            for i in range(240)]
+
+
+_TINY = _CONFIGS["ddr4-tiny-buffer"]
+_DETERMINISTIC = {
+    "age-cap": (_TINY, _age_cap_program(_TINY)),
+    "equal-arrival-ties": (_CONFIGS["ddr4-open"],
+                           _tie_program(_CONFIGS["ddr4-open"])),
+    "equal-arrival-ties-fcfs": (_CONFIGS["ddr4-fcfs"],
+                                _tie_program(_CONFIGS["ddr4-fcfs"])),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_DETERMINISTIC))
+def test_batched_matches_scalar_deterministic(name):
+    cfg, program = _DETERMINISTIC[name]
+    starvations = _assert_equivalent(cfg, program)
+    if name == "age-cap":
+        assert starvations > 0, "program must trip the age cap"
 
 
 _tenant_program = st.lists(
@@ -375,14 +440,14 @@ def test_link_disabled_is_bitwise_the_default():
     assert "far_serviced" not in stock[1]
 
 
-def test_batched_rejects_reference_schedulers():
-    cfg = DRAMConfig(channels=1, scheduler="ref-frfcfs")
-    with pytest.raises(ValueError):
-        BatchedController(0, cfg, AddressMapper(cfg))
-    # The system falls back to the oracle rather than failing.
-    system = DRAMSystem(DRAMConfig(channels=1, scheduler="ref-frfcfs",
-                                   engine="batched"))
-    assert isinstance(system.controllers[0], MemoryController)
+@pytest.mark.parametrize("engine", ["scalar", "batched"])
+@pytest.mark.parametrize("scheduler", ["ref-frfcfs", "magic"])
+def test_unknown_scheduler_rejected(engine, scheduler):
+    """Both engines refuse a policy name outside {frfcfs, fcfs} with the
+    same error, which names the valid choices."""
+    with pytest.raises(ValueError, match="expected one of frfcfs, fcfs"):
+        DRAMSystem(DRAMConfig(channels=1, engine=engine,
+                              scheduler=scheduler))
 
 
 def test_unknown_engine_rejected():

@@ -10,17 +10,19 @@ from repro.dram import AddressMapper, DRAMSystem, MemoryController
 def _run(cfg, addrs):
     mapper = AddressMapper(cfg)
     ctrl = MemoryController(0, cfg, mapper)
-    ctrl.record_commands = True
+    log: list[tuple] = []
+    ctrl.command_observers.append(
+        lambda kind, cycle, bank, row: log.append((kind, cycle, bank, row)))
     for i, a in enumerate(addrs):
         ctrl.enqueue(DRAMRequest(a & ~63, False, arrival=i))
     ctrl.drain()
-    return ctrl
+    return ctrl, log
 
 
 def test_closed_page_precharges_after_every_access():
     cfg = DRAMConfig(channels=1, page_policy="closed")
-    ctrl = _run(cfg, [i * 64 for i in range(64)])
-    kinds = [k for k, *_ in ctrl.command_log]
+    ctrl, log = _run(cfg, [i * 64 for i in range(64)])
+    kinds = [k for k, *_ in log]
     assert kinds.count("PRE") == kinds.count("RD")
     # Closed page: no row hits even on a perfect stream.
     assert ctrl.stats.get("row_hits") == 0
@@ -28,8 +30,9 @@ def test_closed_page_precharges_after_every_access():
 
 def test_open_page_beats_closed_on_streams():
     stream = [i * 64 for i in range(512)]
-    open_ctrl = _run(DRAMConfig(channels=1), stream)
-    closed_ctrl = _run(DRAMConfig(channels=1, page_policy="closed"), stream)
+    open_ctrl, _ = _run(DRAMConfig(channels=1), stream)
+    closed_ctrl, _ = _run(DRAMConfig(channels=1, page_policy="closed"),
+                          stream)
     assert open_ctrl.stats.get("last_finish") < \
         closed_ctrl.stats.get("last_finish")
 
@@ -37,8 +40,8 @@ def test_open_page_beats_closed_on_streams():
 def test_closed_page_schedule_is_legal():
     from tests.dram.test_timing_legality import check_legality
     cfg = DRAMConfig(channels=1, page_policy="closed")
-    ctrl = _run(cfg, [i * 4096 for i in range(128)])
-    check_legality(ctrl.command_log)
+    _, log = _run(cfg, [i * 4096 for i in range(128)])
+    check_legality(log)
 
 
 def test_ddr5_preset_geometry():

@@ -26,11 +26,13 @@ def run_commands(addr_writes, buffer=32, **cfg_kwargs):
     cfg = DRAMConfig(channels=1, request_buffer=buffer, **cfg_kwargs)
     mapper = AddressMapper(cfg)
     ctrl = MemoryController(0, cfg, mapper)
-    ctrl.record_commands = True
+    log: list[tuple] = []
+    ctrl.command_observers.append(
+        lambda kind, cycle, bank, row: log.append((kind, cycle, bank, row)))
     for i, (addr, is_write) in enumerate(addr_writes):
         ctrl.enqueue(DRAMRequest(addr & ~63, is_write, arrival=i))
     ctrl.drain()
-    return ctrl.command_log
+    return log
 
 
 def check_legality(log, timing=None):
@@ -104,8 +106,10 @@ def test_multirank_schedule_is_legal(reqs, page_policy):
 
 
 def test_command_log_off_by_default():
+    """Nothing observes the command stream unless a caller attaches to
+    ``command_observers`` (the auditor, the event bus, a test recorder)."""
     cfg = DRAMConfig(channels=1)
     ctrl = MemoryController(0, cfg, AddressMapper(cfg))
     ctrl.enqueue(DRAMRequest(0, False, arrival=0))
     ctrl.drain()
-    assert ctrl.command_log == []
+    assert ctrl.command_observers == []

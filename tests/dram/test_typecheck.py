@@ -1,8 +1,6 @@
 """Replay the CI mypy check locally when mypy is installed.
 
-The Scheduler protocol's signatures are what keep the controller's
-indexed fast path honest (``insert``/``take`` vs the stateless ``pick``),
-and the batched engine must keep presenting the scalar oracle's interface,
+The batched engine must keep presenting the scalar oracle's interface,
 so ``repro/dram`` plus the sweep executor (``repro/sim``), the shared
 value types (``repro/common``), the tenancy QoS layer (``repro/serve``),
 and — since the front-end split — the cache hierarchy and core models
