@@ -71,6 +71,8 @@ class BatchedHierarchy(MemoryHierarchy):
         self._llc_nsets = self.llc._num_sets
         self._llc_ways = self.llc._ways
         self._llc_entries = self.llc_mshr._entries
+        self._all_sets = [(c._sets, c._num_sets)
+                          for c in (*self.l1, *self.l2, self.llc)]
         # LLC MSHR entries only become releasable when a DRAM request
         # finishes, and both engines bump their controller's "serviced"
         # counter in the same frame that sets ``request.finish``.  Snapshot
@@ -514,6 +516,14 @@ class BatchedHierarchy(MemoryHierarchy):
             if li in c._sets[li % c._num_sets]:
                 return True
         return False
+
+    def invalidate(self, addr: int) -> None:
+        """Scalar ``invalidate`` as direct set pops: one line index, no
+        per-level ``Cache.invalidate`` call (pops commute, so the level
+        order does not matter)."""
+        li = addr >> self._line_shift
+        for sets, nsets in self._all_sets:
+            sets[li % nsets].pop(li, None)
 
     # ----------------------------------------------------------- tile streams
 

@@ -39,20 +39,19 @@ class ColumnRecord:
 @dataclass
 class _Slice:
     coord: tuple[int, int, int, int]       # (channel, rank, bankgroup, bank)
+    cols_per_entry: int                    # the owning table's row width
     rows: dict[int, dict[int, ColumnRecord]] = field(default_factory=dict)
     #: BCAM entries consumed (ceil(lines/cols_per_entry) summed over rows),
-    #: maintained incrementally on insert.  The *insert* capacity check
-    #: reads this counter (rows only grow between drains, so it is exact);
-    #: :meth:`entry_units` still recomputes from the rows so external
-    #: checkers (the serving layer's invariants) detect state corrupted
-    #: behind the API.
+    #: maintained incrementally by :meth:`RowTable.insert`, whose capacity
+    #: check reads this counter (rows only grow between drains, so it is
+    #: exact); :meth:`entry_units` still recomputes from the rows so
+    #: external checkers (the serving layer's invariants) detect state
+    #: corrupted behind the API.
     units: int = 0
 
     def entry_units(self) -> int:
-        return sum(-(-len(cols) // _Slice.cols_per_entry)
+        return sum(-(-len(cols) // self.cols_per_entry)
                    for cols in self.rows.values())
-
-    cols_per_entry = 8  # overridden by RowTable
 
 
 @dataclass
@@ -73,7 +72,6 @@ class RowTable:
     def __init__(self, rows_per_slice: int = 64, cols_per_row: int = 8) -> None:
         self.rows_per_slice = rows_per_slice
         self.cols_per_row = cols_per_row
-        _Slice.cols_per_entry = cols_per_row
         self._slices: dict[tuple[int, int, int, int], _Slice] = {}
         self.inserted_words = 0
         self.unique_lines = 0
@@ -91,21 +89,11 @@ class RowTable:
         ``h_bit_fn(line_addr)`` is consulted only on a line's first touch —
         the directory snoop of Section 3.6.
         """
-        return self.insert_decoded(coord.flat_bank, coord.row, line_addr,
-                                   iteration, h_bit_fn)
-
-    def insert_decoded(self, flat_bank: tuple[int, int, int, int], row: int,
-                       line_addr: int, iteration: int,
-                       h_bit_fn) -> tuple[bool, int | None]:
-        """:meth:`insert` keyed by pre-decoded ``(flat_bank, row)``.
-
-        The batched indirect unit decodes whole tiles through
-        ``AddressMapper.map_arrays`` and feeds the coordinate fields here
-        directly, skipping the per-element :class:`DRAMCoord` construction.
-        """
+        flat_bank = coord.flat_bank
+        row = coord.row
         sl = self._slices.get(flat_bank)
         if sl is None:
-            sl = _Slice(coord=flat_bank)
+            sl = _Slice(coord=flat_bank, cols_per_entry=self.cols_per_row)
             self._slices[flat_bank] = sl
         cols = sl.rows.get(row)
         if cols is not None and line_addr in cols:

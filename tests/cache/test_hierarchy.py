@@ -4,6 +4,7 @@ import pytest
 
 from repro.common import DRAMConfig, HitLevel, SystemConfig
 from repro.cache import MemoryHierarchy
+from repro.cache.batched import BatchedHierarchy
 from repro.dram import DRAMSystem
 
 
@@ -90,6 +91,21 @@ def test_snoop_and_invalidate(system):
     assert h.snoop(0xA000)
     h.invalidate(0xA000)
     assert not h.snoop(0xA000)
+
+
+@pytest.mark.parametrize("hierarchy_cls", [MemoryHierarchy,
+                                           BatchedHierarchy])
+def test_invalidate_drops_line_from_every_level(hierarchy_cls):
+    cfg = SystemConfig.baseline()
+    dram = DRAMSystem(cfg.dram)
+    h = hierarchy_cls(cfg, dram)
+    h.llc_access(0xA000, is_write=False, t=0).resolve(dram)
+    for cache in (*h.l1, *h.l2):
+        cache.insert(0xA000)
+    h.l1[1].insert(0xB000)
+    h.invalidate(0xA010)  # any byte of the line
+    assert not any(c.lookup(0xA000) for c in (*h.l1, *h.l2, h.llc))
+    assert h.snoop(0xB000)
 
 
 def test_llc_direct_access_skips_private_caches(system):

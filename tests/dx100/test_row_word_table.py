@@ -31,6 +31,18 @@ def test_duplicate_line_coalesces():
     assert rt.coalescing_factor() == 2.0
 
 
+def test_column_width_is_per_table():
+    """Building a narrower table must not change an existing table's BCAM
+    accounting (the width was once a class attribute shared by all)."""
+    rt = RowTable(rows_per_slice=64, cols_per_row=8)
+    for i in range(8):
+        assert rt.insert(coord(row=1, col=i), 0x40 * i, i, no_hit)[0]
+    assert rt.occupancy == 1
+    RowTable(rows_per_slice=64, cols_per_row=2)
+    assert rt.occupancy == 1
+    assert rt.slice_units(coord(row=1).flat_bank) == 1
+
+
 def test_capacity_rejects_when_slice_full():
     rt = RowTable(rows_per_slice=2, cols_per_row=8)
     assert rt.insert(coord(row=1), 0x000, 0, no_hit)[0]
