@@ -50,12 +50,15 @@ campaign-smoke:
 	test -z "$$(find results/.campaigns/smoke/queue \
 		results/.campaigns/smoke/failed -type f 2>/dev/null)"
 
-# Golden-metrics regression harness (tests/golden/quick_suite.json).
+# Golden harness: re-run every pinned suite (quick, memtech, tenancy)
+# and diff it bitwise against tests/golden/, or rewrite the files after an
+# intentional model change.  JOBS=N sizes the quick suite's worker pool.
+GOLDEN_JOBS = $(if $(JOBS),REPRO_JOBS=$(JOBS),)
 golden-check:
-	$(RUN_REPRO) sweep --check-golden $(SWEEP_JOBS)
+	$(GOLDEN_JOBS) $(RUN_REPRO) golden check
 
 golden-update:
-	$(RUN_REPRO) sweep --update-golden $(SWEEP_JOBS)
+	$(GOLDEN_JOBS) $(RUN_REPRO) golden update
 
 # Regenerate the memory-technology comparison table + latency sweep
 # (results/memory_technology.{txt,json}): local DDR4/DDR5 vs the modeled
@@ -64,13 +67,10 @@ memtech:
 	PYTHONPATH=src $(PYTHON) -m pytest \
 		benchmarks/test_memory_technology.py --benchmark-only
 
-# The CI far-memory smoke: a tiny cxl run end to end through the CLI,
-# then the memory-technology golden grid replayed on the scalar DRAM
-# oracle — both engines must reproduce the committed file bitwise.
+# The CI far-memory smoke: a tiny cxl run end to end through the CLI
+# (`make golden-check` replays the memory-technology grid).
 remote-smoke:
 	$(RUN_REPRO) run IS --quick --dram cxl --configs baseline dx100
-	PYTHONPATH=src $(PYTHON) -m repro.sim.memtech --check
-	PYTHONPATH=src $(PYTHON) -m repro.sim.memtech --check --engine scalar
 
 # Where does the wall-clock go?  cProfile hotspots + per-component
 # attribution + stage timers for one run (PROFILE_ARGS to customize, e.g.

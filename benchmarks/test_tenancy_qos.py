@@ -12,8 +12,7 @@ fails the bench, the same contract as the quick-suite metrics.
 import pytest
 
 from repro.serve import tenancy_scenarios
-from repro.serve.golden import (diff_tenancy_golden, load_tenancy_golden,
-                                tenancy_snapshot)
+from repro.sim import golden
 
 from mainsweep import record
 
@@ -44,6 +43,7 @@ def test_tenancy_qos_sweep(benchmark):
     assert all(t.p99 >= solo_p99 for t in scenarios["t4"].tenants)
 
     # Golden pin: the sweep must reproduce the committed numbers exactly.
-    problems = diff_tenancy_golden(tenancy_snapshot(scenarios),
-                                   load_tenancy_golden())
+    snapshot = {name: report.golden_snapshot()
+                for name, report in scenarios.items()}
+    problems = golden.diff(snapshot, golden.load("tenancy"))
     assert not problems, "\n".join(problems)

@@ -6,13 +6,13 @@ Usage::
     python -m repro run IS PR --configs baseline dx100
     python -m repro run --all --quick --csv results/results.csv
     python -m repro sweep --quick --jobs 4    # parallel + cached grid
-    python -m repro sweep --update-golden     # refresh golden metrics
     python -m repro campaign 'benchmarks=IS,CG dram=ddr4,ddr5' --workers 2
     python -m repro campaign --resume 20260808-1200 --workers 4
     python -m repro run IS --quick --trace results/trace.json
     python -m repro timeline IS --quick       # ASCII observability timeline
     python -m repro serve --tenants 2 --aggressor 1   # multi-tenant QoS
-    python -m repro serve --check-golden      # pinned tenancy scenarios
+    python -m repro golden check              # every golden suite, bitwise
+    python -m repro golden update <suite>     # quick | memtech | tenancy
     python -m repro area                      # Table 4
 
 Each run prints a comparison table; ``--csv`` additionally writes the raw
@@ -119,14 +119,6 @@ def _parser() -> argparse.ArgumentParser:
     sweep.add_argument("--prune-cache", action="store_true",
                        help="first delete cache entries from older model "
                             "versions")
-    sweep.add_argument("--update-golden", action="store_true",
-                       help="re-run the quick suite under all three configs "
-                            "and rewrite tests/golden/quick_suite.json "
-                            "(after an intentional model change)")
-    sweep.add_argument("--check-golden", action="store_true",
-                       help="diff the quick suite against "
-                            "tests/golden/quick_suite.json; exit 1 on any "
-                            "mismatch")
     sweep.add_argument("--sample-every", type=int, default=0, metavar="N",
                        help="attach the timeline samplers to every run "
                             "(period N cycles; summaries land in each "
@@ -135,30 +127,21 @@ def _parser() -> argparse.ArgumentParser:
                        default=None,
                        help="force the DRAM engine for every run (default: "
                             "the config's engine, i.e. batched; --engine "
-                            "scalar runs the oracle — combine with "
-                            "--check-golden for a full differential check)")
+                            "scalar runs the oracle)")
     sweep.add_argument("--frontend", choices=["batched", "scalar"],
                        default=None,
                        help="force the simulation front-end for every run "
-                            "(scalar replays the per-op cache/core oracle — "
-                            "combine with --check-golden for the front-end "
-                            "differential check)")
+                            "(scalar replays the per-op cache/core oracle)")
     sweep.add_argument("--dram", choices=sorted(DRAM_PRESETS), default=None,
                        help="memory technology preset for every task "
                             "(default: ddr4; cxl puts the pool behind the "
-                            "modeled far-memory link; ignored under "
-                            "--check-golden/--update-golden, which pin ddr4)")
+                            "modeled far-memory link)")
     sweep.add_argument("--profile", action="store_true",
                        help="after the timed sweep, re-run the grid once "
                             "under cProfile and record per-component and "
                             "pipeline-stage tottimes in "
                             "BENCH_mainsweep.json (the recorded wall_s "
                             "stays un-instrumented)")
-    sweep.add_argument("--affinity", action="store_true",
-                       help="group cache misses by workload and reuse each "
-                            "dataset's generate stage across modes (the "
-                            "campaign fabric's executor; results are "
-                            "bitwise identical)")
 
     campaign = sub.add_parser(
         "campaign",
@@ -274,13 +257,25 @@ def _parser() -> argparse.ArgumentParser:
                        help="DRAM engine (scalar = the oracle replay)")
     serve.add_argument("--no-check", action="store_true",
                        help="skip the per-tile QoS invariant checks")
-    serve.add_argument("--update-golden", action="store_true",
-                       help="re-run the canonical tenancy scenarios and "
-                            "rewrite tests/golden/tenancy_quick.json")
-    serve.add_argument("--check-golden", action="store_true",
-                       help="diff the canonical tenancy scenarios against "
-                            "tests/golden/tenancy_quick.json; exit 1 on "
-                            "any mismatch")
+
+    golden = sub.add_parser(
+        "golden",
+        help="re-run the golden-pinned suites (quick, memtech, tenancy) and "
+             "diff them bitwise against tests/golden/ (check) or rewrite "
+             "the files after an intentional model change (update); never "
+             "touches the run cache",
+    )
+    golden.add_argument("action", choices=["check", "update"])
+    golden.add_argument("suites", nargs="*",
+                        help="suite names (default: all)")
+    golden.add_argument("--engine", choices=["batched", "scalar"],
+                        default=None,
+                        help="force the DRAM engine (scalar = the oracle "
+                             "replay; must match the goldens bitwise)")
+    golden.add_argument("--frontend", choices=["batched", "scalar"],
+                        default=None,
+                        help="force the cache/core front end (scalar = the "
+                             "oracle replay; the tenancy suite has none)")
 
     sub.add_parser("area", help="print the Table 4 area/power breakdown")
     return parser
@@ -431,10 +426,7 @@ def cmd_sweep(args) -> int:
     """Parallel, cached sweep over the benchmark x configuration grid."""
     from pathlib import Path
 
-    from repro.sim.sweep import (
-        GOLDEN_PATH, RunCache, diff_golden, golden_snapshot, load_golden,
-        run_main_sweep, write_golden, write_sweep_records,
-    )
+    from repro.sim.sweep import RunCache, run_main_sweep, write_sweep_records
 
     if args.jobs is not None and args.jobs < 1:
         print(f"--jobs must be >= 1 (got {args.jobs}); omit it for the "
@@ -446,29 +438,20 @@ def cmd_sweep(args) -> int:
         print(f"pruned {removed} stale cache entr"
               f"{'y' if removed == 1 else 'ies'}", file=sys.stderr)
 
-    golden_mode = args.update_golden or args.check_golden
-    if golden_mode:
-        # The golden suite is pinned: quick sizes, every benchmark, all
-        # three configurations — whatever else was on the command line.
-        quick, benchmarks, modes = True, None, ("baseline", "dmp", "dx100")
-    else:
-        quick = args.quick
-        benchmarks = args.benchmarks or None
-        modes = tuple(args.configs)
-
+    quick = args.quick
+    benchmarks = args.benchmarks or None
+    modes = tuple(args.configs)
     try:
         outcome = run_main_sweep(
             quick=quick, benchmarks=benchmarks, modes=modes, jobs=args.jobs,
             cache=not args.no_cache, cache_dir=args.cache_dir,
-            sample_every=0 if golden_mode else args.sample_every,
-            engine=args.engine, frontend=args.frontend,
-            dram=None if golden_mode else args.dram,
-            affinity=args.affinity,
+            sample_every=args.sample_every,
+            engine=args.engine, frontend=args.frontend, dram=args.dram,
         )
     except ValueError as exc:   # e.g. a bad REPRO_JOBS value
         print(exc, file=sys.stderr)
         return 2
-    if args.profile and not golden_mode:
+    if args.profile:
         # Instrumented second pass, strictly serial, AFTER the timed sweep
         # so the recorded wall_s stays un-instrumented.
         from repro.sim.profile import profile_tasks
@@ -488,30 +471,41 @@ def cmd_sweep(args) -> int:
           f"({fresh_wall:.1f}s of simulation)")
     print(f"sweep record: {args.json or 'results/sweep.json'}; "
           f"perf trajectory: BENCH_mainsweep.json")
+    return 0
 
-    if args.update_golden:
-        path = write_golden(outcome)
-        print(f"golden metrics updated: {path}")
-        return 0
-    if args.check_golden:
+
+def cmd_golden(args) -> int:
+    """Re-run golden suites and diff (check) or rewrite (update) them."""
+    from repro.sim import golden
+
+    names = args.suites or list(golden.SUITES)
+    unknown = [n for n in names if n not in golden.SUITES]
+    if unknown:
+        print(f"unknown golden suite(s): {', '.join(unknown)}; valid: "
+              f"{', '.join(golden.SUITES)}", file=sys.stderr)
+        return 2
+    failed = 0
+    for name in names:
+        snapshot = golden.SUITES[name].run(args.engine, args.frontend)
+        if args.action == "update":
+            print(f"golden {name}: updated {golden.write(name, snapshot)}")
+            continue
         try:
-            golden = load_golden()
+            problems = golden.diff(snapshot, golden.load(name))
         except FileNotFoundError:
-            print(f"no golden file at {GOLDEN_PATH}; run "
-                  f"`python -m repro sweep --update-golden`",
-                  file=sys.stderr)
-            return 1
-        problems = diff_golden(golden_snapshot(outcome), golden)
+            problems = [f"no golden file at {golden.SUITES[name].path}"]
         if problems:
-            print(f"\ngolden-metrics check FAILED "
-                  f"({len(problems)} mismatch(es)):", file=sys.stderr)
+            failed += 1
+            print(f"golden {name}: FAILED ({len(problems)} mismatch(es)):",
+                  file=sys.stderr)
             for p in problems:
                 print(f"  {p}", file=sys.stderr)
-            print("if the model change is intentional, regenerate with "
-                  "`python -m repro sweep --update-golden`", file=sys.stderr)
-            return 1
-        print("golden-metrics check passed (bitwise identical)")
-    return 0
+        else:
+            print(f"golden {name}: passed (bitwise identical)")
+    if failed:
+        print("if the model change is intentional, regenerate with "
+              "`python -m repro golden update <suite>`", file=sys.stderr)
+    return 1 if failed else 0
 
 
 def cmd_campaign(args) -> int:
@@ -660,43 +654,9 @@ def cmd_timeline(args) -> int:
 
 
 def cmd_serve(args) -> int:
-    """Run the multi-tenant serving layer (or its golden harness)."""
+    """Run the multi-tenant serving layer."""
     from repro.common.config import DRAMConfig
-    from repro.serve import make_tenants, serve_run, tenancy_scenarios
-    from repro.serve.golden import (
-        TENANCY_GOLDEN_PATH, diff_tenancy_golden, load_tenancy_golden,
-        tenancy_snapshot, write_tenancy_golden,
-    )
-
-    if args.update_golden or args.check_golden:
-        scenarios = tenancy_scenarios(engine=args.engine)
-        if args.update_golden:
-            path = write_tenancy_golden(scenarios)
-            print(f"tenancy golden metrics updated: {path}")
-            return 0
-        try:
-            golden = load_tenancy_golden()
-        except FileNotFoundError:
-            print(f"no tenancy golden file at {TENANCY_GOLDEN_PATH}; run "
-                  f"`python -m repro serve --update-golden`",
-                  file=sys.stderr)
-            return 1
-        snapshot = tenancy_snapshot(scenarios)
-        if args.engine != "batched":
-            # The golden file is pinned under the batched engine; the
-            # scalar replay must match it everywhere but the engine label.
-            for entry in snapshot.values():
-                entry["engine"] = "batched"
-        problems = diff_tenancy_golden(snapshot, golden)
-        if problems:
-            print(f"tenancy golden check FAILED "
-                  f"({len(problems)} mismatch(es)):", file=sys.stderr)
-            for p in problems:
-                print(f"  {p}", file=sys.stderr)
-            return 1
-        print(f"tenancy golden check passed (bitwise identical, "
-              f"engine={args.engine})")
-        return 0
+    from repro.serve import make_tenants, serve_run
 
     if args.tenants < 1:
         print("--tenants must be >= 1", file=sys.stderr)
@@ -741,6 +701,8 @@ def main(argv=None) -> int:
         return cmd_timeline(args)
     if args.command == "serve":
         return cmd_serve(args)
+    if args.command == "golden":
+        return cmd_golden(args)
     if args.command == "area":
         return cmd_area()
     return 2

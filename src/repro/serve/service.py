@@ -102,7 +102,6 @@ class ServeReport:
     def golden_snapshot(self) -> dict:
         """JSON-stable digest for the tenancy golden file (exact compare)."""
         return {
-            "engine": self.engine,
             "total_cycles": int(self.total_cycles),
             "jain": round(self.jain, 6),
             "starvations": int(self.starvations),
@@ -389,14 +388,18 @@ def serve_run(specs: list[TenantSpec],
 
 # ------------------------------------------------------- canonical scenarios
 
-def tenancy_scenarios(engine: str = "batched") -> dict[str, ServeReport]:
+def tenancy_scenarios(engine: str | None = None) -> dict[str, ServeReport]:
     """The golden-pinned tenant-count x interference grid.
 
-    Shared by ``python -m repro serve --check-golden`` and the tenancy
-    sweep benchmark, so the pinned numbers always describe the same runs.
+    Shared by the ``tenancy`` golden suite (``python -m repro golden
+    check tenancy``; :mod:`repro.sim.golden`) and the tenancy sweep
+    benchmark, so the pinned numbers always describe the same runs.
+    ``engine`` forces the DRAM engine (default: the config's own).
     """
     from dataclasses import replace
-    config = replace(DRAMConfig(), engine=engine)
+    config = DRAMConfig()
+    if engine is not None:
+        config = replace(config, engine=engine)
     out: dict[str, ServeReport] = {}
     out["t1"] = serve_run(
         make_tenants(1, tiles=4, tile_lines=96), config=config)

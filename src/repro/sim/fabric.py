@@ -989,57 +989,3 @@ def merge_bench_record(summary: dict[str, Any],
     if "workers" in summary:
         record["campaign"]["workers"] = summary["workers"]
     bench_path.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
-
-
-# ----------------------------------------------- sweep-executor delegation
-
-def run_grouped(indexed_tasks: list[tuple[int, SweepTask]], jobs: int,
-                ) -> list[tuple[int, RunResult, float]]:
-    """Execute (index, task) pairs with workload-affinity grouping and
-    generate-stage reuse — the in-process twin of the campaign workers
-    that ``run_sweep(affinity=True)`` delegates to.
-
-    Tasks are bucketed by dataset (benchmark + scale); ``jobs=1`` runs
-    every bucket serially through one :class:`GenerateCache`, and a pool
-    maps whole buckets to workers so reuse never crosses a process
-    boundary.  Results are keyed by the caller's indices, so task order —
-    and therefore every metric — is bitwise identical to the ungrouped
-    path.
-    """
-    groups: dict[str, list[tuple[int, SweepTask]]] = {}
-    for index, task in indexed_tasks:
-        label = f"{task.benchmark}.{'quick' if task.quick else 'main'}"
-        groups.setdefault(label, []).append((index, task))
-    buckets = list(groups.values())
-    if jobs == 1 or len(buckets) == 1:
-        out = []
-        for bucket in buckets:
-            out.extend(_grouped_bucket(bucket))
-        return out
-    ctx = multiprocessing.get_context(
-        "fork" if "fork" in multiprocessing.get_all_start_methods()
-        else "spawn")
-    with ctx.Pool(processes=min(jobs, len(buckets))) as pool:
-        chunks = pool.map(_grouped_bucket, buckets)
-    return [item for chunk in chunks for item in chunk]
-
-
-def _grouped_bucket(bucket: list[tuple[int, SweepTask]],
-                    ) -> list[tuple[int, RunResult, float]]:
-    """One dataset's tasks through one GenerateCache, with the cyclic GC
-    off for the whole bucket (same rationale as the campaign worker)."""
-    import gc
-    gen = GenerateCache()
-    gc_was_enabled = gc.isenabled()
-    if gc_was_enabled:
-        gc.disable()
-    gc.collect()
-    gc.freeze()
-    try:
-        return [(index, *execute_task(task, workload=gen.prepared(task)))
-                for index, task in bucket]
-    finally:
-        gc.unfreeze()
-        if gc_was_enabled:
-            gc.enable()
-        gc.collect()

@@ -16,31 +16,28 @@ each memory technology row —
     tiered-memory placement where hot and cold data share the footprint.
 
 Each row reports the pinned :data:`~repro.sim.sweep.GOLDEN_FIELDS`
-plus the link's ``far_serviced`` counter, and the golden harness pins
-them bitwise in ``tests/golden/memory_technology.json`` so a far-tier
-regression (or an accidental change to link timing) fails CI the same
-way the quick-suite goldens do.  The scalar DRAM engine must reproduce
-the file exactly (``--engine scalar`` — the differential guarantee over
-the link path).
+plus the link's ``far_serviced`` counter, and the ``memtech`` golden
+suite (:mod:`repro.sim.golden`) pins them bitwise in
+``tests/golden/memory_technology.json`` so a far-tier regression (or an
+accidental change to link timing) fails CI the same way the quick-suite
+goldens do.  The scalar DRAM engine and the scalar front end must each
+reproduce the file exactly (the differential guarantee over the link
+path).
 
-Run ``python -m repro.sim.memtech --check`` to diff, ``--update-golden``
-to regenerate after an intentional model change.
+Run ``python -m repro golden check memtech`` to diff, and
+``python -m repro golden update memtech`` to regenerate after an
+intentional model change.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import replace
-from pathlib import Path
 
 from repro.common.config import (
     DRAMConfig, RemoteLinkConfig, SystemConfig, cxl_remote, ddr5_6400,
 )
 from repro.sim.runner import run_baseline, run_dx100
 from repro.sim.sweep import GOLDEN_FIELDS
-
-MEMTECH_GOLDEN_PATH = Path(__file__).resolve().parents[3] / "tests" / \
-    "golden" / "memory_technology.json"
 
 #: Pinned per-run fields: the sweep goldens' eight, plus the far-tier
 #: service count (0 on all-local rows — pinning it catches placement
@@ -70,13 +67,14 @@ def memtech_dram(scenario: str) -> DRAMConfig:
 
 
 def run_memtech(benchmark: str = "IS", cores: int = 2,
-                engine: str | None = None) -> dict:
+                engine: str | None = None,
+                frontend: str | None = None) -> dict:
     """Run the scenario grid on one quick benchmark.
 
     Returns ``scenario -> mode -> {field: value}`` over
-    :data:`MEMTECH_FIELDS`.  ``engine`` forces the DRAM engine
-    (``"scalar"`` replays the grid on the per-request oracle; the result
-    must be bitwise identical).
+    :data:`MEMTECH_FIELDS`.  ``engine`` forces the DRAM engine and
+    ``frontend`` the cache/core front end (``"scalar"`` replays the grid
+    on the oracle; the result must be bitwise identical).
     """
     from repro.workloads import QUICK_BENCHMARKS
     snapshot: dict[str, dict[str, dict]] = {}
@@ -89,6 +87,8 @@ def run_memtech(benchmark: str = "IS", cores: int = 2,
             builder = (SystemConfig.dx100_scaled if mode == "dx100"
                        else SystemConfig.baseline_scaled)
             config = replace(builder(cores), dram=dram)
+            if frontend is not None:
+                config = replace(config, frontend=frontend)
             wl = QUICK_BENCHMARKS[benchmark]()
             run = run_dx100 if mode == "dx100" else run_baseline
             result = run(wl, config, warm=False)
@@ -97,110 +97,3 @@ def run_memtech(benchmark: str = "IS", cores: int = 2,
             rows[mode] = row
         snapshot[scenario] = rows
     return snapshot
-
-
-# ---------------------------------------------------- golden-pin harness
-
-def diff_memtech_golden(snapshot: dict, golden: dict) -> list[str]:
-    """Exact field-by-field diff; empty list means bitwise identical."""
-    problems = []
-    for scenario in sorted(set(golden) | set(snapshot)):
-        if scenario not in snapshot:
-            problems.append(f"{scenario}: missing from this run")
-            continue
-        if scenario not in golden:
-            problems.append(f"{scenario}: not in the golden file "
-                            f"(run --update-golden)")
-            continue
-        for mode in sorted(set(golden[scenario]) | set(snapshot[scenario])):
-            got = snapshot[scenario].get(mode)
-            want = golden[scenario].get(mode)
-            if got is None or want is None:
-                problems.append(
-                    f"{scenario}/{mode}: present in only one side")
-                continue
-            for fld in MEMTECH_FIELDS:
-                if got.get(fld) != want.get(fld):
-                    problems.append(
-                        f"{scenario}/{mode}.{fld}: got {got.get(fld)!r}, "
-                        f"golden {want.get(fld)!r}")
-    return problems
-
-
-def write_memtech_golden(snapshot: dict,
-                         path: str | Path | None = None) -> Path:
-    """Write a :func:`run_memtech` snapshot as the committed golden file."""
-    path = Path(path or MEMTECH_GOLDEN_PATH)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    payload = {
-        "_comment": "Golden metrics for the memory-technology scenario "
-                    "grid (quick IS under baseline/dx100 on local DDR4, "
-                    "DDR5, all-far CXL, and mixed placement).  Regenerate "
-                    "with `python -m repro.sim.memtech --update-golden` "
-                    "after an intentional model change.",
-        "benchmark": "IS",
-        "fields": list(MEMTECH_FIELDS),
-        "metrics": snapshot,
-    }
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return path
-
-
-def load_memtech_golden(path: str | Path | None = None) -> dict:
-    return json.loads(
-        Path(path or MEMTECH_GOLDEN_PATH).read_text())["metrics"]
-
-
-def main(argv=None) -> int:
-    """CLI: ``--check`` diffs against the golden, ``--update-golden``
-    rewrites it; ``--engine scalar`` replays on the DRAM oracle."""
-    import argparse
-    import sys
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.sim.memtech",
-        description="memory-technology scenario grid (golden harness)")
-    parser.add_argument("--check", action="store_true",
-                        help="diff against tests/golden/"
-                             "memory_technology.json; exit 1 on mismatch")
-    parser.add_argument("--update-golden", action="store_true",
-                        help="regenerate the golden file")
-    parser.add_argument("--engine", choices=["batched", "scalar"],
-                        default=None,
-                        help="force the DRAM engine (scalar = oracle "
-                             "replay; must match the golden bitwise)")
-    args = parser.parse_args(argv)
-    snapshot = run_memtech(engine=args.engine)
-    if args.update_golden:
-        path = write_memtech_golden(snapshot)
-        print(f"memory-technology golden updated: {path}")
-        return 0
-    if args.check:
-        try:
-            golden = load_memtech_golden()
-        except FileNotFoundError:
-            print(f"no golden file at {MEMTECH_GOLDEN_PATH}; run "
-                  f"`python -m repro.sim.memtech --update-golden`",
-                  file=sys.stderr)
-            return 1
-        problems = diff_memtech_golden(snapshot, golden)
-        if problems:
-            print(f"memory-technology golden check FAILED "
-                  f"({len(problems)} mismatch(es)):", file=sys.stderr)
-            for p in problems:
-                print(f"  {p}", file=sys.stderr)
-            return 1
-        print(f"memory-technology golden check passed (bitwise identical"
-              f"{', engine=' + args.engine if args.engine else ''})")
-        return 0
-    for scenario in MEMTECH_SCENARIOS:
-        rows = snapshot[scenario]
-        speedup = rows["baseline"]["cycles"] / rows["dx100"]["cycles"]
-        print(f"{scenario:>6s}: baseline {rows['baseline']['cycles']:>9d} "
-              f"cy, dx100 {rows['dx100']['cycles']:>9d} cy, "
-              f"speedup {speedup:5.2f}x, "
-              f"far lines {rows['dx100']['far_serviced']}")
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -24,8 +24,8 @@ Entry points:
 * :func:`main_sweep_tasks` / :func:`run_main_sweep` — the Figure 9-12
   benchmark x configuration grid (``benchmarks/mainsweep.py`` delegates
   here, and ``python -m repro sweep`` exposes it on the command line);
-* :func:`golden_snapshot` / :func:`diff_golden` — the golden-metrics
-  regression harness (``tests/golden/quick_suite.json``).
+* :func:`golden_snapshot` — the quick suite's golden snapshot, which
+  :mod:`repro.sim.golden` pins in ``tests/golden/quick_suite.json``.
 """
 
 from __future__ import annotations
@@ -59,9 +59,6 @@ GOLDEN_FIELDS = (
     "row_buffer_hit_rate", "request_buffer_occupancy", "llc_mpki",
     "dram_bytes", "dram_requests",
 )
-
-GOLDEN_PATH = Path(__file__).resolve().parents[3] / "tests" / "golden" / \
-    "quick_suite.json"
 
 
 # --------------------------------------------------------------------- keys
@@ -438,17 +435,13 @@ def _pool_context():
 def run_sweep(tasks: list[SweepTask], jobs: int | None = None,
               cache: bool = True,
               cache_dir: str | Path | None = None,
-              progress=None, affinity: bool = False) -> SweepOutcome:
+              progress=None) -> SweepOutcome:
     """Execute ``tasks``, fanning cache misses out over worker processes.
 
     ``jobs=None`` uses ``REPRO_JOBS`` or the CPU count; ``jobs=1`` runs
     strictly serially in-process (no pool), which the determinism tests
     compare against the parallel path.  ``progress`` is an optional
-    ``callable(TaskRun)`` invoked as each task settles.  ``affinity``
-    delegates miss execution to the campaign fabric's workload-affinity
-    executor (:func:`repro.sim.fabric.run_grouped`): tasks sharing a
-    dataset run on one worker with the generate stage snapshotted once
-    and restored per run — bitwise identical results, less cold wall.
+    ``callable(TaskRun)`` invoked as each task settles.
     """
     if jobs is not None and jobs < 1:
         raise ValueError(
@@ -471,10 +464,7 @@ def run_sweep(tasks: list[SweepTask], jobs: int | None = None,
             misses.append(i)
 
     if misses:
-        if affinity:
-            from repro.sim.fabric import run_grouped
-            fresh = run_grouped([(i, tasks[i]) for i in misses], jobs)
-        elif jobs == 1 or len(misses) == 1:
+        if jobs == 1 or len(misses) == 1:
             fresh = [_worker((i, tasks[i])) for i in misses]
         else:
             ctx = _pool_context()
@@ -560,15 +550,13 @@ def run_main_sweep(quick: bool = False,
                    sample_every: int = 0,
                    engine: str | None = None,
                    frontend: str | None = None,
-                   dram: str | None = None,
-                   affinity: bool = False) -> SweepOutcome:
+                   dram: str | None = None) -> SweepOutcome:
     """Run the main-evaluation grid and emit the structured JSON records
     (``results/sweep.json`` + ``BENCH_mainsweep.json``)."""
     tasks = main_sweep_tasks(quick=quick, benchmarks=benchmarks, modes=modes,
                              sample_every=sample_every, engine=engine,
                              frontend=frontend, dram=dram)
-    outcome = run_sweep(tasks, jobs=jobs, cache=cache, cache_dir=cache_dir,
-                        affinity=affinity)
+    outcome = run_sweep(tasks, jobs=jobs, cache=cache, cache_dir=cache_dir)
     outcome.extras["quick"] = quick
     if results_dir is not None:
         write_sweep_records(outcome, results_dir)
@@ -616,47 +604,13 @@ def golden_snapshot(outcome: SweepOutcome) -> dict:
 
 
 def diff_golden(snapshot: dict, golden: dict) -> list[str]:
-    """Exact field-by-field diff; empty list means bitwise identical."""
-    problems = []
-    for name in sorted(set(golden) | set(snapshot)):
-        if name not in snapshot:
-            problems.append(f"{name}: missing from this run")
-            continue
-        if name not in golden:
-            problems.append(f"{name}: not in the golden file "
-                            f"(run --update-golden)")
-            continue
-        for mode in sorted(set(golden[name]) | set(snapshot[name])):
-            got = snapshot[name].get(mode)
-            want = golden[name].get(mode)
-            if got is None or want is None:
-                problems.append(f"{name}/{mode}: present in only one side")
-                continue
-            for fld in GOLDEN_FIELDS:
-                if got.get(fld) != want.get(fld):
-                    problems.append(
-                        f"{name}/{mode}.{fld}: got {got.get(fld)!r}, "
-                        f"golden {want.get(fld)!r}")
-    return problems
+    """Exact field-by-field diff (:func:`repro.sim.golden.diff`); an empty
+    list means bitwise identical."""
+    from repro.sim.golden import diff
+    return diff(snapshot, golden)
 
 
-def write_golden(outcome: SweepOutcome,
-                 path: str | Path | None = None) -> Path:
-    """Rewrite the golden-metrics file from a finished quick-suite sweep
-    (the documented ``--update-golden`` path for intentional changes)."""
-    path = Path(path or GOLDEN_PATH)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    payload = {
-        "_comment": "Golden RunResult metrics for the REPRO_QUICK suite "
-                    "under baseline/dmp/dx100.  Regenerate with "
-                    "`python -m repro sweep --update-golden` after an "
-                    "intentional model change.",
-        "fields": list(GOLDEN_FIELDS),
-        "metrics": golden_snapshot(outcome),
-    }
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return path
-
-
-def load_golden(path: str | Path | None = None) -> dict:
-    return json.loads(Path(path or GOLDEN_PATH).read_text())["metrics"]
+def load_golden() -> dict:
+    """The committed quick-suite golden metrics."""
+    from repro.sim.golden import load
+    return load("quick")

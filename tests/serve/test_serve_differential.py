@@ -26,8 +26,6 @@ def test_multi_tenant_schedule_is_bitwise_identical_across_engines():
         for engine in ("batched", "scalar")
     }
     snaps = {e: r.golden_snapshot() for e, r in reports.items()}
-    assert snaps["batched"].pop("engine") == "batched"
-    assert snaps["scalar"].pop("engine") == "scalar"
     assert snaps["batched"] == snaps["scalar"]
     # Beyond the digest: every tile completion cycle, per tenant.
     for tb, ts in zip(reports["batched"].tenants, reports["scalar"].tenants):

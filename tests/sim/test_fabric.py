@@ -6,7 +6,6 @@ import json
 import os
 import threading
 import time
-from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -15,7 +14,7 @@ from repro.dx100.hostmem import HostMemory
 from repro.sim.fabric import (
     GenerateCache, RetryPolicy, build_tasks, campaign_status, claim_task,
     complete_task, create_campaign, fail_task, load_campaign,
-    merge_bench_record, reclaim_expired, run_campaign, run_grouped,
+    merge_bench_record, reclaim_expired, run_campaign,
     worker_loop,
 )
 from repro.sim.sweep import (
@@ -308,24 +307,6 @@ def test_no_baseline_traces_implementation_mutates_its_workload():
                             and t.value.id == "self"):
                         offenders.append(f"{source.name}: self.{t.attr}")
     assert not offenders, offenders
-
-
-def test_run_grouped_matches_the_ungrouped_executor():
-    """run_sweep(affinity=True) must be a pure perf change: same results,
-    same order, for the same tasks."""
-    tasks = main_sweep_tasks(quick=True, benchmarks=["IS", "CG"],
-                             modes=("baseline", "dx100"))
-    plain = run_sweep(tasks, jobs=1, cache=False)
-    grouped = run_sweep(tasks, jobs=1, cache=False, affinity=True)
-    assert [asdict(r.result) for r in grouped.runs] == \
-        [asdict(r.result) for r in plain.runs]
-
-
-def test_run_grouped_indices_survive_bucketing():
-    tasks = main_sweep_tasks(quick=True, benchmarks=["IS", "CG"],
-                             modes=("baseline",))
-    out = run_grouped(list(enumerate(tasks)), jobs=1)
-    assert sorted(i for i, _, _ in out) == [0, 1]
 
 
 # ------------------------------------------------------------------ reports

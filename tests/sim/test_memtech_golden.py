@@ -1,26 +1,21 @@
-"""Memory-technology golden harness (tier-1).
+"""Shape and properties of the memory-technology golden file.
 
-Re-runs the local/ddr5/cxl/mixed scenario grid (quick IS, baseline +
-DX100) and diffs every pinned field exactly against
-``tests/golden/memory_technology.json`` — the far-memory analogue of the
-quick-suite goldens.  Regenerate after an intentional model change with
-``python -m repro.sim.memtech --update-golden``.
+``tests/golden/memory_technology.json`` pins the local/ddr5/cxl/mixed
+scenario grid (quick IS, baseline + DX100) — the far-memory analogue of
+the quick-suite goldens.  ``tests/sim/test_golden.py`` re-runs the grid
+and diffs it exactly; these tests check that the committed numbers are
+well formed and still encode the far-memory thesis.
 """
 
 import json
 
-from repro.sim.memtech import (
-    MEMTECH_FIELDS, MEMTECH_GOLDEN_PATH, MEMTECH_SCENARIOS,
-    diff_memtech_golden, load_memtech_golden, run_memtech,
-)
+from repro.sim import golden
+from repro.sim.memtech import MEMTECH_FIELDS, MEMTECH_SCENARIOS
 
 
 def test_memtech_golden_file_is_committed_and_well_formed():
-    assert MEMTECH_GOLDEN_PATH.exists(), (
-        f"missing {MEMTECH_GOLDEN_PATH}; run "
-        f"`python -m repro.sim.memtech --update-golden`")
-    payload = json.loads(MEMTECH_GOLDEN_PATH.read_text())
-    assert payload["fields"] == list(MEMTECH_FIELDS)
+    payload = json.loads(golden.SUITES["memtech"].path.read_text())
+    assert set(payload) == {"_comment", "metrics"}
     metrics = payload["metrics"]
     assert set(metrics) == set(MEMTECH_SCENARIOS)
     for scenario, runs in metrics.items():
@@ -37,31 +32,21 @@ def test_memtech_golden_file_is_committed_and_well_formed():
             assert metrics[scenario][mode]["far_serviced"] == 0, scenario
 
 
-def test_memtech_grid_matches_golden_exactly():
-    golden = load_memtech_golden()
-    problems = diff_memtech_golden(run_memtech(), golden)
-    assert not problems, (
-        "memory-technology metrics drifted from "
-        "tests/golden/memory_technology.json (intentional? "
-        "`python -m repro.sim.memtech --update-golden`):\n  "
-        + "\n  ".join(problems))
-
-
 def test_golden_pins_the_far_memory_thesis():
     """The committed numbers themselves encode the headline claim: the
     link hurts the baseline far more than DX100, so the speedup grows
     from local DDR4 to all-far CXL."""
-    golden = load_memtech_golden()
+    pinned = golden.load("memtech")
 
     def speedup(scenario):
-        return (golden[scenario]["baseline"]["cycles"]
-                / golden[scenario]["dx100"]["cycles"])
+        return (pinned[scenario]["baseline"]["cycles"]
+                / pinned[scenario]["dx100"]["cycles"])
 
     assert speedup("cxl") > speedup("local") * 1.5
-    assert golden["cxl"]["baseline"]["cycles"] > \
-        2 * golden["local"]["baseline"]["cycles"]
-    dx_degradation = (golden["cxl"]["dx100"]["cycles"]
-                      / golden["local"]["dx100"]["cycles"])
-    base_degradation = (golden["cxl"]["baseline"]["cycles"]
-                        / golden["local"]["baseline"]["cycles"])
+    assert pinned["cxl"]["baseline"]["cycles"] > \
+        2 * pinned["local"]["baseline"]["cycles"]
+    dx_degradation = (pinned["cxl"]["dx100"]["cycles"]
+                      / pinned["local"]["dx100"]["cycles"])
+    base_degradation = (pinned["cxl"]["baseline"]["cycles"]
+                        / pinned["local"]["baseline"]["cycles"])
     assert dx_degradation < base_degradation / 2
