@@ -1,9 +1,10 @@
 """Core value types shared by every subsystem.
 
-The simulator is request-granular: components exchange :class:`MemOp`
-(core-side memory operations) and :class:`DRAMRequest` (controller-side DRAM
-transactions) records, each carrying the timing fields the models fill in as
-the request moves through the system.
+The simulator is request-granular: cores execute :class:`MemOp`
+(core-side memory operations, stored as trace columns) and the memory
+system exchanges :class:`DRAMRequest` (controller-side DRAM transactions)
+records, which carry the timing fields the models fill in as the request
+moves through the system.
 """
 
 from __future__ import annotations
@@ -107,6 +108,12 @@ class MemOp:
     access).  ``extra_instrs`` is the number of non-memory instructions
     (address arithmetic, loop control) attributed to this op; they consume
     frontend bandwidth and model the paper's instruction-count results.
+
+    Traces store ops as columns (:class:`repro.core.trace.Trace`); a
+    ``MemOp`` is one op read out of them, as the scalar core model does.
+    It carries inputs only: the timing of an op belongs to the core run
+    that executed it (the core's ``op_issue``/``op_complete``/``op_level``
+    result columns).
     """
 
     kind: AccessType
@@ -117,10 +124,6 @@ class MemOp:
     atomic: bool = False
     pc: int = 0
     tag: int = -1  # loop-iteration id, used by the DMP prefetcher model
-    # Timing results, filled by the core model.
-    issue: int = -1
-    complete: int = -1
-    level: HitLevel | None = None
 
 
 @dataclass(slots=True)

@@ -18,6 +18,9 @@ ideas, both bitwise-neutral by construction:
   "strictly less than the next heap entry" reproduces the scalar pop
   order exactly — the event-skip is over driver overhead, never over
   simulated work.
+
+The fused loop reads the trace's columns by op index and writes each op's
+timing into the core's result columns; no per-op record object is built.
 """
 
 from __future__ import annotations
@@ -32,16 +35,17 @@ from repro.core.trace import Trace
 
 class _Flight:
     """In-flight record for the batched core: the scalar ``_InFlight``
-    with the ``AccessResult`` fields folded in.  The batched hierarchy
-    returns ``(level, issue, complete, request, ret_lat)`` as a tuple,
-    and those fields land directly here — no intermediate result object
-    is ever built on the batched path."""
+    with the ``AccessResult`` fields folded in and the op named by its
+    index.  The batched hierarchy returns ``(level, issue, complete,
+    request, ret_lat)`` as a tuple, and those fields land directly here —
+    no intermediate result object is ever built on the batched path."""
 
-    __slots__ = ("op", "instrs", "done", "request", "ret_lat",
+    __slots__ = ("index", "is_load", "instrs", "done", "request", "ret_lat",
                  "in_iq", "iq_instrs")
 
-    def __init__(self, op, instrs, done, request, ret_lat):
-        self.op = op
+    def __init__(self, index, is_load, instrs, done, request, ret_lat):
+        self.index = index
+        self.is_load = is_load
         self.instrs = instrs
         self.done = done          # completion time, -1 while pending
         self.request = request
@@ -57,7 +61,7 @@ class BatchedCoreModel(CoreModel):
         super().start(trace, at)
         # Op index -> in-flight record, so dependence resolution is a dict
         # probe instead of the scalar engine's ROB-window scan.  Entries
-        # are only consulted while the producer's ``op.complete`` is still
+        # are only consulted while the producer's ``op_complete`` is still
         # -1 (a retired flight has published its completion time), so
         # nothing needs to be evicted before the next trace resets it.
         self._unresolved: dict[int, _Flight] = {}
@@ -71,7 +75,7 @@ class BatchedCoreModel(CoreModel):
                 self.dram.complete(request)
             done = request.finish + flight.ret_lat
             flight.done = done
-        flight.op.complete = done
+        self.op_complete[flight.index] = done
         return done
 
     def _drain_iq(self, now: float) -> None:
@@ -104,8 +108,17 @@ class BatchedCoreModel(CoreModel):
         trace = self._trace
         if trace is None:
             raise RuntimeError("trace exhausted")
-        ops = trace.ops
-        n = len(ops)
+        kinds = trace.kind
+        addrs = trace.addr
+        deps_col = trace.deps
+        extras = trace.extra
+        atomic_col = trace.atomic
+        pcs = trace.pc
+        tags = trace.tag
+        n = len(kinds)
+        op_issue = self.op_issue
+        op_complete = self.op_complete
+        op_level = self.op_level
         next_i = self._next
         cfg = self.config
         width = cfg.width
@@ -143,10 +156,11 @@ class BatchedCoreModel(CoreModel):
         else:
             b_time, b_key = bound
         while True:
-            op = ops[next_i]
+            i = next_i
             next_i += 1
-            instrs = 1 + op.extra_instrs
-            kind = op.kind
+            extra = extras[i]
+            instrs = 1 + extra
+            kind = kinds[i]
             is_load = kind is load_kind
 
             # Frontend: fetch/decode bandwidth.
@@ -165,12 +179,12 @@ class BatchedCoreModel(CoreModel):
                         dram_complete(request)
                     done = request.finish + flight.ret_lat
                     flight.done = done
-                flight.op.complete = done
+                op_complete[flight.index] = done
                 rob_used -= flight.instrs
                 if flight.in_iq:
                     iq_used -= flight.iq_instrs
                     flight.in_iq = False
-                if flight.op.kind is load_kind:
+                if flight.is_load:
                     lq_used -= 1
                 else:
                     sq_used -= 1
@@ -208,12 +222,12 @@ class BatchedCoreModel(CoreModel):
                             dram_complete(request)
                         done = request.finish + flight.ret_lat
                         flight.done = done
-                    flight.op.complete = done
+                    op_complete[flight.index] = done
                     rob_used -= flight.instrs
                     if flight.in_iq:
                         iq_used -= flight.iq_instrs
                         flight.in_iq = False
-                    if flight.op.kind is load_kind:
+                    if flight.is_load:
                         lq_used -= 1
                     else:
                         sq_used -= 1
@@ -236,12 +250,12 @@ class BatchedCoreModel(CoreModel):
                             dram_complete(request)
                         done = request.finish + flight.ret_lat
                         flight.done = done
-                    flight.op.complete = done
+                    op_complete[flight.index] = done
                     rob_used -= flight.instrs
                     if flight.in_iq:
                         iq_used -= flight.iq_instrs
                         flight.in_iq = False
-                    if flight.op.kind is load_kind:
+                    if flight.is_load:
                         lq_used -= 1
                     else:
                         sq_used -= 1
@@ -257,12 +271,11 @@ class BatchedCoreModel(CoreModel):
 
             # Data dependences.
             issue = int(dispatch)
-            deps = op.deps
+            deps = deps_col[i]
             if deps:
                 ready = 0
                 for dep_idx in deps:
-                    dep_op = ops[dep_idx]
-                    complete = dep_op.complete
+                    complete = op_complete[dep_idx]
                     if complete < 0:
                         dep_flight = unresolved.get(dep_idx)
                         if dep_flight is None:
@@ -278,13 +291,14 @@ class BatchedCoreModel(CoreModel):
                             complete = (request.finish
                                         + dep_flight.ret_lat)
                             dep_flight.done = complete
-                        dep_op.complete = complete
+                        op_complete[dep_idx] = complete
                     if complete > ready:
                         ready = complete
                 if ready > issue:
                     issue = ready
 
-            if op.atomic:
+            atomic = atomic_col[i]
+            if atomic:
                 issue = atomics.acquire(core_id, issue)
                 counters["atomics"] += 1
 
@@ -292,28 +306,28 @@ class BatchedCoreModel(CoreModel):
             # property builds a membership tuple per call); positional
             # arguments on the per-op hierarchy call.
             (level, r_issue, complete, request,
-             ret_lat) = hierarchy_access(core_id, op.addr,
+             ret_lat) = hierarchy_access(core_id, addrs[i],
                                          kind is store_kind
                                          or kind is rmw_kind,
-                                         issue, op.pc, op.tag)
-            op.issue = r_issue
-            op.level = level
+                                         issue, pcs[i], tags[i])
+            op_issue[i] = r_issue
+            op_level[i] = level
             if complete >= 0:
-                op.complete = complete
+                op_complete[i] = complete
 
-            if op.atomic:
+            if atomic:
                 # ``AccessResult.resolve`` over the tuple fields.
                 if complete < 0:
                     if request.finish < 0:
                         dram_complete(request)
                     complete = request.finish + ret_lat
-                op.complete = complete
+                op_complete[i] = complete
                 atomics.release(core_id, issue, complete)
 
-            flight = _Flight(op, instrs, complete, request, ret_lat)
+            flight = _Flight(i, is_load, instrs, complete, request, ret_lat)
             if complete < 0:
-                unresolved[next_i - 1] = flight
-                flight.iq_instrs = 1 + op.extra_instrs // 2
+                unresolved[i] = flight
+                flight.iq_instrs = 1 + extra // 2
                 flight.in_iq = True
                 iq_used += flight.iq_instrs
                 iq_flights.append(flight)
@@ -347,7 +361,7 @@ class BatchedCoreModel(CoreModel):
         """`CoreModel.drain` with the per-flight retire inlined."""
         window = self._window
         dram_complete = self.dram.complete
-        load_kind = AccessType.LOAD
+        op_complete = self.op_complete
         width = self.config.width
         rob_used = self._rob_used
         iq_used = self._iq_used
@@ -365,12 +379,12 @@ class BatchedCoreModel(CoreModel):
                     dram_complete(request)
                 done = request.finish + flight.ret_lat
                 flight.done = done
-            flight.op.complete = done
+            op_complete[flight.index] = done
             rob_used -= flight.instrs
             if flight.in_iq:
                 iq_used -= flight.iq_instrs
                 flight.in_iq = False
-            if flight.op.kind is load_kind:
+            if flight.is_load:
                 lq_used -= 1
             else:
                 sq_used -= 1

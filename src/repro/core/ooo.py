@@ -26,7 +26,7 @@ from typing import Any
 
 from repro.common.config import CoreConfig
 from repro.common.stats import Stats
-from repro.common.types import AccessType, MemOp
+from repro.common.types import AccessType, HitLevel, MemOp
 from repro.cache.hierarchy import AccessResult, MemoryHierarchy
 from repro.core.trace import Trace
 from repro.dram.system import DRAMSystem
@@ -68,6 +68,7 @@ class AtomicsArbiter:
 @dataclass(slots=True)
 class _InFlight:
     op: MemOp
+    index: int   # the op's position in the trace (its result-column slot)
     result: AccessResult
     instrs: int  # ROB occupancy contribution (op + its extra instructions)
     in_iq: bool = False   # consumers still parked in the issue queue
@@ -75,7 +76,13 @@ class _InFlight:
 
 
 class CoreModel:
-    """Timing model for one core executing one trace."""
+    """Timing model for one core executing one trace.
+
+    Each run's per-op results go into the result columns ``op_issue``,
+    ``op_complete`` and ``op_level`` (indexed like the trace's columns),
+    which :meth:`start` allocates afresh: a trace carries no timing, so
+    it can be run again and again.
+    """
 
     def __init__(self, core_id: int, config: CoreConfig,
                  hierarchy: MemoryHierarchy, dram: DRAMSystem,
@@ -103,6 +110,9 @@ class CoreModel:
         self._trace: Trace | None = None
         self._next = 0
         self._finish = 0
+        self.op_issue: list[int] = []
+        self.op_complete: list[int] = []
+        self.op_level: list[HitLevel | None] = []
 
     # --------------------------------------------------------------- control
 
@@ -111,10 +121,14 @@ class CoreModel:
         self._next = 0
         self._fetch_time = float(at)
         self._finish = at
+        n = len(trace)
+        self.op_issue = [-1] * n
+        self.op_complete = [-1] * n
+        self.op_level = [None] * n
 
     @property
     def done(self) -> bool:
-        return self._trace is None or self._next >= len(self._trace.ops)
+        return self._trace is None or self._next >= len(self._trace)
 
     @property
     def next_time(self) -> float:
@@ -133,7 +147,7 @@ class CoreModel:
                 self.dram.complete(request)
             done = request.finish + result.return_latency
             result.complete = done
-        flight.op.complete = done
+        self.op_complete[flight.index] = done
         return done
 
     def _drain_iq(self, now: float) -> None:
@@ -172,7 +186,7 @@ class CoreModel:
                 self.dram.complete(request)
             done = request.finish + result.return_latency
             result.complete = done
-        flight.op.complete = done
+        self.op_complete[flight.index] = done
         self._rob_used -= flight.instrs
         if flight.in_iq:
             self._iq_used -= flight.iq_instrs
@@ -201,18 +215,17 @@ class CoreModel:
     def _dep_ready(self, op: MemOp) -> int:
         ready = 0
         for dep_idx in op.deps:
-            dep_op = self._trace.ops[dep_idx]
-            if dep_op.complete < 0:
+            if self.op_complete[dep_idx] < 0:
                 # Find it in the window and resolve.
                 for flight in self._window:
-                    if flight.op is dep_op:
-                        dep_op.complete = self._complete(flight)
+                    if flight.index == dep_idx:
+                        self._complete(flight)
                         break
                 else:
                     raise RuntimeError(
                         f"dependence on op {dep_idx} which never executed"
                     )
-            ready = max(ready, dep_op.complete)
+            ready = max(ready, self.op_complete[dep_idx])
         return ready
 
     # --------------------------------------------------------------- stepping
@@ -221,7 +234,8 @@ class CoreModel:
         """Execute the next memory op of the trace; returns it."""
         if self.done:
             raise RuntimeError("trace exhausted")
-        op = self._trace.ops[self._next]
+        index = self._next
+        op = self._trace.op(index)
         self._next += 1
         cfg = self.config
         counters = self.stats.counters
@@ -283,19 +297,18 @@ class CoreModel:
         result = self.hierarchy.access(self.core_id, op.addr,
                                        op.kind.is_write, issue, pc=op.pc,
                                        tag=op.tag)
-        op.issue = result.issue
-        op.level = result.level
+        self.op_issue[index] = result.issue
+        self.op_level[index] = result.level
         complete = result.complete
         if complete >= 0:
-            op.complete = complete
+            self.op_complete[index] = complete
 
         if op.atomic:
             # The line lock / fence delays this core's next atomic.
-            op.complete = result.resolve(self.dram)
-            self.atomics.release(self.core_id, issue, op.complete)
-            complete = result.complete
+            complete = self.op_complete[index] = result.resolve(self.dram)
+            self.atomics.release(self.core_id, issue, complete)
 
-        flight = _InFlight(op, result, instrs)
+        flight = _InFlight(op, index, result, instrs)
         if complete < 0:
             # Miss: the op and roughly half its attributed instructions
             # (the value consumers) wait in the issue queue until the line

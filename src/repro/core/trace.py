@@ -6,6 +6,12 @@ produced this op's address), and the count of non-memory instructions
 attributed to each op (address arithmetic, loop control, compute).  The
 instruction totals feed Figure 11(a); the dependence edges are what throttle
 the baseline's memory-level parallelism.
+
+A trace is stored as parallel per-op columns: op ``i`` is ``kind[i]``,
+``addr[i]``, ``size[i]``, ``deps[i]``, ``extra[i]``, ``atomic[i]``,
+``pc[i]`` and ``tag[i]``.  It holds inputs only.  The timing a core assigns
+each op (issue, completion, hit level) belongs to the run and lives in the
+core's result columns, so one trace can be run any number of times.
 """
 
 from __future__ import annotations
@@ -17,18 +23,30 @@ from repro.common.types import AccessType, MemOp
 
 @dataclass
 class Trace:
-    """One core's dynamic stream."""
+    """One core's dynamic stream, one list per op field."""
 
-    ops: list[MemOp] = field(default_factory=list)
+    kind: list[AccessType] = field(default_factory=list)
+    addr: list[int] = field(default_factory=list)
+    size: list[int] = field(default_factory=list)
+    deps: list[tuple[int, ...]] = field(default_factory=list)
+    extra: list[int] = field(default_factory=list)   # attributed instrs
+    atomic: list[bool] = field(default_factory=list)
+    pc: list[int] = field(default_factory=list)
+    tag: list[int] = field(default_factory=list)
     tail_instrs: int = 0  # trailing non-memory instructions after the last op
 
     @property
     def instructions(self) -> int:
         """Total dynamic instruction count (memory + attributed compute)."""
-        return sum(1 + op.extra_instrs for op in self.ops) + self.tail_instrs
+        return len(self.kind) + sum(self.extra) + self.tail_instrs
 
     def __len__(self) -> int:
-        return len(self.ops)
+        return len(self.kind)
+
+    def op(self, i: int) -> MemOp:
+        """Op ``i`` as a fresh :class:`MemOp` (the scalar core's view)."""
+        return MemOp(self.kind[i], self.addr[i], self.size[i], self.deps[i],
+                     self.extra[i], self.atomic[i], self.pc[i], self.tag[i])
 
 
 class TraceBuilder:
@@ -40,8 +58,15 @@ class TraceBuilder:
     """
 
     def __init__(self) -> None:
-        self._trace = Trace()
-        self._ops = self._trace.ops
+        self._trace = trace = Trace()
+        self._kind = trace.kind
+        self._addr = trace.addr
+        self._size = trace.size
+        self._deps = trace.deps
+        self._extra = trace.extra
+        self._atomic = trace.atomic
+        self._pc = trace.pc
+        self._tag = trace.tag
         self._pending_extra = 0
 
     def compute(self, n: int) -> None:
@@ -55,43 +80,67 @@ class TraceBuilder:
 
     def load(self, addr: int, size: int = 8, deps: tuple[int, ...] = (),
              extra: int = 0, pc: int = 0, tag: int = -1) -> int:
-        ops = self._ops
-        n = len(ops)
+        kinds = self._kind
+        n = len(kinds)
         if deps:
             for d in deps:
                 if not 0 <= d < n:
                     raise ValueError(f"dependence on unknown op {d}")
-        ops.append(MemOp(AccessType.LOAD, addr, size, deps,
-                         extra + self._pending_extra, False, pc, tag))
-        self._pending_extra = 0
+        if self._pending_extra:
+            extra += self._pending_extra
+            self._pending_extra = 0
+        kinds.append(AccessType.LOAD)
+        self._addr.append(addr)
+        self._size.append(size)
+        self._deps.append(deps)
+        self._extra.append(extra)
+        self._atomic.append(False)
+        self._pc.append(pc)
+        self._tag.append(tag)
         return n
 
     def store(self, addr: int, size: int = 8, deps: tuple[int, ...] = (),
               extra: int = 0, atomic: bool = False, pc: int = 0,
               tag: int = -1) -> int:
-        ops = self._ops
-        n = len(ops)
+        kinds = self._kind
+        n = len(kinds)
         if deps:
             for d in deps:
                 if not 0 <= d < n:
                     raise ValueError(f"dependence on unknown op {d}")
-        ops.append(MemOp(AccessType.STORE, addr, size, deps,
-                         extra + self._pending_extra, atomic, pc, tag))
-        self._pending_extra = 0
+        if self._pending_extra:
+            extra += self._pending_extra
+            self._pending_extra = 0
+        kinds.append(AccessType.STORE)
+        self._addr.append(addr)
+        self._size.append(size)
+        self._deps.append(deps)
+        self._extra.append(extra)
+        self._atomic.append(atomic)
+        self._pc.append(pc)
+        self._tag.append(tag)
         return n
 
     def rmw(self, addr: int, size: int = 8, deps: tuple[int, ...] = (),
             extra: int = 0, atomic: bool = False, pc: int = 0,
             tag: int = -1) -> int:
-        ops = self._ops
-        n = len(ops)
+        kinds = self._kind
+        n = len(kinds)
         if deps:
             for d in deps:
                 if not 0 <= d < n:
                     raise ValueError(f"dependence on unknown op {d}")
-        ops.append(MemOp(AccessType.RMW, addr, size, deps,
-                         extra + self._pending_extra, atomic, pc, tag))
-        self._pending_extra = 0
+        if self._pending_extra:
+            extra += self._pending_extra
+            self._pending_extra = 0
+        kinds.append(AccessType.RMW)
+        self._addr.append(addr)
+        self._size.append(size)
+        self._deps.append(deps)
+        self._extra.append(extra)
+        self._atomic.append(atomic)
+        self._pc.append(pc)
+        self._tag.append(tag)
         return n
 
     def finish(self) -> Trace:
@@ -102,11 +151,11 @@ class TraceBuilder:
 
 def split_static(items, ways: int) -> list[list]:
     """Deal an iteration list across ``ways`` cores in contiguous blocks,
-    OpenMP ``schedule(static)`` style."""
+    OpenMP ``schedule(static)`` style: every core but the last gets
+    ``max(1, len(items) // ways)`` items, and the last core the rest."""
     if ways <= 0:
         raise ValueError("ways must be positive")
-    out: list[list] = [[] for _ in range(ways)]
     chunk = max(1, len(items) // ways)
-    for i, item in enumerate(items):
-        out[min((i // chunk), ways - 1)].append(item)
+    out = [list(items[k * chunk:(k + 1) * chunk]) for k in range(ways - 1)]
+    out.append(list(items[(ways - 1) * chunk:]))
     return out

@@ -2,8 +2,9 @@
 
 Workload trace generation costs real time at large scales; exporting the
 generated traces to ``.npz`` lets sweeps replay identical inputs across
-configurations (and lets external tools consume them).  Dependence edges
-are stored flattened with an offsets array, CSR-style.
+configurations (and lets external tools consume them).  Each trace column
+becomes one array; dependence edges are stored flattened with an offsets
+array, CSR-style.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.common.types import AccessType
-from repro.core.trace import Trace, TraceBuilder
+from repro.core.trace import Trace
 
 _KIND_CODES = {AccessType.LOAD: 0, AccessType.STORE: 1, AccessType.RMW: 2}
 _CODE_KINDS = {v: k for k, v in _KIND_CODES.items()}
@@ -25,25 +26,18 @@ def save_traces(path: str | Path, traces: list[Trace]) -> None:
         "n_traces": np.array([len(traces)], dtype=np.int64),
     }
     for t, trace in enumerate(traces):
-        ops = trace.ops
         payload[f"t{t}_kind"] = np.array(
-            [_KIND_CODES[op.kind] for op in ops], dtype=np.int8)
-        payload[f"t{t}_addr"] = np.array([op.addr for op in ops],
-                                         dtype=np.int64)
-        payload[f"t{t}_size"] = np.array([op.size for op in ops],
-                                         dtype=np.int16)
-        payload[f"t{t}_extra"] = np.array([op.extra_instrs for op in ops],
-                                          dtype=np.int32)
-        payload[f"t{t}_atomic"] = np.array([op.atomic for op in ops],
-                                           dtype=np.int8)
-        payload[f"t{t}_pc"] = np.array([op.pc for op in ops],
-                                       dtype=np.int32)
-        payload[f"t{t}_tag"] = np.array([op.tag for op in ops],
-                                        dtype=np.int64)
-        deps = [d for op in ops for d in op.deps]
-        offsets = np.zeros(len(ops) + 1, dtype=np.int64)
-        offsets[1:] = np.cumsum([len(op.deps) for op in ops])
-        payload[f"t{t}_deps"] = np.array(deps, dtype=np.int64)
+            [_KIND_CODES[kind] for kind in trace.kind], dtype=np.int8)
+        payload[f"t{t}_addr"] = np.array(trace.addr, dtype=np.int64)
+        payload[f"t{t}_size"] = np.array(trace.size, dtype=np.int16)
+        payload[f"t{t}_extra"] = np.array(trace.extra, dtype=np.int32)
+        payload[f"t{t}_atomic"] = np.array(trace.atomic, dtype=np.int8)
+        payload[f"t{t}_pc"] = np.array(trace.pc, dtype=np.int32)
+        payload[f"t{t}_tag"] = np.array(trace.tag, dtype=np.int64)
+        offsets = np.zeros(len(trace) + 1, dtype=np.int64)
+        offsets[1:] = np.cumsum([len(deps) for deps in trace.deps])
+        payload[f"t{t}_deps"] = np.array(
+            [d for deps in trace.deps for d in deps], dtype=np.int64)
         payload[f"t{t}_dep_offsets"] = offsets
         payload[f"t{t}_tail"] = np.array([trace.tail_instrs],
                                          dtype=np.int64)
@@ -51,34 +45,34 @@ def save_traces(path: str | Path, traces: list[Trace]) -> None:
 
 
 def load_traces(path: str | Path) -> list[Trace]:
-    """Reload traces saved with :func:`save_traces`."""
+    """Reload traces saved with :func:`save_traces`.
+
+    Raises ``ValueError`` if an op depends on an op that does not come
+    before it, as :class:`~repro.core.trace.TraceBuilder` would."""
     data = np.load(path)
     n = int(data["n_traces"][0])
     traces = []
     for t in range(n):
-        tb = TraceBuilder()
-        kinds = data[f"t{t}_kind"]
-        addrs = data[f"t{t}_addr"]
-        sizes = data[f"t{t}_size"]
-        extras = data[f"t{t}_extra"]
-        atomics = data[f"t{t}_atomic"]
-        pcs = data[f"t{t}_pc"]
-        tags = data[f"t{t}_tag"]
         deps = data[f"t{t}_deps"]
         offs = data[f"t{t}_dep_offsets"]
-        for i in range(len(kinds)):
-            kind = _CODE_KINDS[int(kinds[i])]
-            dep = tuple(int(d) for d in deps[offs[i]:offs[i + 1]])
-            common = dict(addr=int(addrs[i]), size=int(sizes[i]), deps=dep,
-                          extra=int(extras[i]), pc=int(pcs[i]),
-                          tag=int(tags[i]))
-            if kind == AccessType.LOAD:
-                tb.load(**common)
-            elif kind == AccessType.STORE:
-                tb.store(atomic=bool(atomics[i]), **common)
-            else:
-                tb.rmw(atomic=bool(atomics[i]), **common)
-        trace = tb.finish()
-        trace.tail_instrs = int(data[f"t{t}_tail"][0])
-        traces.append(trace)
+        owners = np.repeat(np.arange(len(offs) - 1), np.diff(offs))
+        bad = (deps < 0) | (deps >= owners)
+        if bad.any():
+            raise ValueError(
+                f"trace {t}: dependence on unknown op "
+                f"{int(deps[np.argmax(bad)])}")
+        dep_list = deps.tolist()
+        bounds = offs.tolist()
+        traces.append(Trace(
+            kind=[_CODE_KINDS[code] for code in data[f"t{t}_kind"].tolist()],
+            addr=data[f"t{t}_addr"].tolist(),
+            size=data[f"t{t}_size"].tolist(),
+            deps=[tuple(dep_list[lo:hi])
+                  for lo, hi in zip(bounds, bounds[1:])],
+            extra=data[f"t{t}_extra"].tolist(),
+            atomic=[bool(a) for a in data[f"t{t}_atomic"].tolist()],
+            pc=data[f"t{t}_pc"].tolist(),
+            tag=data[f"t{t}_tag"].tolist(),
+            tail_instrs=int(data[f"t{t}_tail"][0]),
+        ))
     return traces

@@ -12,10 +12,13 @@ engine's per-request object dispatch for structure-of-arrays state:
   buffered request (the oldest, for the age cap and the no-hit fallback)
   and one per (bank, row, direction).  The *hot* set holds the banks
   whose open row has pending requests, updated on every ACT/PRE, so a
-  pick peeks at the hot banks' heap heads (usually zero or one).
-  Requests taken out of arrival order leave dead nodes behind; they are
-  popped lazily when they surface and compacted away wholesale once they
-  outnumber live ones.  FCFS needs only the all-request heap.
+  pick peeks at the hot banks' heap heads (usually zero or one).  The
+  pick is always the head of its (bank, row, direction) heap and is
+  popped there, and a row is deleted once both its heaps empty, so the
+  per-row index only ever holds buffered requests.  In the all-request
+  heap, requests taken out of arrival order leave dead nodes behind;
+  they are popped lazily when they surface and compacted away wholesale
+  once they outnumber live ones.  FCFS needs only the all-request heap.
 * **Dense bank state** — per-channel banks are numbered
   ``(rank * bankgroups + bankgroup) * banks_per_group + bank`` and kept in
   one flat list, killing the per-access dict hashing of flat-bank tuples.
@@ -140,8 +143,11 @@ class BatchedController:
 
         # Inline FR-FCFS index over (arrival, rid) pairs.
         self._any: list[tuple[int, int]] = []
-        # bank_id -> row -> (read_heap, write_heap)
-        self._groups: dict[int, dict[int, tuple[list, list]]] = {}
+        # bank_id -> row -> (read_heap, write_heap); only rows with
+        # buffered requests, and every heap node is live.
+        self._groups: list[dict[int, tuple[list, list]]] = [
+            {} for _ in range(n_banks)]
+        # bank_id -> its open row's (non-empty) heap pair.
         self._hot: dict[int, tuple[list, list]] = {}
 
         self.buffer = _BufferView(self)
@@ -216,7 +222,8 @@ class BatchedController:
         Rid relative order is preserved for all future requests, so the
         ``(arrival, rid)`` tie-break stays equivalent to the oracle's
         monotone ``seq`` (ties are only ever compared among co-buffered
-        requests).
+        requests).  The per-row index and the hot set are already empty
+        here.
         """
         del self._arr[:]
         del self._w[:]
@@ -226,8 +233,6 @@ class BatchedController:
         del self._req[:]
         self._alive = bytearray()
         self._any = []
-        self._groups = {}
-        self._hot = {}
         self._dead = 0
 
     @property
@@ -275,9 +280,7 @@ class BatchedController:
             buffered += 1
             bid = bids[rid]
             row = rows[rid]
-            rows_map = groups.get(bid)
-            if rows_map is None:
-                rows_map = groups[bid] = {}
+            rows_map = groups[bid]
             pair = rows_map.get(row)
             if pair is None:
                 pair = rows_map[row] = ([], [])
@@ -305,6 +308,7 @@ class BatchedController:
             heappop(any_heap)
             self._dead -= 1
         oldest = any_heap[0]
+        hot = self._hot
         if now - oldest[0] > AGE_CAP:
             rid = oldest[1]
             obs = self.scheduler.obs
@@ -312,18 +316,8 @@ class BatchedController:
                 obs.starvation(now)
         else:
             best_dir = best_hit = None
-            hot = self._hot
-            stale = None
             last_was_write = self.bus.last_was_write
-            dead = 0
-            for hot_bid, pair in hot.items():
-                read_heap, write_heap = pair
-                while read_heap and not alive[read_heap[0][1]]:
-                    heappop(read_heap)
-                    dead += 1
-                while write_heap and not alive[write_heap[0][1]]:
-                    heappop(write_heap)
-                    dead += 1
+            for read_heap, write_heap in hot.values():
                 if read_heap:
                     head = read_heap[0]
                     if best_hit is None or head < best_hit:
@@ -338,51 +332,39 @@ class BatchedController:
                     if last_was_write and (
                             best_dir is None or head < best_dir):
                         best_dir = head
-                elif not read_heap:
-                    stale = [hot_bid] if stale is None else stale + [hot_bid]
-            if dead:
-                self._dead -= dead
-            if stale is not None:
-                for hot_bid in stale:
-                    del hot[hot_bid]
             if best_dir is not None:
                 rid = best_dir[1]
             elif best_hit is not None:
                 rid = best_hit[1]
             else:
                 rid = oldest[1]
+        # Every rule picks the oldest live request of some (bank, row,
+        # direction) heap, so the pick is that heap's head: pop it there.
+        bid = self._bid[rid]
+        row = self._row[rid]
+        rows_map = self._groups[bid]
+        pair = rows_map[row]
+        read_heap, write_heap = pair
+        heappop(write_heap if self._w[rid] else read_heap)
+        if not read_heap and not write_heap:
+            del rows_map[row]
+            if hot.get(bid) is pair:
+                del hot[bid]
         alive[rid] = 0
         self._buffered -= 1
-        self._dead += 1
-        if self._dead > 64 and self._dead > 2 * self._buffered:
-            self._compact()
+        if rid == oldest[1]:
+            heappop(any_heap)
+        else:
+            self._dead += 1
+            if self._dead > 64 and self._dead > 2 * self._buffered:
+                self._compact()
         return rid
 
     def _compact(self) -> None:
-        """Drop dead nodes from every heap and rebuild the hot set."""
+        """Drop the all-request heap's dead nodes."""
         alive = self._alive
         self._any = [node for node in self._any if alive[node[1]]]
         heapify(self._any)
-        groups = self._groups
-        for rows_map in groups.values():
-            for row in list(rows_map):
-                read_heap, write_heap = rows_map[row]
-                read_heap[:] = [n for n in read_heap if alive[n[1]]]
-                write_heap[:] = [n for n in write_heap if alive[n[1]]]
-                if read_heap:
-                    heapify(read_heap)
-                if write_heap:
-                    heapify(write_heap)
-                if not read_heap and not write_heap:
-                    del rows_map[row]
-        self._hot = {}
-        bank_list = self._bank_list
-        for bid, rows_map in groups.items():
-            open_row = bank_list[bid].open_row
-            if open_row is not None:
-                pair = rows_map.get(open_row)
-                if pair is not None and (pair[0] or pair[1]):
-                    self._hot[bid] = pair
         self._dead = 0
 
     # ------------------------------------------------------------- refresh
@@ -535,9 +517,8 @@ class BatchedController:
             if len(times) > 8:
                 del times[:-4]
             if not self._fcfs:
-                rows_map = self._groups.get(bid)
-                pair = rows_map.get(row) if rows_map is not None else None
-                if pair is not None and (pair[0] or pair[1]):
+                pair = self._groups[bid].get(row)
+                if pair is not None:
                     self._hot[bid] = pair
                 else:
                     self._hot.pop(bid, None)

@@ -85,7 +85,7 @@ class DX100:
                                      self.tlb, self.stats)
         self.alu = AluUnit(self.config.alu_lanes)
         self.fuser = RangeFuser()
-        self.coherency = CoherencyAgent(stats=self.stats)
+        self.coherency = CoherencyAgent(hierarchy.line, stats=self.stats)
         self._unit_free = {"stream": 0, "indirect": 0, "alu": 0, "rng": 0}
         # Owning tenant (-1 = untagged); see :meth:`set_tenant`.
         self.tenant = -1
@@ -129,8 +129,7 @@ class DX100:
         lo = self.spd.elem_addr(tile, 0)
         hi = self.spd.elem_addr(tile + 1, 0) if (
             tile + 1 < self.config.num_tiles) else self.spd.region()[1]
-        for line in range(lo, hi, self.hierarchy.line):
-            self.coherency.core_read(line)
+        self.coherency.core_read_range(lo, hi)
 
     # -------------------------------------------------------------- dispatch
 

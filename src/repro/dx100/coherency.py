@@ -32,18 +32,28 @@ class CoherencyAgent:
         """A core read of a scratchpad address sets the line's V bit."""
         self._valid.add(addr // self.line_bytes)
 
+    def core_read_range(self, lo: int, hi: int) -> None:
+        """Core reads of every line of [lo, hi) set their V bits."""
+        self._valid.update(range(lo // self.line_bytes,
+                                 -(-hi // self.line_bytes)))
+
     def invalidate_range(self, lo: int, hi: int, hierarchy=None) -> int:
         """Invalidate all V lines in [lo, hi); returns how many were live.
 
         Called by the controller when an instruction is dispatched whose
-        source/destination tiles cores may have cached.
+        source/destination tiles cores may have cached.  Probes the
+        range's lines or scans the V bits, whichever is fewer.
         """
         first, last = lo // self.line_bytes, -(-hi // self.line_bytes)
-        live = [line for line in self._valid
-                if first <= line < last]
-        for line in live:
-            self._valid.discard(line)
-            if hierarchy is not None:
+        valid = self._valid
+        if last - first < len(valid):
+            live = [line for line in range(first, last) if line in valid]
+        else:
+            live = [line for line in valid if first <= line < last]
+        valid.difference_update(live)
+        if hierarchy is not None:
+            # Invalidations commute (each pops one line from every level).
+            for line in live:
                 hierarchy.invalidate(line * self.line_bytes)
         self.stats.add("spd_invalidations", len(live))
         return len(live)

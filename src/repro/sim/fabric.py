@@ -429,10 +429,9 @@ class GenerateCache:
     Baseline traces are memoized the same way: trace emission is a pure
     function of the restored dataset (no ``baseline_traces`` mutates its
     workload — the fabric tests enforce that with an AST scan), so the
-    baseline and DMP runs of one dataset can share a single build.  The
-    core models scribble per-run timing into each op (``issue`` /
-    ``complete`` / ``level``), so a reused trace is first swept back to
-    its built state — an attribute reset, far cheaper than re-emitting.
+    baseline and DMP runs of one dataset can share a single build.  A
+    trace holds only its ops' inputs (each run's timing lives in the
+    cores' result columns), so a reused trace needs no reset.
     """
 
     def __init__(self) -> None:
@@ -485,11 +484,6 @@ class GenerateCache:
                 traces_memo[cores] = cached
                 return cached
             self.trace_reuses += 1
-            for trace in cached:
-                for op in trace.ops:
-                    op.issue = -1
-                    op.complete = -1
-                    op.level = None
             return cached
 
         # Shadow the bound methods on this instance only: the runner's

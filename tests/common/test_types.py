@@ -38,5 +38,5 @@ def test_interval_overlap():
 def test_memop_defaults():
     op = MemOp(AccessType.LOAD, addr=0x1000)
     assert op.deps == ()
-    assert op.issue == -1 and op.complete == -1
+    assert (op.size, op.extra_instrs, op.pc, op.tag) == (8, 0, 0, -1)
     assert not op.atomic

@@ -10,11 +10,12 @@ def test_builder_emits_ops_in_order():
     i1 = tb.load(0x200, deps=(i0,))
     i2 = tb.store(0x300, deps=(i1,))
     trace = tb.finish()
-    assert [op.kind for op in trace.ops] == [
+    assert trace.kind == [
         AccessType.LOAD, AccessType.LOAD, AccessType.STORE
     ]
-    assert trace.ops[1].deps == (0,)
-    assert trace.ops[2].deps == (1,)
+    assert trace.deps == [(), (0,), (1,)]
+    assert trace.addr == [0x100, 0x200, 0x300]
+    assert len(trace) == 3
 
 
 def test_compute_attributes_to_next_op():
@@ -22,7 +23,7 @@ def test_compute_attributes_to_next_op():
     tb.compute(5)
     tb.load(0x100, extra=2)
     trace = tb.finish()
-    assert trace.ops[0].extra_instrs == 7
+    assert trace.extra == [7]
     assert trace.instructions == 8  # 1 op + 7 extra
 
 
@@ -52,8 +53,8 @@ def test_rmw_and_atomic_flags():
     tb = TraceBuilder()
     tb.rmw(0x40, atomic=True)
     trace = tb.finish()
-    assert trace.ops[0].kind == AccessType.RMW
-    assert trace.ops[0].atomic
+    assert trace.kind == [AccessType.RMW]
+    assert trace.atomic == [True]
 
 
 def test_split_static_blocks():
@@ -63,3 +64,15 @@ def test_split_static_blocks():
     assert sum(parts, []) == list(range(10))
     with pytest.raises(ValueError):
         split_static([1], 0)
+
+
+def test_split_static_matches_per_item_dealing():
+    """Each item ``i`` lands on core ``min(i // chunk, ways - 1)``."""
+    for n in range(0, 30):
+        for ways in range(1, 9):
+            items = list(range(100, 100 + n))
+            chunk = max(1, n // ways)
+            expect: list[list] = [[] for _ in range(ways)]
+            for i, item in enumerate(items):
+                expect[min(i // chunk, ways - 1)].append(item)
+            assert split_static(items, ways) == expect, (n, ways)

@@ -307,6 +307,31 @@ def test_incremental_service_interleaves_identically():
     assert slog == blog
 
 
+def test_row_index_holds_only_buffered_requests():
+    """Between quiescent points (where storage is reset) the batched
+    engine's per-row FR-FCFS index must not grow: every (bank, row) entry
+    holds at least one buffered request, and every heap node is live."""
+    import random
+    rng = random.Random(11)
+    cfg = DRAMConfig(channels=1)
+    ctrl = BatchedController(0, cfg, AddressMapper(cfg))
+    program = [(rng.randrange(1 << 24), rng.random() < 0.4,
+                rng.randrange(12)) for _ in range(6000)]
+    for req in _requests(cfg, program)[0]:
+        ctrl.enqueue(req)      # all queued up front: never quiescent
+    serviced = 0
+    while ctrl.service_one() is not None:
+        serviced += 1
+        rows = sum(len(rows_map) for rows_map in ctrl._groups)
+        assert rows <= len(ctrl.buffer), serviced
+        for rows_map in ctrl._groups:
+            for read_heap, write_heap in rows_map.values():
+                assert read_heap or write_heap
+                assert all(ctrl._alive[rid]
+                           for _, rid in read_heap + write_heap)
+    assert serviced == len(program)
+
+
 def test_dram_system_engine_knob_is_bitwise_equivalent():
     """Two-channel DRAMSystem, engine='scalar' vs 'batched': per-channel
     command logs and merged metrics agree exactly."""

@@ -89,6 +89,57 @@ def test_coherency_agent_v_bits():
     assert agent.tracked_lines == 1
 
 
+class _RecordingHierarchy:
+    def __init__(self):
+        self.invalidated = []
+
+    def invalidate(self, addr):
+        self.invalidated.append(addr)
+
+
+def _scan_invalidate(agent, lo, hi, hierarchy):
+    """The original whole-set scan, kept here as the reference."""
+    first, last = lo // agent.line_bytes, -(-hi // agent.line_bytes)
+    live = [line for line in agent._valid if first <= line < last]
+    for line in live:
+        agent._valid.discard(line)
+        hierarchy.invalidate(line * agent.line_bytes)
+    agent.stats.add("spd_invalidations", len(live))
+    return len(live)
+
+
+def test_invalidate_range_matches_whole_set_scan():
+    """Probing the range or scanning the set (whichever is smaller) gives
+    the scan's return value, counter, V bits and invalidated lines, on
+    random V-bit sets both smaller and larger than the range."""
+    rng = np.random.default_rng(7)
+    for _ in range(300):
+        fast, ref = CoherencyAgent(), CoherencyAgent()
+        lines = rng.integers(0, 4096, size=int(rng.integers(0, 600)))
+        for agent in (fast, ref):
+            for line in lines.tolist():
+                agent.core_read(SPD_BASE + 64 * line + int(line % 64))
+        fast_h, ref_h = _RecordingHierarchy(), _RecordingHierarchy()
+        for _ in range(4):
+            lo = SPD_BASE + int(rng.integers(0, 4096 * 64))
+            hi = lo + int(rng.integers(0, 2048 * 64))
+            assert (fast.invalidate_range(lo, hi, fast_h)
+                    == _scan_invalidate(ref, lo, hi, ref_h))
+            assert fast._valid == ref._valid
+            assert sorted(fast_h.invalidated) == sorted(ref_h.invalidated)
+            assert (fast.stats.get("spd_invalidations")
+                    == ref.stats.get("spd_invalidations"))
+
+
+def test_core_read_range_sets_every_line_of_the_range():
+    agent, ref = CoherencyAgent(), CoherencyAgent()
+    lo, hi = SPD_BASE + 3 * 64, SPD_BASE + 40 * 64
+    agent.core_read_range(lo, hi)
+    for addr in range(lo, hi, 64):
+        ref.core_read(addr)
+    assert agent._valid == ref._valid and agent.tracked_lines == 37
+
+
 def test_region_coherence_swmr():
     rc = RegionCoherence(message_cycles=100)
     rc.register(Interval(0, 1000))

@@ -33,6 +33,13 @@ def indirect_trace(targets, pc=77):
     return tb.finish()
 
 
+def latencies(core):
+    """Per-op demand latency of the core's last run, from its result
+    columns."""
+    return [complete - issue
+            for issue, complete in zip(core.op_issue, core.op_complete)]
+
+
 def test_prefetches_reduce_average_latency():
     """The head start shortens demand latency, it does not make hits free
     (paper: DMP reduces average memory latency ~1.4x)."""
@@ -43,11 +50,11 @@ def test_prefetches_reduce_average_latency():
     dmp.register_stream(77, targets)
     core.run(indirect_trace(targets))
     assert dmp.stats.get("dmp_prefetches") > 100
-    with_pf = [op.complete - op.issue for op in core._trace.ops[64:]]
+    with_pf = latencies(core)[64:]
 
     cfg2, dram2, hier2, dmp2, core2 = build()
     core2.run(indirect_trace(targets))   # stream never registered
-    without_pf = [op.complete - op.issue for op in core2._trace.ops[64:]]
+    without_pf = latencies(core2)[64:]
     assert sum(with_pf) < 0.9 * sum(without_pf)
 
 

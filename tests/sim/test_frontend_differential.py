@@ -6,7 +6,8 @@ the scalar per-op models — same data structures, same schedule, fewer
 Python frames.  *Bitwise equivalence is the contract*: for any trace, the
 two front-ends must agree on
 
-* the finish cycle and per-op timing (``issue``, ``complete``, ``level``);
+* the finish cycle and per-op timing (``issue``, ``complete``, ``level``,
+  read from each core's result columns);
 * every cache/MSHR/prefetcher counter in the hierarchy's stats;
 * the DRAM command stream (kind, cycle, bank, row, in order) on every
   channel, under *both* DRAM engines;
@@ -62,13 +63,13 @@ def _system(config: SystemConfig, frontend: str):
 
 
 def _build_traces(program) -> list[Trace]:
-    """Materialize the per-core op program.  Ops are mutated by the core
-    model (issue/complete/level), so each front-end needs fresh traces."""
+    """Materialize the per-core op program.  A trace holds no run's
+    timing, so both front-ends replay the same trace objects."""
     builders = [TraceBuilder() for _ in range(CORES)]
     for core, kind, line_no, dep_back, extra, atomic, pc, tag in program:
         tb = builders[core % CORES]
         addr = (line_no * LINE) % (1 << 22)
-        n = len(tb._ops)
+        n = len(tb._trace)
         deps = (n - 1 - (dep_back % n),) if (dep_back >= 0 and n) else ()
         if extra:
             tb.compute(extra)
@@ -85,18 +86,18 @@ def _assert_equivalent(config: SystemConfig, program,
                        dmp_stream=None) -> None:
     finishes, op_timings, cache_counters = {}, {}, {}
     dram_logs, dram_counters, instrs = {}, {}, {}
+    traces = _build_traces(program)
     for frontend in ("scalar", "batched"):
         system, logs = _system(config, frontend)
         if dmp_stream is not None and system.dmp is not None:
             pc, addrs = dmp_stream
             system.dmp.register_stream(pc, addrs)
-        traces = _build_traces(program)
         finish = system.multicore.run(traces)
         system.dram.drain()
         finishes[frontend] = finish
         op_timings[frontend] = [
-            (op.issue, op.complete, op.level)
-            for trace in traces for op in trace.ops]
+            list(zip(core.op_issue, core.op_complete, core.op_level))
+            for core in system.multicore.cores]
         cache_counters[frontend] = dict(system.hierarchy.stats.counters)
         dram_logs[frontend] = logs
         dram_counters[frontend] = dict(system.dram.merged_stats().counters)

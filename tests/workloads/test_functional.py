@@ -57,11 +57,11 @@ def test_baseline_traces_cover_all_cores(name):
     wl.generate(mem)
     traces = wl.baseline_traces(4)
     assert len(traces) == 4
-    assert sum(len(t.ops) for t in traces) > 0
+    assert sum(len(t) for t in traces) > 0
     # Dependence edges reference earlier ops only.
     for trace in traces:
-        for k, op in enumerate(trace.ops):
-            assert all(d < k for d in op.deps)
+        for k, deps in enumerate(trace.deps):
+            assert all(d < k for d in deps)
 
 
 def test_dmp_streams_are_addresses():
