@@ -2,10 +2,11 @@
 
 from repro.core.multicore import Multicore
 from repro.core.ooo import AtomicsArbiter, CoreModel
-from repro.core.trace import Trace, TraceBuilder, split_static
+from repro.core.trace import BulkEmitter, Trace, TraceBuilder, split_static
 
 __all__ = [
     "AtomicsArbiter",
+    "BulkEmitter",
     "CoreModel",
     "Multicore",
     "Trace",

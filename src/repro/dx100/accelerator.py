@@ -205,6 +205,9 @@ class DX100:
                                self._cond(instr), start)
         self.spd.write(instr.td, res.values, ready_at=res.finish,
                        streaming_from=res.first_avail, producer=res)
+        # The tile owns the values now; the record keeps only timing, so
+        # a run's records do not pin every streamed tile until it ends.
+        res.values = None
         return res.finish, res
 
     def _exec_sst(self, instr: Instr, start: int):

@@ -24,9 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.common.config import DX100Config
-from repro.core.trace import Trace, TraceBuilder, split_static
+from repro.core.trace import Trace
 from repro.dx100.hostmem import HostMemory
-from repro.dx100.scratchpad import SPD_BASE
 
 
 @dataclass
@@ -49,7 +48,6 @@ PC_EXTRA = 6
 # element, DX100 residual near zero; Section 6.1) and the 3.6x geomean
 # instruction reduction of Figure 11(a).
 BASE_ADDR_CALC = 8     # address arithmetic + loop overhead per element
-SPD_CONSUME_EXTRA = 2  # residual loop overhead per consumed element
 
 
 class Workload(ABC):
@@ -138,20 +136,32 @@ class Workload(ABC):
         self.mem = mem
 
 
-def spd_consume_work(tile: int, count: int, cores: int,
-                     config: DX100Config, extra: int = SPD_CONSUME_EXTRA,
-                     word_bytes: int = 4) -> CoreWork:
-    """Core-side streaming reads of a packed tile, split across cores."""
-    base = SPD_BASE + tile * config.tile_elems * word_bytes
-    parts = split_static(list(range(count)), cores)
-    traces = []
-    for part in parts:
-        tb = TraceBuilder()
-        for i in part:
-            tb.load(base + i * word_bytes, size=word_bytes, extra=extra,
-                    pc=PC_SPD)
-        traces.append(tb.finish())
-    return CoreWork(traces=traces)
+def expand_ranges(lo: np.ndarray,
+                  hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Flatten ``for k: for j in range(lo[k], hi[k])``: the outer index
+    ``k`` and the value ``j`` of every inner iteration, in loop order."""
+    counts = hi - lo
+    owner = np.repeat(np.arange(len(lo)), counts)
+    first = np.cumsum(counts) - counts
+    return owner, np.arange(len(owner)) + (lo - first)[owner]
+
+
+def nest_positions(items: int, owner: np.ndarray, head: int, body,
+                   tail: int = 0) -> tuple[np.ndarray, np.ndarray, int]:
+    """Where a two-level loop nest's ops land in program order.
+
+    Outer item ``k`` emits ``head`` ops, then ``body[e]`` ops for each
+    inner iteration ``e`` it owns (``owner`` as from :func:`expand_ranges`),
+    then ``tail`` ops.  Returns each item's first op position, each inner
+    iteration's first op position and the nest's op count."""
+    body = np.broadcast_to(np.asarray(body, dtype=np.int64), owner.shape)
+    before = np.zeros(len(owner) + 1, dtype=np.int64)
+    np.cumsum(body, out=before[1:])
+    step = head + tail
+    first = np.searchsorted(owner, np.arange(items))
+    item_at = step * np.arange(items) + before[first]
+    inner_at = step * owner + head + before[:-1]
+    return item_at, inner_at, step * items + int(before[-1])
 
 
 def chunk_bounds(n: int, tile: int) -> list[tuple[int, int]]:

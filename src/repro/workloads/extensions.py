@@ -74,7 +74,7 @@ class IntegerSortBucketed(Workload):
 
     def baseline_traces(self, cores: int) -> list[Trace]:
         traces = []
-        for part in split_static(list(range(self.scale)), cores):
+        for part in split_static(range(self.scale), cores):
             tb = TraceBuilder()
             for i in part:
                 # Phase 1: histogram.
@@ -159,7 +159,7 @@ class ConjugateGradientF64(Workload):
 
     def baseline_traces(self, cores: int) -> list[Trace]:
         traces = []
-        for rows in split_static(list(range(self.scale)), cores):
+        for rows in split_static(range(self.scale), cores):
             tb = TraceBuilder()
             for i in rows:
                 tb.load(self.h_base + 8 * i, pc=PC_EXTRA, extra=2)
@@ -236,7 +236,7 @@ class ConnectedComponents(Workload):
 
     def baseline_traces(self, cores: int) -> list[Trace]:
         traces = []
-        for part in split_static(list(range(self.scale)), cores):
+        for part in split_static(range(self.scale), cores):
             tb = TraceBuilder()
             for u in part:
                 hk = tb.load(self.h_base + 8 * u, pc=PC_EXTRA, extra=2)

@@ -18,13 +18,13 @@ import numpy as np
 
 from repro.common.config import DX100Config
 from repro.common.types import AluOp, DType
-from repro.core.trace import Trace, TraceBuilder, split_static
+from repro.core.trace import BulkEmitter, Trace, split_static
 from repro.dx100.api import ProgramBuilder
 from repro.dx100.hostmem import HostMemory
 from repro.dx100.range_fuser import plan_range_chunks
 from repro.workloads.base import (
     BASE_ADDR_CALC, PC_EXTRA, PC_INDEX, PC_INDIRECT, PC_VALUE,
-    Workload,
+    Workload, expand_ranges, nest_positions,
 )
 
 INF = (1 << 31) - 1
@@ -115,35 +115,30 @@ class BFS(_GraphWorkload):
 
     def baseline_traces(self, cores: int) -> list[Trace]:
         traces = []
-        # Plain-int views: per-element numpy indexing in the emit loop
-        # dominates trace-construction time otherwise.
-        frontier = self.frontier.tolist()
-        h_vals = self.h.tolist()
-        adj = self.adj.tolist()
-        dist = self.dist.tolist()
-        k_base, h_base, adj_base = self.k_base, self.h_base, self.adj_base
-        dist_base, parent_base = self.dist_base, self.parent_base
-        for part in split_static(list(range(self.scale)), cores):
-            tb = TraceBuilder()
-            for i in part:
-                u = frontier[i]
-                tb.load(k_base + 8 * i, pc=PC_INDEX, extra=2)
-                hk = tb.load(h_base + 8 * u, pc=PC_EXTRA, extra=2)
-                for j in range(h_vals[u], h_vals[u + 1]):
-                    v = adj[j]
-                    aj = tb.load(adj_base + 8 * j, deps=(hk,),
-                                 pc=PC_INDEX, extra=1, tag=j)
-                    dv = tb.load(dist_base + 8 * v, deps=(aj,),
-                                 pc=PC_INDIRECT, extra=BASE_ADDR_CALC - 2,
-                                 tag=j)
-                    if dist[v] == INF:
-                        # Condition is a speculated branch; the address
-                        # data-depends on the neighbour id only.
-                        tb.store(parent_base + 8 * v, deps=(aj,),
-                                 pc=PC_VALUE, extra=2, tag=j)
-                    else:
-                        tb.compute(2)
-            traces.append(tb.finish())
+        for part in split_static(range(self.scale), cores):
+            # Per frontier node u: K[i], H[u]; per edge: adj[j], dist[v],
+            # and the parent store only where v is unvisited.
+            i = np.arange(part.start, part.stop)
+            u = self.frontier[i]
+            owner, j = expand_ranges(self.h[u], self.h[u + 1])
+            v = self.adj[j]
+            unvisited = self.dist[v] == INF
+            item_at, edge_at, n = nest_positions(len(i), owner, head=2,
+                                                 body=2 + unvisited)
+            em = BulkEmitter(n)
+            em.load(item_at, self.k_base + 8 * i, pc=PC_INDEX, extra=2)
+            em.load(item_at + 1, self.h_base + 8 * u, pc=PC_EXTRA, extra=2)
+            em.load(edge_at, self.adj_base + 8 * j,
+                    deps=(item_at[owner] + 1,), pc=PC_INDEX, extra=1, tag=j)
+            em.load(edge_at + 1, self.dist_base + 8 * v, deps=(edge_at,),
+                    pc=PC_INDIRECT, extra=BASE_ADDR_CALC - 2, tag=j)
+            # The condition is a speculated branch: the store's address
+            # data-depends on the neighbour id only.
+            aj = edge_at[unvisited]
+            em.store(aj + 2, self.parent_base + 8 * v[unvisited],
+                     deps=(aj,), pc=PC_VALUE, extra=2, tag=j[unvisited])
+            em.compute(edge_at[~unvisited] + 2, 2)
+            traces.append(em.finish())
         return traces
 
     def dx100_schedule(self, config: DX100Config, cores: int) -> list:
@@ -212,22 +207,22 @@ class PageRank(_GraphWorkload):
 
     def baseline_traces(self, cores: int) -> list[Trace]:
         traces = []
-        h_vals = self.h.tolist()
-        adj = self.adj.tolist()
-        h_base, contrib_base = self.h_base, self.contrib_base
-        adj_base, score_base = self.adj_base, self.score_base
-        for part in split_static(list(range(self.scale)), cores):
-            tb = TraceBuilder()
-            for i in part:
-                hk = tb.load(h_base + 8 * i, pc=PC_EXTRA, extra=2)
-                tb.load(contrib_base + 8 * i, pc=PC_VALUE, extra=1)
-                for j in range(h_vals[i], h_vals[i + 1]):
-                    aj = tb.load(adj_base + 8 * j, deps=(hk,),
-                                 pc=PC_INDEX, extra=1, tag=j)
-                    tb.rmw(score_base + 8 * adj[j],
-                           deps=(aj,), atomic=True, pc=PC_INDIRECT,
-                           extra=BASE_ADDR_CALC - 2, tag=j)
-            traces.append(tb.finish())
+        for part in split_static(range(self.scale), cores):
+            # Per node i: H[i], contrib[i]; per edge: adj[j], atomic RMW.
+            i = np.arange(part.start, part.stop)
+            owner, j = expand_ranges(self.h[i], self.h[i + 1])
+            item_at, edge_at, n = nest_positions(len(i), owner, head=2,
+                                                 body=2)
+            em = BulkEmitter(n)
+            em.load(item_at, self.h_base + 8 * i, pc=PC_EXTRA, extra=2)
+            em.load(item_at + 1, self.contrib_base + 8 * i, pc=PC_VALUE,
+                    extra=1)
+            em.load(edge_at, self.adj_base + 8 * j, deps=(item_at[owner],),
+                    pc=PC_INDEX, extra=1, tag=j)
+            em.rmw(edge_at + 1, self.score_base + 8 * self.adj[j],
+                   deps=(edge_at,), atomic=True, pc=PC_INDIRECT,
+                   extra=BASE_ADDR_CALC - 2, tag=j)
+            traces.append(em.finish())
         return traces
 
     def dx100_schedule(self, config: DX100Config, cores: int) -> list:
@@ -281,34 +276,31 @@ class BetweennessCentrality(_GraphWorkload):
 
     def baseline_traces(self, cores: int) -> list[Trace]:
         traces = []
-        frontier = self.frontier.tolist()
-        h_vals = self.h.tolist()
-        adj = self.adj.tolist()
-        depth = self.depth.tolist()
-        level = self.level
-        k_base, h_base, sigma_base = (self.k_base, self.h_base,
-                                      self.sigma_base)
-        adj_base, depth_base = self.adj_base, self.depth_base
-        for part in split_static(list(range(self.scale)), cores):
-            tb = TraceBuilder()
-            for i in part:
-                u = frontier[i]
-                tb.load(k_base + 8 * i, pc=PC_INDEX, extra=2)
-                hk = tb.load(h_base + 8 * u, pc=PC_EXTRA, extra=2)
-                su = tb.load(sigma_base + 8 * u, pc=PC_VALUE, extra=1)
-                for j in range(h_vals[u], h_vals[u + 1]):
-                    v = adj[j]
-                    aj = tb.load(adj_base + 8 * j, deps=(hk,),
-                                 pc=PC_INDEX, extra=1, tag=j)
-                    dv = tb.load(depth_base + 8 * v, deps=(aj,),
-                                 pc=PC_INDIRECT, extra=3, tag=j)
-                    if depth[v] == level:
-                        tb.rmw(sigma_base + 8 * v, deps=(aj, su),
-                               atomic=True, pc=PC_VALUE,
-                               extra=BASE_ADDR_CALC - 3, tag=j)
-                    else:
-                        tb.compute(2)
-            traces.append(tb.finish())
+        for part in split_static(range(self.scale), cores):
+            # Per frontier node u: K[i], H[u], sigma[u]; per edge: adj[j],
+            # depth[v], and the sigma update only where v is on the level.
+            i = np.arange(part.start, part.stop)
+            u = self.frontier[i]
+            owner, j = expand_ranges(self.h[u], self.h[u + 1])
+            v = self.adj[j]
+            on_level = self.depth[v] == self.level
+            item_at, edge_at, n = nest_positions(len(i), owner, head=3,
+                                                 body=2 + on_level)
+            em = BulkEmitter(n)
+            em.load(item_at, self.k_base + 8 * i, pc=PC_INDEX, extra=2)
+            em.load(item_at + 1, self.h_base + 8 * u, pc=PC_EXTRA, extra=2)
+            em.load(item_at + 2, self.sigma_base + 8 * u, pc=PC_VALUE,
+                    extra=1)
+            em.load(edge_at, self.adj_base + 8 * j,
+                    deps=(item_at[owner] + 1,), pc=PC_INDEX, extra=1, tag=j)
+            em.load(edge_at + 1, self.depth_base + 8 * v, deps=(edge_at,),
+                    pc=PC_INDIRECT, extra=3, tag=j)
+            aj = edge_at[on_level]
+            em.rmw(aj + 2, self.sigma_base + 8 * v[on_level],
+                   deps=(aj, item_at[owner[on_level]] + 2), atomic=True,
+                   pc=PC_VALUE, extra=BASE_ADDR_CALC - 3, tag=j[on_level])
+            em.compute(edge_at[~on_level] + 2, 2)
+            traces.append(em.finish())
         return traces
 
     def dx100_schedule(self, config: DX100Config, cores: int) -> list:

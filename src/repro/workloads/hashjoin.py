@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.common.config import DX100Config
 from repro.common.types import AluOp, DType
-from repro.core.trace import Trace, TraceBuilder, split_static
+from repro.core.trace import BulkEmitter, Trace, split_static
 from repro.dx100.api import ProgramBuilder
 from repro.dx100.hostmem import HostMemory
 from repro.workloads.base import (
@@ -64,29 +64,24 @@ class RadixJoinHistogram(Workload):
 
     def baseline_traces(self, cores: int) -> list[Trace]:
         traces = []
-        # Plain-int views: per-element numpy indexing in the emit loop
-        # dominates trace-construction time otherwise.
-        radix = self.radix.tolist()
-        offsets = self.offsets.tolist()
-        c_base, hist_base = self.c_base, self.hist_base
-        b_base, a_base = self.b_base, self.a_base
-        for part in split_static(list(range(self.scale)), cores):
-            tb = TraceBuilder()
-            for i in part:
-                # Histogram pass.
-                key = tb.load(c_base + 8 * i, pc=PC_INDEX, extra=3)
-                tb.rmw(hist_base + 8 * radix[i], deps=(key,),
-                       atomic=True, pc=PC_VALUE, extra=3, tag=i)
-            for i in part:
-                # Scatter pass.
-                key = tb.load(c_base + 8 * i, pc=PC_INDEX, extra=3,
-                              tag=i)
-                off = tb.load(b_base + 8 * radix[i],
-                              deps=(key,), pc=PC_EXTRA, extra=2, tag=i)
-                tb.store(a_base + 8 * offsets[radix[i]],
-                         deps=(off,), pc=PC_INDIRECT,
-                         extra=BASE_ADDR_CALC - 4, tag=i)
-            traces.append(tb.finish())
+        for part in split_static(range(self.scale), cores):
+            # The histogram pass over the part (key, atomic count), then
+            # the scatter pass (key, partition offset, tuple store).
+            i = np.arange(part.start, part.stop)
+            radix = self.radix[i]
+            hist = 2 * np.arange(len(i))
+            scat = 2 * len(i) + 3 * np.arange(len(i))
+            em = BulkEmitter(5 * len(i))
+            em.load(hist, self.c_base + 8 * i, pc=PC_INDEX, extra=3)
+            em.rmw(hist + 1, self.hist_base + 8 * radix, deps=(hist,),
+                   atomic=True, pc=PC_VALUE, extra=3, tag=i)
+            em.load(scat, self.c_base + 8 * i, pc=PC_INDEX, extra=3, tag=i)
+            em.load(scat + 1, self.b_base + 8 * radix, deps=(scat,),
+                    pc=PC_EXTRA, extra=2, tag=i)
+            em.store(scat + 2, self.a_base + 8 * self.offsets[radix],
+                     deps=(scat + 1,), pc=PC_INDIRECT,
+                     extra=BASE_ADDR_CALC - 4, tag=i)
+            traces.append(em.finish())
         return traces
 
     def dx100_schedule(self, config: DX100Config, cores: int) -> list:
@@ -152,31 +147,27 @@ class RadixJoinChaining(Workload):
 
     def baseline_traces(self, cores: int) -> list[Trace]:
         traces = []
-        probe_radix = self.probe_radix.tolist()
-        head = self.head.tolist()
-        nxt = self.next.tolist()
-        probe_base, head_base = self.probe_base, self.head_base
-        pay_base, next_base, res_base = (self.pay_base, self.next_base,
-                                         self.res_base)
-        for part in split_static(list(range(self.scale)), cores):
-            tb = TraceBuilder()
-            for i in part:
-                h = probe_radix[i]
-                n0 = head[h]
-                n1 = nxt[n0]
-                key = tb.load(probe_base + 8 * i, pc=PC_INDEX, extra=3,
-                              tag=i)
-                e0 = tb.load(head_base + 8 * h, deps=(key,),
-                             pc=PC_INDIRECT, extra=3, tag=i)
-                p0 = tb.load(pay_base + 8 * n0, deps=(e0,),
-                             pc=PC_VALUE, extra=2, tag=i)
-                e1 = tb.load(next_base + 8 * n0, deps=(e0,),
-                             pc=PC_EXTRA, extra=2, tag=i)
-                p1 = tb.load(pay_base + 8 * n1, deps=(e1,),
-                             pc=PC_VALUE, extra=2, tag=i)
-                tb.store(res_base + 8 * i, deps=(p0, p1),
-                         pc=PC_OUTPUT, extra=3)
-            traces.append(tb.finish())
+        for part in split_static(range(self.scale), cores):
+            # Per probe: key, head[h], then payload and next of node n0,
+            # payload of node n1, and the result store.
+            i = np.arange(part.start, part.stop)
+            h = self.probe_radix[i]
+            n0 = self.head[h]
+            n1 = self.next[n0]
+            at = 6 * np.arange(len(i))
+            em = BulkEmitter(6 * len(i))
+            em.load(at, self.probe_base + 8 * i, pc=PC_INDEX, extra=3, tag=i)
+            em.load(at + 1, self.head_base + 8 * h, deps=(at,),
+                    pc=PC_INDIRECT, extra=3, tag=i)
+            em.load(at + 2, self.pay_base + 8 * n0, deps=(at + 1,),
+                    pc=PC_VALUE, extra=2, tag=i)
+            em.load(at + 3, self.next_base + 8 * n0, deps=(at + 1,),
+                    pc=PC_EXTRA, extra=2, tag=i)
+            em.load(at + 4, self.pay_base + 8 * n1, deps=(at + 3,),
+                    pc=PC_VALUE, extra=2, tag=i)
+            em.store(at + 5, self.res_base + 8 * i, deps=(at + 2, at + 4),
+                     pc=PC_OUTPUT, extra=3)
+            traces.append(em.finish())
         return traces
 
     def dx100_schedule(self, config: DX100Config, cores: int) -> list:

@@ -48,7 +48,7 @@ class _GatherBase(Workload):
         return lines
 
     def baseline_traces(self, cores: int) -> list[Trace]:
-        parts = split_static(list(range(self.scale)), cores)
+        parts = split_static(range(self.scale), cores)
         traces = []
         for part in parts:
             tb = TraceBuilder()
@@ -90,7 +90,7 @@ class GatherSPD(_GatherBase):
             # the SPD and stores it to C[i].
             spd = SPD_BASE + t_p * config.tile_elems * 4
             traces = []
-            for part in split_static(list(range(lo, hi)), cores):
+            for part in split_static(range(lo, hi), cores):
                 tb = TraceBuilder()
                 for i in part:
                     tb.load(spd + 4 * (i - lo), size=4, extra=1, pc=PC_SPD)
@@ -151,7 +151,7 @@ class _RMWBase(Workload):
         return out
 
     def baseline_traces(self, cores: int) -> list[Trace]:
-        parts = split_static(list(range(self.scale)), cores)
+        parts = split_static(range(self.scale), cores)
         traces = []
         for part in parts:
             tb = TraceBuilder()

@@ -14,14 +14,15 @@ import numpy as np
 
 from repro.common.config import DX100Config
 from repro.common.types import AluOp, DType
-from repro.core.trace import Trace, TraceBuilder, split_static
+from repro.core.trace import BulkEmitter, Trace, split_static
 from repro.dx100.api import ProgramBuilder
 from repro.dx100.hostmem import HostMemory
 from repro.dx100.isa import Instr
 from repro.dx100.range_fuser import plan_range_chunks
 from repro.workloads.base import (
     BASE_ADDR_CALC, PC_EXTRA, PC_INDEX, PC_INDIRECT, PC_OUTPUT, PC_SPD,
-    PC_VALUE, CoreWork, Workload, chunk_bounds,
+    PC_VALUE, CoreWork, Workload, chunk_bounds, expand_ranges,
+    nest_positions,
 )
 
 
@@ -52,19 +53,16 @@ class IntegerSort(Workload):
 
     def baseline_traces(self, cores: int) -> list[Trace]:
         traces = []
-        # Plain-int views: per-element numpy indexing in the emit loop
-        # dominates trace-construction time otherwise.
-        keys = self.keys.tolist()
-        k_base, count_base = self.k_base, self.count_base
-        for part in split_static(list(range(self.scale)), cores):
-            tb = TraceBuilder()
-            for i in part:
-                idx = tb.load(k_base + 8 * i, pc=PC_INDEX, extra=2,
-                              tag=i)
-                tb.rmw(count_base + 4 * keys[i], size=4,
-                       deps=(idx,), atomic=True, pc=PC_INDIRECT,
-                       extra=BASE_ADDR_CALC, tag=i)
-            traces.append(tb.finish())
+        for part in split_static(range(self.scale), cores):
+            # Per key: index load, then the atomic count update.
+            i = np.arange(part.start, part.stop)
+            at = 2 * np.arange(len(i))
+            em = BulkEmitter(2 * len(i))
+            em.load(at, self.k_base + 8 * i, pc=PC_INDEX, extra=2, tag=i)
+            em.rmw(at + 1, self.count_base + 4 * self.keys[i], size=4,
+                   deps=(at,), atomic=True, pc=PC_INDIRECT,
+                   extra=BASE_ADDR_CALC, tag=i)
+            traces.append(em.finish())
         return traces
 
     def dx100_schedule(self, config: DX100Config, cores: int) -> list:
@@ -119,24 +117,23 @@ class ConjugateGradient(Workload):
 
     def baseline_traces(self, cores: int) -> list[Trace]:
         traces = []
-        h_vals = self.h.tolist()
-        col = self.col.tolist()
-        h_base, col_base, vals_base = (self.h_base, self.col_base,
-                                       self.vals_base)
-        x_base, y_base = self.x_base, self.y_base
-        for rows in split_static(list(range(self.scale)), cores):
-            tb = TraceBuilder()
-            for i in rows:
-                tb.load(h_base + 8 * i, pc=PC_EXTRA, extra=2)
-                for j in range(h_vals[i], h_vals[i + 1]):
-                    cidx = tb.load(col_base + 8 * j, pc=PC_INDEX,
-                                   extra=1, tag=j)
-                    tb.load(vals_base + 8 * j, pc=PC_VALUE, extra=1)
-                    tb.load(x_base + 8 * col[j],
-                            deps=(cidx,), pc=PC_INDIRECT,
-                            extra=BASE_ADDR_CALC - 2, tag=j)
-                tb.store(y_base + 8 * i, pc=PC_OUTPUT, extra=2)
-            traces.append(tb.finish())
+        for rows in split_static(range(self.scale), cores):
+            # Per row: H load, per nonzero (col, vals, x[col]), y store.
+            i = np.arange(rows.start, rows.stop)
+            lo, hi = self.h[i], self.h[i + 1]
+            owner, j = expand_ranges(lo, hi)
+            row_at, nz_at, n = nest_positions(len(i), owner, head=1, body=3,
+                                              tail=1)
+            em = BulkEmitter(n)
+            em.load(row_at, self.h_base + 8 * i, pc=PC_EXTRA, extra=2)
+            em.load(nz_at, self.col_base + 8 * j, pc=PC_INDEX, extra=1,
+                    tag=j)
+            em.load(nz_at + 1, self.vals_base + 8 * j, pc=PC_VALUE, extra=1)
+            em.load(nz_at + 2, self.x_base + 8 * self.col[j], deps=(nz_at,),
+                    pc=PC_INDIRECT, extra=BASE_ADDR_CALC - 2, tag=j)
+            em.store(row_at + 1 + 3 * (hi - lo), self.y_base + 8 * i,
+                     pc=PC_OUTPUT, extra=2)
+            traces.append(em.finish())
         return traces
 
     def dx100_schedule(self, config: DX100Config, cores: int) -> list:
@@ -163,12 +160,14 @@ class ConjugateGradient(Workload):
             # and store y[i] per row.
             spd = pb.spd_addr(t_x)
             traces = []
-            for part in split_static(list(range(j0, j1)), cores):
-                tb = TraceBuilder()
-                for j in part:
-                    tb.load(self.vals_base + 8 * j, pc=PC_VALUE, extra=1)
-                    tb.load(spd + 4 * (j - j0), size=4, pc=PC_SPD, extra=2)
-                traces.append(tb.finish())
+            for part in split_static(range(j0, j1), cores):
+                j = np.arange(part.start, part.stop)
+                at = 2 * np.arange(len(j))
+                em = BulkEmitter(2 * len(j))
+                em.load(at, self.vals_base + 8 * j, pc=PC_VALUE, extra=1)
+                em.load(at + 1, spd + 4 * (j - j0), size=4, pc=PC_SPD,
+                        extra=2)
+                traces.append(em.finish())
             items.append(CoreWork(traces=traces))
         return items
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.common.config import DX100Config
 from repro.common.types import DType
-from repro.core.trace import Trace, TraceBuilder, split_static
+from repro.core.trace import BulkEmitter, Trace, split_static
 from repro.dx100.api import ProgramBuilder
 from repro.dx100.hostmem import HostMemory
 from repro.workloads.base import (
@@ -40,28 +40,27 @@ class SpatterXRAGE(Workload):
         n_blocks = -(-self.scale // self.block)
         starts = self.rng.integers(0, self.region - self.block,
                                    n_blocks).astype(np.int64)
-        runs = [np.arange(s, s + self.block) for s in starts]
-        self.indices = np.concatenate(runs)[:self.scale]
+        self.indices = (starts[:, None]
+                        + np.arange(self.block)).ravel()[:self.scale]
         self.values = self.rng.integers(0, 1 << 20,
                                         self.scale).astype(np.int64)
         self.b_base = mem.place("B", self.indices)
         self.c_base = mem.place("C", self.values)
-        self.a_base = mem.place("A", np.zeros(self.region, dtype=np.int64))
+        self.a_base = mem.alloc("A", self.region, DType.I64)  # all zero
 
     def baseline_traces(self, cores: int) -> list[Trace]:
         traces = []
-        indices = self.indices.tolist()
-        b_base, c_base, a_base = self.b_base, self.c_base, self.a_base
-        for part in split_static(list(range(self.scale)), cores):
-            tb = TraceBuilder()
-            for i in part:
-                idx = tb.load(b_base + 8 * i, pc=PC_INDEX, extra=2,
-                              tag=i)
-                val = tb.load(c_base + 8 * i, pc=PC_VALUE, extra=1)
-                tb.store(a_base + 8 * indices[i],
-                         deps=(idx, val), pc=PC_INDIRECT,
-                         extra=BASE_ADDR_CALC, tag=i)
-            traces.append(tb.finish())
+        for part in split_static(range(self.scale), cores):
+            # Per element: index B[i], value C[i], then the scatter store.
+            i = np.arange(part.start, part.stop)
+            at = 3 * np.arange(len(i))
+            em = BulkEmitter(3 * len(i))
+            em.load(at, self.b_base + 8 * i, pc=PC_INDEX, extra=2, tag=i)
+            em.load(at + 1, self.c_base + 8 * i, pc=PC_VALUE, extra=1)
+            em.store(at + 2, self.a_base + 8 * self.indices[i],
+                     deps=(at, at + 1), pc=PC_INDIRECT, extra=BASE_ADDR_CALC,
+                     tag=i)
+            traces.append(em.finish())
         return traces
 
     def dx100_schedule(self, config: DX100Config, cores: int) -> list:

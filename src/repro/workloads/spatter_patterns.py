@@ -111,7 +111,7 @@ class SpatterKernel(Workload):
 
     def baseline_traces(self, cores: int) -> list[Trace]:
         traces = []
-        for part in split_static(list(range(self.scale)), cores):
+        for part in split_static(range(self.scale), cores):
             tb = TraceBuilder()
             for i in part:
                 idx = tb.load(self.b_base + 8 * i, pc=PC_INDEX, extra=1,

@@ -17,14 +17,14 @@ import numpy as np
 
 from repro.common.config import DX100Config
 from repro.common.types import AluOp, DType
-from repro.core.trace import Trace, TraceBuilder, split_static
+from repro.core.trace import BulkEmitter, Trace, split_static
 from repro.dx100.api import ProgramBuilder
 from repro.dx100.hostmem import HostMemory
 from repro.dx100.isa import Instr
 from repro.dx100.range_fuser import plan_range_chunks
 from repro.workloads.base import (
     BASE_ADDR_CALC, PC_EXTRA, PC_INDEX, PC_INDIRECT, PC_SPD, PC_VALUE,
-    CoreWork, Workload, chunk_bounds,
+    CoreWork, Workload, chunk_bounds, expand_ranges, nest_positions,
 )
 
 THRESHOLD = 50
@@ -61,29 +61,26 @@ class _GradientRMW(Workload):
 
     def baseline_traces(self, cores: int) -> list[Trace]:
         traces = []
-        # Plain-int views: per-element numpy indexing inside the emit loop
-        # costs more than the trace op it guards.
-        d_vals = self.d.tolist()
-        b_vals = self.b.tolist()
-        d_base, gx_base = self.d_base, self.gx_base
-        b_base, c_base, a_base = self.b_base, self.c_base, self.a_base
-        for part in split_static(list(range(self.scale)), cores):
-            tb = TraceBuilder()
-            for i in part:
-                d = tb.load(d_base + 8 * i, pc=PC_EXTRA, extra=3)
-                # Gradient contribution computed on the core either way.
-                tb.load(gx_base + 8 * i, pc=PC_VALUE, extra=6)
-                if d_vals[i] >= THRESHOLD:
-                    # The guard is a predicted branch: no data dependence.
-                    idx = tb.load(b_base + 8 * i,
-                                  pc=PC_INDEX, extra=1, tag=i)
-                    tb.load(c_base + 8 * i, pc=PC_VALUE, extra=1)
-                    tb.rmw(a_base + 8 * b_vals[i], deps=(idx,),
-                           atomic=True, pc=PC_INDIRECT,
-                           extra=BASE_ADDR_CALC - 2, tag=i)
-                else:
-                    tb.compute(2)
-            traces.append(tb.finish())
+        for part in split_static(range(self.scale), cores):
+            # Per zone: D[i] and the gradient's coordinate load; where the
+            # guard holds, B[i], C[i] and the atomic accumulate.  The guard
+            # is a predicted branch: no data dependence.
+            i = np.arange(part.start, part.stop)
+            taken = self.d[i] >= THRESHOLD
+            ops = 2 + 3 * taken
+            at = np.cumsum(ops) - ops
+            em = BulkEmitter(int(ops.sum()))
+            em.load(at, self.d_base + 8 * i, pc=PC_EXTRA, extra=3)
+            em.load(at + 1, self.gx_base + 8 * i, pc=PC_VALUE, extra=6)
+            t, it = at[taken], i[taken]
+            em.load(t + 2, self.b_base + 8 * it, pc=PC_INDEX, extra=1,
+                    tag=it)
+            em.load(t + 3, self.c_base + 8 * it, pc=PC_VALUE, extra=1)
+            em.rmw(t + 4, self.a_base + 8 * self.b[it], deps=(t + 2,),
+                   atomic=True, pc=PC_INDIRECT, extra=BASE_ADDR_CALC - 2,
+                   tag=it)
+            em.compute(at[~taken] + 2, 2)
+            traces.append(em.finish())
         return traces
 
     def dx100_schedule(self, config: DX100Config, cores: int) -> list:
@@ -100,12 +97,13 @@ class _GradientRMW(Workload):
             # Residual: cores compute the next tile's contributions
             # (coordinate load + gradient arithmetic + store of C).
             traces = []
-            for part in split_static(list(range(lo, hi)), cores):
-                tb = TraceBuilder()
-                for i in part:
-                    tb.load(self.gx_base + 8 * i, pc=PC_VALUE, extra=6)
-                    tb.store(self.c_base + 8 * i, pc=PC_INDEX, extra=1)
-                traces.append(tb.finish())
+            for part in split_static(range(lo, hi), cores):
+                i = np.arange(part.start, part.stop)
+                at = 2 * np.arange(len(i))
+                em = BulkEmitter(2 * len(i))
+                em.load(at, self.gx_base + 8 * i, pc=PC_VALUE, extra=6)
+                em.store(at + 1, self.c_base + 8 * i, pc=PC_INDEX, extra=1)
+                traces.append(em.finish())
             items.append(CoreWork(traces=traces))
         return items
 
@@ -173,36 +171,35 @@ class _GradientIndirectLD(Workload):
 
     def baseline_traces(self, cores: int) -> list[Trace]:
         traces = []
-        frontier = self.frontier.tolist()
-        h_vals = self.h.tolist()
-        d_vals = self.d.tolist()
-        c_vals = self.c.tolist()
-        b_vals = self.b.tolist()
-        k_base, h_base, d_base = self.k_base, self.h_base, self.d_base
-        c_base, b_base, a_base = self.c_base, self.b_base, self.a_base
-        for part in split_static(list(range(self.scale)), cores):
-            tb = TraceBuilder()
-            for i in part:
-                u = frontier[i]
-                tb.load(k_base + 8 * i, pc=PC_INDEX, extra=2)
-                hk = tb.load(h_base + 8 * u, pc=PC_EXTRA, extra=2)
-                for j in range(h_vals[u], h_vals[u + 1]):
-                    d = tb.load(d_base + 8 * j, deps=(hk,),
-                                pc=PC_VALUE, extra=2, tag=j)
-                    if d_vals[j] >= THRESHOLD:
-                        # Speculated past the guard: no data dependence.
-                        cj = tb.load(c_base + 8 * j,
-                                     pc=PC_INDEX, extra=1, tag=j)
-                        bj = tb.load(b_base + 8 * c_vals[j],
-                                     deps=(cj,), pc=PC_EXTRA, extra=2,
-                                     tag=j)
-                        tb.load(a_base + 8 * b_vals[c_vals[j]],
-                                deps=(bj,), pc=PC_INDIRECT,
-                                extra=BASE_ADDR_CALC - 4, tag=j)
-                    else:
-                        tb.compute(2)
-                    tb.compute(4)  # gradient arithmetic per corner
-            traces.append(tb.finish())
+        for part in split_static(range(self.scale), cores):
+            # Per frontier zone u: K[i], H[u]; per corner j: D[j], and
+            # where the guard holds (speculated past: no data dependence)
+            # C[j], B[C[j]] and A[B[C[j]]]; then the corner's gradient
+            # arithmetic.
+            i = np.arange(part.start, part.stop)
+            u = self.frontier[i]
+            owner, j = expand_ranges(self.h[u], self.h[u + 1])
+            taken = self.d[j] >= THRESHOLD
+            body = 1 + 3 * taken
+            item_at, corner_at, n = nest_positions(len(i), owner, head=2,
+                                                   body=body)
+            em = BulkEmitter(n)
+            em.load(item_at, self.k_base + 8 * i, pc=PC_INDEX, extra=2)
+            em.load(item_at + 1, self.h_base + 8 * u, pc=PC_EXTRA, extra=2)
+            em.load(corner_at, self.d_base + 8 * j,
+                    deps=(item_at[owner] + 1,), pc=PC_VALUE, extra=2, tag=j)
+            t, jt = corner_at[taken], j[taken]
+            c = self.c[jt]
+            em.load(t + 1, self.c_base + 8 * jt, pc=PC_INDEX, extra=1,
+                    tag=jt)
+            em.load(t + 2, self.b_base + 8 * c, deps=(t + 1,), pc=PC_EXTRA,
+                    extra=2, tag=jt)
+            em.load(t + 3, self.a_base + 8 * self.b[c], deps=(t + 2,),
+                    pc=PC_INDIRECT, extra=BASE_ADDR_CALC - 4, tag=jt)
+            # Untaken guard: 2 instructions; every corner: 4 of gradient
+            # arithmetic.  Both go to the op after the corner's last.
+            em.compute(corner_at + body, 4 + 2 * ~taken)
+            traces.append(em.finish())
         return traces
 
     def dx100_schedule(self, config: DX100Config, cores: int) -> list:
@@ -234,11 +231,12 @@ class _GradientIndirectLD(Workload):
             spd = pb.spd_addr(t_a)
             count = int((highs[f0:f1] - lows[f0:f1]).sum())
             traces = []
-            for part in split_static(list(range(count)), cores):
-                tb = TraceBuilder()
-                for e in part:
-                    tb.load(spd + 4 * e, size=4, pc=PC_SPD, extra=4)
-                traces.append(tb.finish())
+            for part in split_static(range(count), cores):
+                e = np.arange(part.start, part.stop)
+                em = BulkEmitter(len(e))
+                em.load(np.arange(len(e)), spd + 4 * e, size=4, pc=PC_SPD,
+                        extra=4)
+                traces.append(em.finish())
             items.append(CoreWork(traces=traces))
         return items
 

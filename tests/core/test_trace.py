@@ -1,7 +1,8 @@
+import numpy as np
 import pytest
 
 from repro.common import AccessType
-from repro.core import TraceBuilder, split_static
+from repro.core import BulkEmitter, TraceBuilder, split_static
 
 
 def test_builder_emits_ops_in_order():
@@ -66,6 +67,12 @@ def test_split_static_blocks():
         split_static([1], 0)
 
 
+def test_split_static_deals_ranges_as_ranges():
+    parts = split_static(range(3, 13), 4)
+    assert parts == [range(3, 5), range(5, 7), range(7, 9), range(9, 13)]
+    assert split_static(range(2), 4)[2:] == [range(2, 2), range(2, 2)]
+
+
 def test_split_static_matches_per_item_dealing():
     """Each item ``i`` lands on core ``min(i // chunk, ways - 1)``."""
     for n in range(0, 30):
@@ -76,3 +83,86 @@ def test_split_static_matches_per_item_dealing():
             for i, item in enumerate(items):
                 expect[min(i // chunk, ways - 1)].append(item)
             assert split_static(items, ways) == expect, (n, ways)
+
+
+# ------------------------------------------------------------ BulkEmitter
+
+
+def test_bulk_emitter_matches_builder_op_for_op():
+    tb = TraceBuilder()
+    tb.compute(5)
+    a = tb.load(0x100, extra=2, tag=7)
+    b = tb.store(0x200, size=4, deps=(a,), atomic=True, pc=3)
+    tb.compute(1)
+    tb.rmw(0x300, deps=(a, b), extra=1, atomic=True, pc=2, tag=9)
+    tb.compute(4)
+    want = tb.finish()
+
+    em = BulkEmitter(3)
+    em.compute(np.array([0, 2, 3]), np.array([5, 1, 4]))
+    em.rmw([2], [0x300], deps=([0], [1]), extra=1, atomic=True, pc=2,
+           tag=9)
+    em.load([0], [0x100], extra=2, tag=7)
+    em.store([1], [0x200], size=4, deps=([0],), atomic=True, pc=3)
+    got = em.finish()
+    assert got == want
+    assert got.tail_instrs == 4 and got.instructions == want.instructions
+
+
+@pytest.mark.parametrize("dep", [1, 2, -1], ids=["self", "forward",
+                                                  "negative"])
+def test_bulk_dependence_must_name_an_earlier_op(dep):
+    em = BulkEmitter(3)
+    em.load([0], [0])
+    with pytest.raises(ValueError, match="unknown op"):
+        em.load([1], [8], deps=([dep],))
+
+
+def test_bulk_slot_left_unfilled_rejected():
+    em = BulkEmitter(3)
+    em.load([0, 2], [0, 16])
+    with pytest.raises(ValueError, match="unfilled"):
+        em.finish()
+
+
+def test_bulk_slot_filled_twice_rejected():
+    em = BulkEmitter(2)
+    em.load([0, 1], [0, 8])
+    em.store([1], [16])
+    with pytest.raises(ValueError, match="twice"):
+        em.finish()
+    em = BulkEmitter(2)
+    em.load([0, 0, 1], [0, 8, 16])
+    with pytest.raises(ValueError, match="twice"):
+        em.finish()
+
+
+def test_bulk_positions_outside_the_trace_rejected():
+    em = BulkEmitter(2)
+    with pytest.raises(ValueError):
+        em.load([2], [0])
+    with pytest.raises(ValueError):
+        em.load([-1], [0])
+    with pytest.raises(ValueError):
+        em.compute([3], 1)
+    with pytest.raises(ValueError):
+        em.compute([0], -1)
+
+
+def test_bulk_empty_trace_keeps_its_tail():
+    em = BulkEmitter(0)
+    em.compute([0, 0], 3)
+    trace = em.finish()
+    assert len(trace) == 0 and trace.tail_instrs == 6
+
+
+def test_bulk_columns_share_repeated_ints():
+    """Equal tags and dependence targets are one int object each, as when
+    a kernel passes the same int to several builder calls."""
+    em = BulkEmitter(300)
+    em.load(np.arange(298), 8 * np.arange(298), tag=1000)
+    em.load([298], [0], deps=([297],), tag=1000)
+    em.store([299], [8], deps=([297],), tag=1000)
+    trace = em.finish()
+    assert trace.tag[0] is trace.tag[1] is trace.tag[299]
+    assert trace.deps[298][0] is trace.deps[299][0]

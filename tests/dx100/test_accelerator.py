@@ -189,3 +189,33 @@ def test_dispatch_requires_dx100_config():
     hier = MemoryHierarchy(cfg, dram)
     with pytest.raises(ValueError):
         DX100(cfg, hier, dram, HostMemory(1 << 20))
+
+
+def test_stream_load_records_hold_no_values():
+    """SLD records keep only timing (the tile holds the values), and CG's
+    gathered-tile validation still reads its ILD records and passes."""
+    from repro.dx100.isa import Opcode
+    from repro.sim import run_dx100
+    from repro.workloads import QUICK_BENCHMARKS
+
+    wl = QUICK_BENCHMARKS["CG"]()
+    seen = {}
+    validate_dx = wl.validate_dx
+
+    def capture(dx, mem):
+        seen["dx"] = dx
+        validate_dx(dx, mem)
+
+    wl.validate_dx = capture
+    run_dx100(wl, SystemConfig.dx100_scaled(tile_elems=1 << 11),
+              warm=False)
+    records = seen["dx"].records
+    slds = [r for r in records if r.instr.opcode is Opcode.SLD]
+    assert slds and all(r.detail.values is None for r in slds)
+    assert all(r.detail.finish == r.finish for r in slds)
+    assert len(wl._gather_checks) > 1
+    # The gather checks are live: a wrong expected tile fails them.
+    index, expect = wl._gather_checks[0]
+    wl._gather_checks[0] = (index, expect + 1)
+    with pytest.raises(AssertionError, match="gathered tile"):
+        validate_dx(seen["dx"], seen["dx"].hostmem)
