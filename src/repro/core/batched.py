@@ -3,11 +3,11 @@
 The core half of the ``SystemConfig.frontend = "batched"`` split.  Two
 ideas, both bitwise-neutral by construction:
 
-* :class:`BatchedCoreModel.run_until` is ``CoreModel.step`` unrolled into a
-  loop — the per-op function dispatch (``step`` itself, the ``done``
-  property, the heap push/pop in the multicore driver) disappears, but the
-  op-by-op semantics (frontend bandwidth, ROB/IQ/LQ/SQ stalls, dependence
-  resolution, atomics serialization) are copied line for line.
+* :meth:`BatchedCoreModel.stepper` is ``CoreModel.step`` unrolled into a
+  resumable loop — the per-op function dispatch (``step`` itself, the
+  ``done`` property, the heap push/pop in the multicore driver) disappears,
+  but the op-by-op semantics (frontend bandwidth, ROB/IQ/LQ/SQ stalls,
+  dependence resolution, atomics serialization) are copied line for line.
 
 * :class:`BatchedMulticore.run` advances the *popped* core until its next
   dispatch time would no longer be the global minimum, instead of
@@ -26,6 +26,8 @@ timing into the core's result columns; no per-op record object is built.
 from __future__ import annotations
 
 import heapq
+from collections.abc import Generator
+from contextlib import suppress
 
 from repro.common.types import AccessType
 from repro.core.multicore import Multicore
@@ -101,10 +103,16 @@ class BatchedCoreModel(CoreModel):
         flights.clear()
         flights.extend(kept)
 
-    def run_until(self, i_key: int, bound: tuple[float, int] | None) -> None:
-        """Execute ops until the trace ends or ``(next_time, i_key)`` is no
-        longer strictly the earliest entry (``bound`` = the driver heap's
-        current minimum, or None to run the trace out)."""
+    def stepper(self, i_key: int) -> Generator[None, tuple[float, int] | None,
+                                               None]:
+        """The fused op loop as a resumable generator, primed with
+        ``next()``.  Each ``send(bound)`` executes ops until the trace ends
+        (the generator returns) or ``(next_time, i_key)`` is no longer
+        strictly the earliest entry (it writes the core state back and
+        yields).  ``bound`` is the driver heap's current minimum, or None
+        to run the trace out.  Resuming keeps the loop's locals, so cores
+        that dispatch in lockstep pay the set-up below once per trace, not
+        once per switch."""
         trace = self._trace
         if trace is None:
             raise RuntimeError("trace exhausted")
@@ -151,6 +159,7 @@ class BatchedCoreModel(CoreModel):
         lq_used = self._lq_used
         sq_used = self._sq_used
         finish = self._finish
+        bound = yield
         if bound is None:
             b_time = b_key = None
         else:
@@ -346,7 +355,18 @@ class BatchedCoreModel(CoreModel):
             if b_time is not None and (
                     fetch_time > b_time
                     or (fetch_time == b_time and i_key >= b_key)):
-                break
+                self._next = next_i
+                self._fetch_time = fetch_time
+                self._rob_used = rob_used
+                self._iq_used = iq_used
+                self._lq_used = lq_used
+                self._sq_used = sq_used
+                self._finish = finish
+                bound = yield
+                if bound is None:
+                    b_time = b_key = None
+                else:
+                    b_time, b_key = bound
         self._next = next_i
         self._fetch_time = fetch_time
         self._rob_used = rob_used
@@ -411,7 +431,10 @@ class BatchedCoreModel(CoreModel):
     def run(self, trace: Trace, at: int = 0) -> int:
         self.start(trace, at)
         if not self.done:
-            self.run_until(self.core_id, None)
+            steps = self.stepper(self.core_id)
+            next(steps)
+            with suppress(StopIteration):
+                steps.send(None)
         return self.drain()
 
 
@@ -427,20 +450,24 @@ class BatchedMulticore(Multicore):
             )
         cores = self.cores
         active = []
+        steppers = {}
         for i, trace in enumerate(traces):
             core = cores[i]
             core.start(trace, at)
             if not core.done:
                 active.append((core.next_time, i))
+                steppers[i] = core.stepper(i)
+                next(steppers[i])
         heapq.heapify(active)
         heappop = heapq.heappop
         heappush = heapq.heappush
         while active:
             _, i = heappop(active)
-            core = cores[i]
-            core.run_until(i, active[0] if active else None)
-            if not core.done:
-                heappush(active, (core.next_time, i))
+            try:
+                steppers[i].send(active[0] if active else None)
+            except StopIteration:
+                continue
+            heappush(active, (cores[i].next_time, i))
         finish = at
         for i in range(len(traces)):
             finish = max(finish, cores[i].drain())

@@ -26,6 +26,12 @@ engine's per-request object dispatch for structure-of-arrays state:
   :meth:`~repro.dram.address.AddressMapper.map_arrays` hand coordinates in
   as ints (:meth:`enqueue_decoded`); nothing on the service path touches a
   ``DRAMCoord``.
+* **Column requests** — a DX100 drain enters as columns
+  (:meth:`enqueue_lines`, one list extend per column) and its writebacks
+  as bare ints (:meth:`enqueue_line`); neither builds a ``DRAMRequest``.
+  The caller holds the returned rids and reads each request's finish
+  cycle from the finish column (:meth:`finish_of`).  Only requests that
+  entered as objects (the LLC/core path) get their fields written back.
 * **Flat service kernel** — refill, FR-FCFS take, and command timing run in
   one frame with the JEDEC constants hoisted to locals; bank/bus math is
   inlined from :mod:`repro.dram.bank`.
@@ -44,6 +50,8 @@ from __future__ import annotations
 
 from collections import deque
 from heapq import heapify, heappop, heappush
+
+import numpy as np
 
 from repro.common.config import DRAMConfig
 from repro.common.stats import Stats
@@ -135,8 +143,18 @@ class BatchedController:
         self._row: list[int] = []
         self._bg: list[int] = []
         self._bid: list[int] = []       # dense bank id
-        self._req: list = []            # DRAMRequest (cleared on retire)
+        self._far = bytearray()         # crosses the far-memory link
+        self._tenant: list[int] = []
+        # -1 until serviced; only requests that entered without an object
+        # get their finish cycle here.
+        self._finish: list[int] = []
+        # The request's DRAMRequest when it entered as one (cleared on
+        # retire), else None.
+        self._req: list = []
         self._alive = bytearray()
+        # Set while a caller holds rids from enqueue_lines: storage is not
+        # reclaimed until release().
+        self._held = False
         self.input_queue: deque[int] = deque()
         self._buffered = 0
         self._dead = 0
@@ -150,7 +168,6 @@ class BatchedController:
         # bank_id -> its open row's (non-empty) heap pair.
         self._hot: dict[int, tuple[list, list]] = {}
 
-        self.buffer = _BufferView(self)
         self.time = 0
         self.stats = Stats()
         self._last_occ_time = 0
@@ -191,30 +208,94 @@ class BatchedController:
             raise ValueError(
                 f"request for channel {coord.channel} routed to {self.channel}"
             )
-        self._push(req, coord.rank, coord.bankgroup, coord.bank, coord.row)
+        self._push(req, req.arrival, req.is_write, coord.rank,
+                   coord.bankgroup, coord.bank, coord.row, req.far,
+                   req.tenant)
 
     def enqueue_decoded(self, req: DRAMRequest, rank: int, bankgroup: int,
                         bank: int, row: int) -> None:
         """Accept a request with pre-decoded coordinates (batch decode)."""
-        self._push(req, rank, bankgroup, bank, row)
+        self._push(req, req.arrival, req.is_write, rank, bankgroup, bank,
+                   row, req.far, req.tenant)
 
-    def _push(self, req: DRAMRequest, rank: int, bankgroup: int, bank: int,
-              row: int) -> None:
+    def enqueue_line(self, addr: int, arrival: int, is_write: bool,
+                     rank: int, bankgroup: int, bank: int, row: int,
+                     far: bool = False, tenant: int = -1) -> None:
+        """Accept one request given as bare fields (a DX100 writeback);
+        no ``DRAMRequest`` is built."""
+        self._push(None, arrival, is_write, rank, bankgroup, bank, row, far,
+                   tenant)
+
+    def _push(self, req: DRAMRequest | None, arrival: int, is_write: bool,
+              rank: int, bankgroup: int, bank: int, row: int, far: bool,
+              tenant: int) -> None:
+        """Append one request to the columns.  ``req``, when given, is
+        the object the service writes its results back to."""
+        arr = self._arr
         if (not self._buffered and not self.input_queue
-                and len(self._arr) > _RESET_THRESHOLD):
+                and len(arr) > _RESET_THRESHOLD and not self._held):
             self._reset_storage()
-        self._arr.append(req.arrival)
-        self._w.append(req.is_write)
+        self.input_queue.append(len(arr))
+        arr.append(arrival)
+        self._w.append(is_write)
         self._row.append(row)
         self._bg.append(bankgroup)
         self._bid.append((rank * self._bankgroups + bankgroup)
                          * self._banks_per_group + bank)
+        self._far.append(far)
+        self._tenant.append(tenant)
+        self._finish.append(-1)
         self._req.append(req)
         self._alive.append(0)
-        self.input_queue.append(len(self._arr) - 1)
         counters = self.stats.counters
         counters["requests"] += 1
-        counters["writes" if req.is_write else "reads"] += 1
+        counters["writes" if is_write else "reads"] += 1
+
+    def enqueue_lines(self, lines: np.ndarray, arrivals: np.ndarray,
+                      ranks: np.ndarray, bankgroups: np.ndarray,
+                      banks: np.ndarray, rows: np.ndarray,
+                      far: np.ndarray | None, tenant: int) -> int:
+        """Accept a run of line reads as columns, in order; returns the
+        first rid (the run's rids are consecutive).  The rids stay valid
+        for :meth:`finish_of` until :meth:`release`."""
+        arr = self._arr
+        if (not self._buffered and not self.input_queue
+                and len(arr) > _RESET_THRESHOLD and not self._held):
+            self._reset_storage()
+        self._held = True
+        first = len(arr)
+        n = len(arrivals)
+        arr.extend(arrivals.tolist())
+        self._w.extend([False] * n)
+        self._row.extend(rows.tolist())
+        self._bg.extend(bankgroups.tolist())
+        self._bid.extend(((ranks * self._bankgroups + bankgroups)
+                          * self._banks_per_group + banks).tolist())
+        self._far.extend(bytes(n) if far is None
+                         else far.astype(np.uint8).tobytes())
+        self._tenant.extend([tenant] * n)
+        self._finish.extend([-1] * n)
+        self._req.extend([None] * n)
+        self._alive.extend(bytes(n))
+        self.input_queue.extend(range(first, first + n))
+        counters = self.stats.counters
+        counters["requests"] += n
+        counters["reads"] += n
+        return first
+
+    def finish_of(self, rid: int) -> int:
+        """Service this channel until request ``rid`` finishes; returns
+        its finish cycle."""
+        finish = self._finish
+        while finish[rid] < 0:
+            if self.service_one() is None:
+                raise RuntimeError("request never enqueued on this channel")
+        return finish[rid]
+
+    def release(self) -> None:
+        """Drop the hold :meth:`enqueue_lines` put on the rids it handed
+        out, letting storage be reclaimed at the next quiescent point."""
+        self._held = False
 
     def _reset_storage(self) -> None:
         """Reclaim SoA slots at a quiescent point (nothing in flight).
@@ -230,10 +311,19 @@ class BatchedController:
         del self._row[:]
         del self._bg[:]
         del self._bid[:]
+        del self._far[:]
+        del self._tenant[:]
+        del self._finish[:]
         del self._req[:]
         self._alive = bytearray()
         self._any = []
         self._dead = 0
+
+    @property
+    def buffer(self) -> _BufferView:
+        # Built per access: a view held in an attribute would make a
+        # reference cycle, leaving the channel to the cyclic collector.
+        return _BufferView(self)
 
     @property
     def pending(self) -> int:
@@ -415,8 +505,9 @@ class BatchedController:
 
     # ------------------------------------------------------------- service
 
-    def service_one(self) -> DRAMRequest | None:
-        """Schedule and complete one request; returns it, or None if idle.
+    def service_one(self) -> DRAMRequest | int | None:
+        """Schedule and complete one request; returns it (its rid if it
+        entered as columns), or None if idle.
 
         One flat kernel: refill, pick, and the full ACT/PRE/column timing
         advance run in this frame with the JEDEC constants in locals.
@@ -456,9 +547,9 @@ class BatchedController:
         req = self._req[rid]
         bank = self._bank_list[bid]
 
-        if bank.open_row == row:
+        row_hit = bank.open_row == row
+        if row_hit:
             counters["row_hits"] += 1
-            req.row_hit = True
             t_col_min = bank.col_ready
             if earliest > t_col_min:
                 t_col_min = earliest
@@ -555,20 +646,25 @@ class BatchedController:
             t = t_col + self._tCWL + self._tBL + self._tWR
             if t > bank.pre_ready:
                 bank.pre_ready = t
-            req.finish = t_col + self._tCWL + self._tBL
+            finish = t_col + self._tCWL + self._tBL
         else:
             t = t_col + self._tRTP
             if t > bank.pre_ready:
                 bank.pre_ready = t
-            req.finish = t_col + self._tCL + self._tBL
-        req.start = t_col
-        if req.far:
+            finish = t_col + self._tCL + self._tBL
+        if self._far[rid]:
             # Far-memory tier: route the completion through the shared
             # link's return path (same call site in both engines, so the
             # link state evolves identically — the bitwise guarantee).
             remote = self.remote
             if remote is not None:
-                req.finish = remote.deliver(req.finish, is_write)
+                finish = remote.deliver(finish, is_write)
+        if req is None:
+            self._finish[rid] = finish
+        else:
+            req.start = t_col
+            req.finish = finish
+            req.row_hit = row_hit
         if self._closed_page:
             # Auto-precharge (RDA/WRA): close the row as soon as legal.
             t_pre = bank.pre_ready
@@ -593,12 +689,12 @@ class BatchedController:
             self.time = t_col
         counters["serviced"] += 1
         counters["bytes"] += self._line_bytes
-        tenant = req.tenant
+        tenant = self._tenant[rid]
         if tenant >= 0:
             # Per-tenant accounting, mirroring the scalar oracle exactly.
             counters[f"tenant{tenant}_serviced"] += 1
             counters[f"tenant{tenant}_bytes"] += self._line_bytes
-            if req.row_hit:
+            if row_hit:
                 counters[f"tenant{tenant}_row_hits"] += 1
         mins = stats.mins
         cur = mins.get("first_arrival")
@@ -606,8 +702,10 @@ class BatchedController:
             mins["first_arrival"] = arrival
         maxs = stats.maxs
         cur = maxs.get("last_finish")
-        if cur is None or req.finish > cur:
-            maxs["last_finish"] = req.finish
+        if cur is None or finish > cur:
+            maxs["last_finish"] = finish
+        if req is None:
+            return rid
         self._req[rid] = None
         return req
 

@@ -76,6 +76,9 @@ class MemoryController:
         # across channels; assigned by :class:`~repro.dram.system.DRAMSystem`
         # when the remote tier is enabled.  None = all addresses are local.
         self.remote = None
+        # Requests entered through enqueue_lines, indexed by the tickets it
+        # hands out (kept until release()).
+        self._tickets: list[DRAMRequest] = []
 
     # ------------------------------------------------------------- observers
 
@@ -111,6 +114,44 @@ class MemoryController:
         hit — which keeps the oracle independent of callers' decode math.
         """
         self.enqueue_coord(req, self.mapper.map(req.addr))
+
+    def enqueue_line(self, addr: int, arrival: int, is_write: bool,
+                     rank: int, bankgroup: int, bank: int, row: int,
+                     far: bool = False, tenant: int = -1) -> None:
+        """Accept one request given as bare fields (a DX100 writeback),
+        re-mapping the line as :meth:`enqueue_decoded` does."""
+        req = DRAMRequest(addr, is_write, arrival, None, self.channel, tenant)
+        req.far = far
+        self.enqueue_coord(req, self.mapper.map(addr))
+
+    def enqueue_lines(self, lines, arrivals, ranks, bankgroups, banks, rows,
+                      far, tenant: int) -> int:
+        """Accept a run of line reads given as columns, one request per
+        line in order; returns the first ticket (the run's tickets are
+        consecutive) for :meth:`finish_of`.  The decoded coordinates are
+        ignored: as in :meth:`enqueue_decoded`, the oracle re-maps each
+        line itself."""
+        first = len(self._tickets)
+        far = [False] * len(lines) if far is None else far.tolist()
+        for addr, arrival, is_far in zip(lines.tolist(), arrivals.tolist(),
+                                         far):
+            req = DRAMRequest(addr, False, arrival, None, self.channel,
+                              tenant)
+            req.far = is_far
+            self.enqueue_coord(req, self.mapper.map(addr))
+            self._tickets.append(req)
+        return first
+
+    def finish_of(self, ticket: int) -> int:
+        """Service this channel until the request behind ``ticket``
+        finishes; returns its finish cycle."""
+        req = self._tickets[ticket]
+        self.service_until_done(req)
+        return req.finish
+
+    def release(self) -> None:
+        """Forget the requests :meth:`enqueue_lines` handed tickets for."""
+        self._tickets.clear()
 
     @property
     def pending(self) -> int:

@@ -30,6 +30,8 @@ full framing.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.common.config import CPU_GHZ, RemoteLinkConfig
 from repro.common.stats import Stats
 
@@ -98,6 +100,17 @@ class RemoteLink:
         if placement == "range":
             return addr >= self._far_base
         return ((addr >> 6) * _HASH_MULT) % _HASH_MOD < self._threshold
+
+    def far_mask(self, addrs: np.ndarray) -> np.ndarray:
+        """:meth:`is_far` over an int64 address array."""
+        placement = self._placement
+        if placement == "all":
+            return np.ones(len(addrs), dtype=bool)
+        if placement == "range":
+            return addrs >= self._far_base
+        # The product wraps mod 2**64, which leaves it unchanged mod 2**32.
+        keys = (addrs >> 6).astype(np.uint64) * np.uint64(_HASH_MULT)
+        return keys % np.uint64(_HASH_MOD) < self._threshold
 
     # ------------------------------------------------------------- traversal
 

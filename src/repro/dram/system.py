@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
 
+import numpy as np
+
 from repro.common.config import CYCLE_NS, DRAMConfig
 from repro.common.stats import Stats
 from repro.common.types import DRAMRequest
@@ -114,6 +116,60 @@ class DRAMSystem:
             self.controllers[decoded[0]].enqueue_decoded(
                 req, decoded[1], decoded[2], decoded[3], decoded[4])
         return req
+
+    def access_lines(self, lines: np.ndarray, arrivals: np.ndarray,
+                     channels: np.ndarray, ranks: np.ndarray,
+                     bankgroups: np.ndarray, banks: np.ndarray,
+                     rows: np.ndarray, tenant: int = -1) -> list[int]:
+        """Enqueue a run of line reads given as aligned int64 columns (a
+        DX100 drain, decoded by :meth:`AddressMapper.map_arrays`), with no
+        per-line request object.
+
+        Far lines cross the link in the run's order, then the run is split
+        by channel and each channel takes its part in one step, in order.
+        Returns each line's ticket: ``controllers[channel].finish_of(
+        ticket)`` services that channel until the line finishes and
+        returns its finish cycle.  Tickets stay valid until
+        :meth:`release_lines`.
+        """
+        far = None
+        remote = self.remote
+        if remote is not None:
+            far = remote.far_mask(lines)
+            if far.any():
+                arrivals = arrivals.copy()
+                inject = remote.inject
+                for k in np.flatnonzero(far).tolist():
+                    arrivals[k] = inject(int(arrivals[k]), False)
+        tickets = np.empty(len(lines), dtype=np.int64)
+        for channel, ctrl in enumerate(self.controllers):
+            pos = np.flatnonzero(channels == channel)
+            if pos.size:
+                first = ctrl.enqueue_lines(
+                    lines[pos], arrivals[pos], ranks[pos], bankgroups[pos],
+                    banks[pos], rows[pos], None if far is None else far[pos],
+                    tenant)
+                tickets[pos] = np.arange(first, first + pos.size)
+        return tickets.tolist()
+
+    def write_line(self, addr: int, arrival: int, channel: int, rank: int,
+                   bankgroup: int, bank: int, row: int,
+                   tenant: int = -1) -> int:
+        """Enqueue one pre-decoded line write (a DX100 writeback) with no
+        request object; returns its arrival after the far link, if any."""
+        far = False
+        remote = self.remote
+        if remote is not None and remote.is_far(addr):
+            far = True
+            arrival = remote.inject(arrival, True)
+        self.controllers[channel].enqueue_line(
+            addr, arrival, True, rank, bankgroup, bank, row, far, tenant)
+        return arrival
+
+    def release_lines(self) -> None:
+        """Invalidate every ticket :meth:`access_lines` handed out."""
+        for ctrl in self.controllers:
+            ctrl.release()
 
     def complete(self, req: DRAMRequest) -> int:
         """Service the owning channel until ``req`` finishes; returns that

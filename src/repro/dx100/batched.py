@@ -30,9 +30,16 @@ The accelerator half of the ``SystemConfig.frontend = "batched"`` split:
     drain has issued: snoops are side-effect free and cache state only
     changes at drains, so this is what the scalar first-touch snoop sees.
 
-  The fill clock keeps the scalar float recurrence; issue and response
-  run over flat per-line lists.  ``tests/dx100/test_indirect_differential``
-  pairs the two units tile by tile, including mid-fill drains.
+  - **Issue as columns.**  Each run of drained lines without the H bit
+    enters DRAM in one :meth:`~repro.dram.DRAMSystem.access_lines` call;
+    no per-line request object is built.  The response waits on the
+    returned tickets line by line, in drain order, and enters each
+    IST/IRMW writeback right after its own read finishes, as the scalar
+    unit does (see docs/MODEL.md, "DX100 drains enter as columns").
+
+  The fill clock keeps the scalar float recurrence.
+  ``tests/dx100/test_indirect_differential`` pairs the two units tile by
+  tile, including mid-fill drains.
 
 Both units share the scalar classes' functional (numpy) execution; the
 differential suites assert identical timings, stats, and DRAM streams.
@@ -41,6 +48,7 @@ differential suites assert identical timings, stats, and DRAM streams.
 from __future__ import annotations
 
 import math
+from itertools import repeat
 
 import numpy as np
 
@@ -98,11 +106,12 @@ class BatchedIndirectUnit(IndirectUnit):
         t = t_start + (self.tlb.translate_tile(addrs) if addrs.size else 0)
         clock = _FillClock(t, n, self.config.fill_rate, index_avail)
         is_write = kind in ("st", "rmw")
-        # Flat per-line records of every drained line, in drain order.
-        accesses: list = []     # AccessResult (H bit set) or DRAMRequest
+        # Per drained line, in drain order: its position in the tile, its
+        # H bit, and its handle (an ``AccessResult`` through the LLC, else
+        # its DRAM ticket).
+        drained: list[np.ndarray] = []
         h_bits: list[bool] = []
-        issued: list[int] = []
-        coords: list[tuple] = []
+        handles: list = []
         drains = 0
 
         if n:
@@ -130,21 +139,14 @@ class BatchedIndirectUnit(IndirectUnit):
                 if end == 0:
                     raise RuntimeError("insert failed on empty Row Table")
                 pos = first + s
-                seg_lines = lines[pos].tolist()
-                seg_coords = list(zip(fields["channel"][pos].tolist(),
-                                      fields["rank"][pos].tolist(),
-                                      fields["bankgroup"][pos].tolist(),
-                                      fields["bank"][pos].tolist(),
-                                      fields["row"][pos].tolist()))
                 # A mid-fill drain issues when the overflowing element is
                 # decoded; the last one when the fill ends.
-                seg_h, seg_acc = self._issue(
-                    int(clock.after(min(s + end, n - 1))), seg_lines,
-                    seg_coords, units, is_write, tile)
-                issued += seg_lines
-                coords += seg_coords
+                seg_h, seg_handles = self._issue(
+                    int(clock.after(min(s + end, n - 1))), fields, pos,
+                    units, is_write, tile)
+                drained.append(pos)
                 h_bits += seg_h
-                accesses += seg_acc
+                handles += seg_handles
                 drains += 1
                 span = 2 * end
                 s += end
@@ -155,37 +157,51 @@ class BatchedIndirectUnit(IndirectUnit):
             self.obs.tile_phase(tile, "fill", t_start, fill_end, lines=n)
 
         # ------------------------------------------------------- response
+        # Waits go line by line in drain order, each servicing only its
+        # own channel, and each writeback enters its channel right after
+        # its own read finishes: the scalar unit's order, so the channels
+        # (and the shared far link) see the same calls.
         finish = fill_end
         wb_lo = wb_hi = -1
         wb_lines = 0
         dram = self.dram
-        complete = dram.complete
-        dram_access = dram.access
-        tenant = self.tenant
-        for access, h_bit, line, decoded in zip(accesses, h_bits, issued,
-                                                coords):
-            if h_bit:
-                completion = access.resolve(dram)
-            else:
-                completion = complete(access)
-                if is_write:
-                    # Write the modified line back through the DRAM
-                    # interface.
-                    arrival = dram_access(line, True, completion + 1, None,
-                                          decoded, tenant).arrival
-                    wb_lines += 1
-                    if wb_lo < 0 or arrival < wb_lo:
-                        wb_lo = arrival
-                    if arrival > wb_hi:
-                        wb_hi = arrival
-                    if arrival > completion:
-                        completion = arrival
-            if completion > finish:
-                finish = completion
+        unique = len(h_bits)
+        if unique:
+            pos = np.concatenate(drained)
+            channels = fields["channel"][pos].tolist()
+            finish_of = [ctrl.finish_of for ctrl in dram.controllers]
+            write_line = dram.write_line
+            tenant = self.tenant
+            decoded = (zip(lines[pos].tolist(),
+                           *(fields[name][pos].tolist() for name in
+                             ("rank", "bankgroup", "bank", "row")))
+                       if is_write else repeat(None))
+            for h_bit, handle, channel, coord in zip(h_bits, handles,
+                                                     channels, decoded):
+                if h_bit:
+                    completion = handle.resolve(dram)
+                else:
+                    completion = finish_of[channel](handle)
+                    if is_write:
+                        # Write the modified line back through the DRAM
+                        # interface.
+                        arrival = write_line(coord[0], completion + 1,
+                                             channel, *coord[1:],
+                                             tenant=tenant)
+                        wb_lines += 1
+                        if wb_lo < 0 or arrival < wb_lo:
+                            wb_lo = arrival
+                        if arrival > wb_hi:
+                            wb_hi = arrival
+                        if arrival > completion:
+                            completion = arrival
+                if completion > finish:
+                    finish = completion
+            dram.release_lines()
         finish += RESPONSE_LATENCY
         if self.obs is not None:
             self.obs.tile_phase(tile, "response", fill_end, finish,
-                                lines=len(issued))
+                                lines=unique)
             if wb_lines:
                 self.obs.tile_phase(tile, "writeback", wb_lo, wb_hi,
                                     lines=wb_lines)
@@ -205,7 +221,6 @@ class BatchedIndirectUnit(IndirectUnit):
                 src = np.asarray(src_values)[iters]
                 self.hostmem.rmw_words(addrs, src, dtype, RMW_UFUNCS[op])
 
-        unique = len(issued)
         self.stats.add(f"i{kind}_elements", n)
         self.stats.add(f"i{kind}_lines", unique)
         self.stats.add("indirect_drains", drains)
@@ -215,37 +230,50 @@ class BatchedIndirectUnit(IndirectUnit):
 
     # ---------------------------------------------------------------- drain
 
-    def _issue(self, t: int, lines: list[int], coords: list[tuple],
+    def _issue(self, t: int, fields: dict[str, np.ndarray], pos: np.ndarray,
                units: int, is_write: bool, tile: int
                ) -> tuple[list[bool], list]:
-        """Request stage of one drain: the scalar ``_drain`` over lines
-        already in issue order.  Returns each line's H bit and its access
-        (an ``AccessResult`` through the LLC, else the ``DRAMRequest``)."""
+        """Request stage of one drain: the scalar ``_drain`` over the tile
+        elements ``pos``, whose lines are already in issue order.  Returns
+        each line's H bit and handle: its ``AccessResult`` through the
+        LLC, else its DRAM ticket.
+
+        Each run of lines without the H bit enters DRAM as one column
+        batch; an H line goes through the LLC at its place in the order,
+        so a DRAM request the LLC makes keeps its enqueue order."""
+        lines = fields["line"][pos]
+        line_list = lines.tolist()
         snoop = self.hierarchy.snoop
-        h_bits = [snoop(line) for line in lines]
-        llc_access = self.hierarchy.llc_access
-        dram_access = self.dram.access
+        h_bits = [snoop(line) for line in line_list]
+        n = len(line_list)
+        arrivals = t + np.arange(n, dtype=np.int64) // self.config.drain_rate
+        dram = self.dram
         tenant = self.tenant
-        drain_rate = self.config.drain_rate
-        accesses = []
-        append = accesses.append
-        for j, (line, coord, h_bit) in enumerate(zip(lines, coords, h_bits)):
-            arrival = t + j // drain_rate
-            if h_bit:
-                append(llc_access(line, is_write, arrival, coord, tenant))
-            else:
-                append(dram_access(line, False, arrival, None, coord, tenant))
-        remote = self.dram.remote
+        columns = [fields[name][pos] for name in
+                   ("channel", "rank", "bankgroup", "bank", "row")]
+        handles: list = []
+        run = 0
+        for j in [j for j, h_bit in enumerate(h_bits) if h_bit] + [n]:
+            if run < j:
+                handles += dram.access_lines(
+                    lines[run:j], arrivals[run:j],
+                    *(column[run:j] for column in columns), tenant=tenant)
+            if j < n:
+                handles.append(self.hierarchy.llc_access(
+                    line_list[j], is_write, int(arrivals[j]),
+                    tuple(int(column[j]) for column in columns), tenant))
+            run = j + 1
+        remote = dram.remote
         if remote is not None:
             # Far-memory accounting only (see IndirectUnit._drain).
-            far = sum(map(remote.is_far, lines))
+            far = int(np.count_nonzero(remote.far_mask(lines)))
             if far:
                 self.stats.add("indirect_far_lines", far)
         if self.obs is not None:
-            end = t + (len(lines) - 1) // drain_rate + 1
-            self.obs.tile_phase(tile, "drain", t, end, lines=len(lines))
-            self.obs.rt_fill(t, units, len(lines))
-        return h_bits, accesses
+            end = t + (n - 1) // self.config.drain_rate + 1
+            self.obs.tile_phase(tile, "drain", t, end, lines=n)
+            self.obs.rt_fill(t, units, n)
+        return h_bits, handles
 
 
 class _FillClock:

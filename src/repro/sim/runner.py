@@ -13,6 +13,9 @@ match the workload's NumPy reference.
 
 from __future__ import annotations
 
+import functools
+import gc
+
 from repro.common.config import SystemConfig
 from repro.dx100.api import RegWrite, WaitTiles
 from repro.dx100.isa import Instr
@@ -29,6 +32,29 @@ WAIT_BASE_INSTRS = 2
 ISSUE_INSTRS = 3  # three 64-bit memory-mapped stores per instruction
 
 
+def gc_paused(run):
+    """Run ``run`` with the cyclic GC paused (and restored after).
+
+    A run allocates millions of long-lived column entries and short-lived
+    records (heap nodes, flights); the collector's generation scans walk
+    the million-element column lists again and again, several percent of
+    wall time, and the model's object graph is acyclic, so collection is
+    deferred to the gaps between runs.  Every entry point that simulates
+    (``repro run``, the sweep, direct calls) thus gets the same policy.
+    """
+    @functools.wraps(run)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():
+            return run(*args, **kwargs)
+        gc.disable()
+        try:
+            return run(*args, **kwargs)
+        finally:
+            gc.enable()
+    return paused
+
+
+@gc_paused
 def run_baseline(workload: Workload, config: SystemConfig | None = None,
                  warm: bool = True,
                  timers: StageTimers | None = None,
@@ -107,6 +133,7 @@ def software_pipeline(schedule: list) -> list:
     return out
 
 
+@gc_paused
 def run_dx100(workload: Workload, config: SystemConfig | None = None,
               warm: bool = True, validate: bool = True,
               pipelined: bool = False,

@@ -245,15 +245,9 @@ def execute_task(task: SweepTask,
     ``workload`` lets the campaign fabric pass a prepared instance (with
     the generate stage snapshotted by its :class:`GenerateCache`); the
     default builds a fresh one from the registry, which is the path every
-    golden metric is pinned against.
-
-    The cyclic GC is paused for the duration of the run: the simulators
-    allocate millions of short-lived records (ops, results, heap nodes)
-    whose generation scans cost several percent of wall time, and the
-    object graph is acyclic by construction, so deferring collection to
-    the gaps between tasks loses nothing.
+    golden metric is pinned against.  The runner pauses the cyclic GC for
+    the run (see :func:`repro.sim.runner.gc_paused`).
     """
-    import gc
     from repro.sim.runner import run_baseline, run_dx100
     t0 = time.perf_counter()
     if workload is None:
@@ -262,18 +256,10 @@ def execute_task(task: SweepTask,
     if task.sample_every:
         from repro.obs.events import EventBus
         obs = EventBus(trace=False, sample_every=task.sample_every)
-    gc_was_enabled = gc.isenabled()
-    if gc_was_enabled:
-        gc.disable()
-    try:
-        if task.mode == "dx100":
-            result = run_dx100(workload, task.config, warm=task.warm, obs=obs)
-        else:
-            result = run_baseline(workload, task.config, warm=task.warm,
-                                  obs=obs)
-    finally:
-        if gc_was_enabled:
-            gc.enable()
+    if task.mode == "dx100":
+        result = run_dx100(workload, task.config, warm=task.warm, obs=obs)
+    else:
+        result = run_baseline(workload, task.config, warm=task.warm, obs=obs)
     return result, time.perf_counter() - t0
 
 

@@ -24,6 +24,7 @@ flagged — proving the new rules are not vacuous.
 
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -535,3 +536,166 @@ def test_refresh_off_engines_emit_no_refs_and_still_agree():
     batched.drain()
     assert slog == blog
     assert not any(c[0] == "REF" for c in slog)
+
+
+# ------------------------------------------ column batches (DX100 drains)
+
+def _batch_run(cfg: DRAMConfig, program: list[tuple], columns: bool):
+    """Drive ``program`` through a DRAMSystem the way the DX100 indirect
+    unit drains, either as columns (``access_lines`` / ``finish_of`` /
+    ``write_line``) or line by line (``access`` / ``complete``, the path
+    the scalar unit keeps).
+
+    Steps are ``("core", line_no, is_write, gap)`` single requests, or
+    ``("batch", line_nos, gap, writeback, core)``: a drain issued at two
+    lines per cycle, then ``core`` requests ``(line_no, is_write, dt)``
+    enqueued while the drain is in flight, then the response (each line
+    waited for in drain order and, with ``writeback``, written back at its
+    finish + 1)."""
+    system = DRAMSystem(cfg)
+    per_channel: list[list[tuple]] = [[] for _ in system.controllers]
+    for ch, ctrl in enumerate(system.controllers):
+        ctrl.command_observers.append(
+            lambda kind, cycle, bank, row, _log=per_channel[ch]:
+            _log.append((kind, cycle, bank, row)))
+    span = cfg.capacity_bytes
+    line = cfg.line_bytes
+    core: list = []
+    finishes: list[int] = []
+    wb_arrivals: list[int] = []
+    t = 0
+    for step in program:
+        if step[0] == "core":
+            _, line_no, is_write, gap = step
+            t += gap
+            core.append(system.access(line_no * line % span, is_write, t))
+            continue
+        _, line_nos, gap, writeback, traffic = step
+        t += gap
+        addrs = np.array([n * line % span for n in line_nos], dtype=np.int64)
+        fields = system.mapper.map_arrays(addrs)
+        arrivals = t + np.arange(len(addrs), dtype=np.int64) // 2
+        names = ("channel", "rank", "bankgroup", "bank", "row")
+        decoded = [tuple(int(fields[name][j]) for name in names)
+                   for j in range(len(addrs))]
+        if columns:
+            tickets = system.access_lines(
+                fields["line"], arrivals, *(fields[name] for name in names))
+        else:
+            reqs = [system.access(int(a), False, int(at), None, d)
+                    for a, at, d in zip(addrs, arrivals, decoded)]
+        for line_no, is_write, dt in traffic:
+            core.append(system.access(line_no * line % span, is_write,
+                                      t + dt))
+        for j, d in enumerate(decoded):
+            if columns:
+                finish = system.controllers[d[0]].finish_of(tickets[j])
+            else:
+                finish = system.complete(reqs[j])
+            finishes.append(finish)
+            if writeback:
+                if columns:
+                    arrival = system.write_line(int(addrs[j]), finish + 1,
+                                                *d)
+                else:
+                    arrival = system.access(int(addrs[j]), True, finish + 1,
+                                            None, d).arrival
+                wb_arrivals.append(arrival)
+        if columns:
+            system.release_lines()
+    system.drain()
+    return (per_channel, dict(system.merged_stats().counters),
+            system.last_finish(), finishes, wb_arrivals,
+            [(r.start, r.finish, r.row_hit, r.far) for r in core])
+
+
+def _assert_batches_equivalent(cfg: DRAMConfig, program: list[tuple]):
+    """Columns on both engines and line by line on both engines agree."""
+    runs = [_batch_run(replace(cfg, engine=engine), program, columns)
+            for engine in ("scalar", "batched") for columns in (False, True)]
+    for run in runs[1:]:
+        assert run == runs[0]
+    return runs[0]
+
+
+_batch_step = st.one_of(
+    st.tuples(st.just("core"), st.integers(0, 1 << 14), st.booleans(),
+              st.integers(0, 300)),
+    st.tuples(st.just("batch"),
+              st.lists(st.integers(0, 1 << 14), min_size=1, max_size=80),
+              st.integers(0, 300), st.booleans(),
+              st.lists(st.tuples(st.integers(0, 1 << 14), st.booleans(),
+                                 st.integers(0, 60)), max_size=6)),
+)
+
+_BATCH_CONFIGS = {
+    "ddr4-2ch": DRAMConfig(channels=2),
+    "ddr4-tiny-buffer": DRAMConfig(channels=2, request_buffer=4),
+    "ddr4-closed-fcfs": DRAMConfig(channels=1, page_policy="closed",
+                                   scheduler="fcfs"),
+    "cxl-mixed-2ch": DRAMConfig(channels=2, remote=RemoteLinkConfig(
+        enabled=True, placement="hash", far_fraction=0.5, queue_depth=4)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BATCH_CONFIGS))
+@settings(max_examples=25, deadline=None)
+@given(program=st.lists(_batch_step, min_size=1, max_size=6))
+def test_column_batches_match_line_requests(name, program):
+    """A drain entering DRAM as columns is bitwise the drain entering line
+    by line, on both engines: command streams, counters, every finish
+    cycle, writeback arrival and interleaved core request."""
+    _assert_batches_equivalent(_BATCH_CONFIGS[name], program)
+
+
+def _rows(cfg: DRAMConfig, n: int, seed: int) -> list[int]:
+    import random
+    rng = random.Random(seed)
+    return [rng.randrange(1 << 16) for _ in range(n)]
+
+
+def test_batch_under_back_pressure_with_core_traffic():
+    """A 300-line drain into a 4-entry request buffer, with core requests
+    arriving mid-drain: the batch waits in the input queue and the core
+    requests queue behind it, as they would line by line."""
+    cfg = DRAMConfig(channels=2, request_buffer=4)
+    traffic = [(n, n % 3 == 0, n % 50) for n in _rows(cfg, 12, 5)]
+    program = [("core", 7, False, 0),
+               ("batch", _rows(cfg, 300, 1), 10, False, traffic)]
+    per_channel, counters, *_ = _assert_batches_equivalent(cfg, program)
+    assert counters["requests"] == 1 + 300 + 12
+    assert all(log for log in per_channel)
+
+
+def test_batch_crossing_refresh_with_far_lines():
+    """Drains straddling tREFI points with half the lines behind the far
+    link: the REFs land inside the batch and far deliveries interleave
+    with local completions identically."""
+    cfg = DRAMConfig(channels=2, ranks=2, remote=RemoteLinkConfig(
+        enabled=True, placement="hash", far_fraction=0.5, queue_depth=2))
+    program = [("batch", _rows(cfg, 200, seed), T.tREFI - 150, True, [])
+               for seed in range(3)]
+    per_channel, counters, *_ = _assert_batches_equivalent(cfg, program)
+    assert sum(c[0] == "REF" for log in per_channel for c in log) >= 3
+    assert 0 < counters["far_reads"] < 600
+    assert counters["far_writes"] > 0
+
+
+def test_writebacks_interleave_with_later_reads():
+    """RMW writebacks enter right after their own read: FR-FCFS then
+    services some writeback before a later read of the same drain, which
+    a reads-first-then-writebacks split would not reproduce.  Each read
+    opens a row in its own bank, so once a writeback has arrived it is the
+    only row hit when the next read is picked."""
+    cfg = DRAMConfig(channels=1)
+    mapper = AddressMapper(cfg)
+    lines = [mapper.compose(bankgroup=g, bank=b, row=5) // cfg.line_bytes
+             for g in range(cfg.bankgroups)
+             for b in range(cfg.banks_per_group)]
+    program = [("batch", lines, 0, True, [])]
+    per_channel, counters, *_ = _assert_batches_equivalent(cfg, program)
+    kinds = [c[0] for c in per_channel[0] if c[0] in ("RD", "WR")]
+    last_read = max(i for i, kind in enumerate(kinds) if kind == "RD")
+    assert "WR" in kinds[:last_read]
+    assert counters["writes"] == len(lines)
+

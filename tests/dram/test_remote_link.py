@@ -10,6 +10,7 @@ swapped mid-suite.
 
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from repro.common.config import (
@@ -60,6 +61,26 @@ def test_placement_hash_is_deterministic_and_line_granular():
                for i in range(64))
     assert not any(_link(placement="hash", far_fraction=0.0).is_far(i * 64)
                    for i in range(64))
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"placement": "all"},
+    {"placement": "range", "far_base": 1 << 28},
+    {"placement": "hash", "far_fraction": 0.3},
+    {"placement": "hash", "far_fraction": 1.0},
+])
+def test_far_mask_matches_is_far(kwargs):
+    """The array form the DX100 drain path uses places every address as
+    the per-request test does, up to line indices whose hash product
+    overflows 64 bits."""
+    link = _link(**kwargs)
+    rng = np.random.default_rng(5)
+    addrs = np.concatenate([rng.integers(0, 1 << 40, 3000),
+                            np.arange(0, 1 << 30, (1 << 30) // 997),
+                            [0, (1 << 28) - 64, 1 << 28, (1 << 62) - 64]])
+    addrs = addrs.astype(np.int64) & ~np.int64(63)
+    assert link.far_mask(addrs).tolist() == [link.is_far(a)
+                                             for a in addrs.tolist()]
 
 
 # ------------------------------------------------------------- traversal

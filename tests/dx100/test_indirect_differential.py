@@ -13,6 +13,13 @@ must agree on
 * the host-memory bytes;
 * the ``tile_phases`` / ``rt_fills`` observability events.
 
+The batched unit hands each drain to DRAM as columns
+(:meth:`~repro.dram.DRAMSystem.access_lines`) where the scalar unit makes
+one request per line, so programs also queue core traffic in DRAM while a
+tile drains, shrink the request buffer (back-pressure mid-batch), start
+tiles just before a refresh point, and place half the lines behind the
+far link.
+
 Tiny Row Tables (1-4 BCAM rows, 1-8 columns) force mid-fill capacity
 drains, which the quick goldens never reach: every quick-scale indirect
 instruction drains exactly once.
@@ -36,6 +43,7 @@ from repro.dx100.indirect_unit import IndirectUnit
 from repro.dx100.tlb import TLB
 from repro.obs.events import EventBus
 
+T_REFI = dram_preset("ddr4").timing.tREFI
 ELEMS = 1 << 18            # u32 array: 1 MiB, 16 DRAM rows per bank
 LINE_ELEMS = 16            # u32 words per 64 B line
 RESULT_FIELDS = ("finish", "elements", "unique_lines", "drains", "start",
@@ -43,11 +51,19 @@ RESULT_FIELDS = ("finish", "elements", "unique_lines", "drains", "start",
 
 
 def _system(batched: bool, engine: str, dram: str, rows: int, cols: int,
-            fill_rate: int, drain_rate: int, observe: bool):
+            fill_rate: int, drain_rate: int, observe: bool,
+            request_buffer: int = 32, t0: int = 0):
     base = SystemConfig.dx100_system(cores=2, tile_elems=1024)
+    dram_cfg = replace(dram_preset(dram.removesuffix("-mixed")),
+                       engine=engine, request_buffer=request_buffer)
+    if dram.endswith("-mixed"):
+        # Half the lines behind the link, by hash: drains mix far and
+        # local lines.
+        dram_cfg = replace(dram_cfg, remote=replace(
+            dram_cfg.remote, placement="hash", far_fraction=0.5))
     cfg = replace(
         base,
-        dram=replace(dram_preset(dram), engine=engine),
+        dram=dram_cfg,
         dx100=replace(base.dx100, row_table_rows=rows, row_table_cols=cols,
                       fill_rate=fill_rate, drain_rate=drain_rate))
     dram_sys = DRAMSystem(cfg.dram)
@@ -75,8 +91,13 @@ def _run(batched: bool, setup: dict, program: list[dict]):
     rng = np.random.default_rng(7)
     base = mem.place("a", rng.integers(0, 1000, ELEMS).astype(np.uint32))
     results = []
-    t = 0
+    core = []
+    t = setup.get("t0", 0)
     for instr in program:
+        for line, is_write, dt in instr.get("core", ()):
+            # Core demand traffic still queued in DRAM while the tile
+            # drains.
+            core.append(dram.access(base + line * 64, is_write, t + dt))
         for line in instr["warm_llc"]:
             t = hier.llc_access(base + line * 64, False, t).resolve(dram)
         for line in instr["warm_l2"]:
@@ -103,6 +124,7 @@ def _run(batched: bool, setup: dict, program: list[dict]):
         "dram_stats": dict(dram.merged_stats().counters),
         "commands": logs,
         "memory": mem._buf.tobytes(),
+        "core": [(r.start, r.finish, r.row_hit, r.far) for r in core],
         "tile_phases": None if bus is None else bus.tile_phases,
         "rt_fills": None if bus is None else bus.rt_fills,
     }
@@ -153,17 +175,22 @@ def _instr(draw):
         "warm_l2": draw(warm),
         "wait": draw(st.booleans()),
         "gap": draw(st.integers(0, 200)),
+        "core": draw(st.lists(st.tuples(
+            st.integers(0, ELEMS // LINE_ELEMS - 1), st.booleans(),
+            st.integers(0, 80)), max_size=4)),
     }
 
 
 _SETUP = st.fixed_dictionaries({
     "engine": st.sampled_from(["batched", "scalar"]),
-    "dram": st.sampled_from(["ddr4", "ddr4", "cxl"]),
+    "dram": st.sampled_from(["ddr4", "ddr4", "cxl", "cxl-mixed"]),
     "rows": st.integers(1, 4),
     "cols": st.integers(1, 8),
     "fill_rate": st.sampled_from([16, 3]),
     "drain_rate": st.sampled_from([2, 1]),
     "observe": st.booleans(),
+    "request_buffer": st.sampled_from([32, 32, 4]),
+    "t0": st.sampled_from([0, 0, T_REFI - 200]),
 })
 
 
@@ -209,3 +236,46 @@ def test_default_table_single_drain_equivalence():
              "fill_rate": 16, "drain_rate": 2, "observe": False}
     out = _assert_same(setup, program)
     assert out["results"][0][0]["drains"] == 1
+
+
+# ---------------------------------------------------------- batch programs
+
+_BATCH_CASES = {
+    # 600 cold lines into a 4-entry request buffer, with core requests
+    # queued in DRAM ahead of and inside the drain window.
+    "back-pressure-core": ({"request_buffer": 4},
+                           [(n, n % 2 == 0, n % 40) for n in range(0, 90, 7)]),
+    # The first tile drains across the first tREFI point.
+    "refresh-crossing": ({"t0": T_REFI - 200}, []),
+    # Half the lines behind the far link (hash placement).
+    "far-lines": ({"dram": "cxl-mixed"}, []),
+}
+
+
+@pytest.mark.parametrize("engine", ["batched", "scalar"])
+@pytest.mark.parametrize("case", sorted(_BATCH_CASES))
+def test_batch_programs(engine, case):
+    """Drains entering DRAM as columns under back-pressure, with core
+    traffic in flight, across a refresh, and with far lines; each program
+    is an IRMW tile (writebacks interleave with later reads) then an ILD
+    tile, on a small table so both drain mid-fill."""
+    overrides, core = _BATCH_CASES[case]
+    setup = {"engine": engine, "dram": "ddr4", "rows": 4, "cols": 4,
+             "fill_rate": 16, "drain_rate": 2, "observe": False,
+             **overrides}
+    program = [{"kind": kind, "indices": _spread(600, seed), "cond": None,
+                "avail": None, "warm_llc": [], "warm_l2": [], "wait": False,
+                "gap": 30, "core": core}
+               for seed, kind in ((3, "rmw"), (4, "ld"))]
+    out = _assert_same(setup, program)
+    assert all(fields["drains"] > 1 for fields, _ in out["results"])
+    stats = out["dram_stats"]
+    assert stats["writes"] >= out["results"][0][0]["unique_lines"]
+    if case == "refresh-crossing":
+        first = out["results"][0][0]
+        assert first["start"] < T_REFI < first["finish"]
+        assert stats["refreshes"] > 0
+    if case == "far-lines":
+        assert 0 < out["unit_stats"]["indirect_far_lines"] < stats["reads"]
+    if core:
+        assert len(out["core"]) == len(core) * len(program)
