@@ -6,7 +6,7 @@ JOBS ?=
 RUN_REPRO = PYTHONPATH=src $(PYTHON) -m repro
 SWEEP_JOBS = $(if $(JOBS),--jobs $(JOBS),)
 
-.PHONY: install test audit sweep sweep-quick campaign campaign-smoke \
+.PHONY: install test audit sweep sweep-quick campaign \
         golden-check golden-update memtech remote-smoke profile timeline \
         trace-smoke bench bench-quick figures examples clean
 
@@ -30,25 +30,12 @@ sweep:
 sweep-quick:
 	$(RUN_REPRO) sweep --quick $(SWEEP_JOBS)
 
-# Resumable multi-worker campaign from a declarative spec (state persists
-# in results/.campaigns/<id>; re-run the same target to resume).  E.g.
-# make campaign SPEC='benchmarks=IS,CG dram=ddr4,ddr5' WORKERS=4
+# The task grid of a declarative spec, run on the sweep executor and the
+# run cache (re-run the same target to resume a killed campaign).  E.g.
+# make campaign SPEC='benchmarks=IS,CG dram=ddr4,ddr5' JOBS=4
 SPEC ?=
-WORKERS ?= 1
 campaign:
-	$(RUN_REPRO) campaign '$(SPEC)' --workers $(WORKERS)
-
-# The CI fabric smoke: a tiny 2-worker campaign with one injected task
-# failure — the retry must succeed and the manifest must end fully done.
-campaign-smoke:
-	rm -rf results/.campaigns/smoke
-	REPRO_FABRIC_INJECT_FAIL="IS.quick.dx100:1" $(RUN_REPRO) campaign \
-		'benchmarks=IS,CG scale=quick' --id smoke --workers 2 \
-		--no-cache --no-bench
-	grep -q "retried tasks that eventually succeeded: 1" \
-		results/.campaigns/smoke/summary.md
-	test -z "$$(find results/.campaigns/smoke/queue \
-		results/.campaigns/smoke/failed -type f 2>/dev/null)"
+	$(RUN_REPRO) campaign '$(SPEC)' $(SWEEP_JOBS)
 
 # Golden harness: re-run every pinned suite (quick, memtech, tenancy)
 # and diff it bitwise against tests/golden/, or rewrite the files after an

@@ -6,8 +6,7 @@ Usage::
     python -m repro run IS PR --configs baseline dx100
     python -m repro run --all --quick --csv results/results.csv
     python -m repro sweep --quick --jobs 4    # parallel + cached grid
-    python -m repro campaign 'benchmarks=IS,CG dram=ddr4,ddr5' --workers 2
-    python -m repro campaign --resume 20260808-1200 --workers 4
+    python -m repro campaign 'benchmarks=IS,CG dram=ddr4,ddr5' --jobs 2
     python -m repro run IS --quick --trace results/trace.json
     python -m repro timeline IS --quick       # ASCII observability timeline
     python -m repro serve --tenants 2 --aggressor 1   # multi-tenant QoS
@@ -145,46 +144,26 @@ def _parser() -> argparse.ArgumentParser:
 
     campaign = sub.add_parser(
         "campaign",
-        help="run a resumable multi-worker campaign from a declarative "
-             "spec ('benchmarks=IS,CG dram=ddr4,ddr5 tile=4k:64k "
-             "tenants=1:8'); state persists in results/.campaigns/<id> "
-             "and an interrupted campaign resumes with zero duplicated "
-             "simulation",
+        help="run the task grid of a declarative spec ('benchmarks=IS,CG "
+             "dram=ddr4,ddr5 tile=4k:64k tenants=1:8') on the sweep "
+             "executor; rerunning a killed campaign resumes it, because "
+             "the run cache answers every finished task",
     )
     campaign.add_argument("spec", nargs="?", default="",
                           help="spec line of key=values clauses (empty = "
                                "the full default grid); see "
                                "EXPERIMENTS.md 'Campaigns'")
-    campaign.add_argument("--id", dest="cid", default=None,
-                          help="campaign id (default: a timestamp); the "
-                               "manifest lives in results/.campaigns/<id>")
-    campaign.add_argument("--resume", metavar="ID",
-                          help="resume an existing campaign instead of "
-                               "creating one (only non-done tasks run)")
-    campaign.add_argument("--workers", type=int, default=1,
-                          help="worker processes (default: 1 = in-process "
-                               "serial)")
-    campaign.add_argument("--root", metavar="DIR", default=None,
-                          help="campaign root (default: results/.campaigns)")
+    campaign.add_argument("--jobs", type=int, default=None,
+                          help="worker processes (default: REPRO_JOBS or "
+                               "the CPU count; 1 = strictly serial)")
     campaign.add_argument("--no-cache", action="store_true",
-                          help="ignore the run cache (every task simulates)")
+                          help="re-simulate everything, ignoring the run "
+                               "cache")
     campaign.add_argument("--cache-dir", metavar="DIR",
                           help="run-cache location (default: "
                                "results/.runcache or $REPRO_CACHE_DIR)")
-    campaign.add_argument("--lease-ttl", type=float, default=30.0,
-                          metavar="S",
-                          help="seconds without a heartbeat before a "
-                               "worker's task lease expires and is "
-                               "reclaimed (default: 30)")
-    campaign.add_argument("--max-retries", type=int, default=2,
-                          help="failed-task retry budget with capped "
-                               "exponential backoff (default: 2)")
     campaign.add_argument("--dry-run", action="store_true",
-                          help="expand and print the task grid, then exit "
-                               "without creating a campaign")
-    campaign.add_argument("--no-bench", action="store_true",
-                          help="don't merge the campaign stats into "
-                               "BENCH_mainsweep.json (smoke/CI runs)")
+                          help="expand and print the task grid, then exit")
 
     timeline = sub.add_parser(
         "timeline",
@@ -509,84 +488,65 @@ def cmd_golden(args) -> int:
 
 
 def cmd_campaign(args) -> int:
-    """Create or resume a campaign and drive it to completion."""
+    """Expand a spec into sweep and serve tasks and run them: the sweep
+    tasks on ``run_sweep`` (cached), then the serve tasks in-process."""
     import time as _time
-    from pathlib import Path
 
-    from repro.obs.events import EventBus
-    from repro.sim.fabric import (
-        RetryPolicy, build_tasks, campaign_dir, campaign_status,
-        create_campaign, merge_bench_record, run_campaign,
+    from repro.sim.specs import (
+        SpecError, execute_serve, expand_serve_params, expand_sweep_tasks,
+        parse_spec, task_labels,
     )
-    from repro.sim.specs import SpecError
+    from repro.sim.sweep import run_sweep
 
-    if args.workers < 1:
-        print(f"--workers must be >= 1 (got {args.workers})",
-              file=sys.stderr)
+    if args.jobs is not None and args.jobs < 1:
+        print(f"--jobs must be >= 1 (got {args.jobs}); omit it for the "
+              f"REPRO_JOBS/CPU-count default", file=sys.stderr)
         return 2
+    try:
+        spec = parse_spec(args.spec)
+        tasks = expand_sweep_tasks(spec)
+        serves = expand_serve_params(spec)
+    except SpecError as exc:
+        print(f"bad spec: {exc}", file=sys.stderr)
+        return 2
+    labels = task_labels(tasks, serves)
+    if not labels:
+        print("spec expands to zero tasks", file=sys.stderr)
+        return 2
+    if args.dry_run:
+        print(f"{len(labels)} task(s):")
+        for label in labels:
+            print(f"  {label}")
+        return 0
 
-    if args.resume:
-        path = campaign_dir(args.resume, args.root)
-        if not (path / "campaign.json").exists():
-            print(f"no campaign at {path}", file=sys.stderr)
-            return 2
-        status = campaign_status(path)
-        print(f"resuming campaign {args.resume}: {status.done} done, "
-              f"{status.failed} failed, {status.pending} pending, "
-              f"{status.active} leased", file=sys.stderr)
-    else:
-        try:
-            tasks = build_tasks(args.spec)
-        except SpecError as exc:
-            print(f"bad spec: {exc}", file=sys.stderr)
-            return 2
-        if not tasks:
-            print("spec expands to zero tasks", file=sys.stderr)
-            return 2
-        if args.dry_run:
-            print(f"{len(tasks)} task(s):")
-            for task in tasks:
-                print(f"  {task.tid:<28s} [{task.kind}] group={task.group}")
-            return 0
-        cid = args.cid or _time.strftime("%Y%m%d-%H%M%S")
-        try:
-            path = create_campaign(
-                tasks, cid, root=args.root, spec_text=args.spec,
-                retry=RetryPolicy(max_retries=args.max_retries),
-                lease_ttl_s=args.lease_ttl,
-                cache=not args.no_cache, cache_dir=args.cache_dir)
-        except FileExistsError as exc:
-            print(f"{exc} (use --resume {cid} to continue it)",
-                  file=sys.stderr)
-            return 2
-        status = campaign_status(path)
-        print(f"campaign {cid}: {status.total} task(s), "
-              f"{status.done} already in the run cache, "
-              f"{status.pending} to simulate", file=sys.stderr)
+    print(f"{'task':<28s} {'cached':>6s} {'wall (s)':>9s}")
 
-    bus = EventBus(trace=False)
+    def row(label: str, cached: bool, wall: float) -> None:
+        print(f"{label:<28s} {'yes' if cached else 'no':>6s} {wall:9.3f}",
+              flush=True)
 
-    def render(mark) -> None:
-        pending, active, done, failed, cache_hits, eta = mark
-        eta_text = f", ~{eta:.0f}s left" if eta is not None else ""
-        print(f"  [{done} done | {active} active | {pending} pending | "
-              f"{failed} failed] cache hits {cache_hits}{eta_text}",
-              file=sys.stderr)
-
-    bus.campaign_listeners.append(render)
-    summary = run_campaign(path, workers=args.workers,
-                           cache=not args.no_cache,
-                           cache_dir=args.cache_dir, bus=bus)
-    if not args.no_bench:
-        merge_bench_record(summary, Path("BENCH_mainsweep.json"))
-
-    print(f"\ncampaign {summary['id']}: {summary['done']}/{summary['total']} "
-          f"done, {summary['failed']} failed "
-          f"({summary['cache_hits']} cache hit(s), "
-          f"{summary['sim_wall_s']}s simulating, "
-          f"{summary.get('wall_s', 0.0)}s wall)")
-    print(f"report: {path / 'summary.md'}")
-    return 1 if summary["failed"] else 0
+    by_task = dict(zip(tasks, labels))
+    t0 = _time.perf_counter()
+    try:
+        outcome = run_sweep(tasks, jobs=args.jobs, cache=not args.no_cache,
+                            cache_dir=args.cache_dir,
+                            progress=lambda run: row(by_task[run.task],
+                                                     run.cached, run.wall))
+    except ValueError as exc:   # e.g. a bad REPRO_JOBS value
+        print(exc, file=sys.stderr)
+        return 2
+    sim_wall = sum(run.wall for run in outcome.runs)
+    for label, params in zip(labels[len(tasks):], serves):
+        start = _time.perf_counter()
+        execute_serve(params)
+        wall = _time.perf_counter() - start
+        sim_wall += wall
+        row(label, False, wall)
+    print(f"\n{len(labels)} task(s) in {_time.perf_counter() - t0:.1f}s "
+          f"wall ({outcome.jobs} job(s)): {outcome.cache_hits} cached, "
+          f"{outcome.cache_misses + len(serves)} simulated "
+          f"({sim_wall:.1f}s of simulation)")
+    return 0
 
 
 def cmd_profile(args) -> int:

@@ -62,30 +62,6 @@ class HostMemory:
         self.view(name)[...] = array
         return addr
 
-    def clone_state_from(self, other: "HostMemory") -> None:
-        """Adopt ``other``'s allocations and contents wholesale.
-
-        The campaign fabric's generate-stage reuse snapshots a workload's
-        freshly generated memory once per dataset and restores it into
-        each run's own memory instead of regenerating — valid because
-        allocation is a deterministic bump pointer, so the restored state
-        is bitwise what ``generate`` would have produced.
-        """
-        if self.base != other.base or self.size != other.size:
-            raise ValueError(
-                f"memory geometry mismatch: base {self.base:#x}/{other.base:#x}, "
-                f"size {self.size}/{other.size}")
-        self._buf[:other._next] = other._buf[:other._next]
-        self._next = other._next
-        segments: dict[str, tuple[int, np.ndarray]] = {}
-        for name, (addr, view) in other._segments.items():
-            off = addr - self.base
-            mine = self._buf[off:off + view.nbytes].view(view.dtype)
-            if mine.shape != view.shape:
-                mine = mine.reshape(view.shape)
-            segments[name] = (addr, mine)
-        self._segments = segments
-
     def view(self, name: str) -> np.ndarray:
         """The live NumPy view of a segment (mutations are visible to all)."""
         return self._segments[name][1]

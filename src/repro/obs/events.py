@@ -38,14 +38,6 @@ Event streams recorded when ``trace=True``:
     the delivery cycle, the read-return ring occupancy at grant time, and
     the cycles the response waited for the link (queueing, not
     propagation).
-``campaign_marks``
-    ``(pending, active, done, failed, cache_hits, eta_s)`` campaign-fabric
-    progress snapshots.  The one documented exception to the
-    simulated-time rule: campaign progress is a statement about the
-    *executor*, not the model, so ``eta_s`` is wall-clock seconds.  The
-    stream is excluded from :meth:`event_count` (it would perturb the
-    trace-event totals runs record) and fans out to ``campaign_listeners``
-    for live CLI rendering.
 """
 
 from __future__ import annotations
@@ -98,10 +90,6 @@ class EventBus:
         self.tile_phases: list[tuple] = []
         self.rt_fills: list[tuple] = []
         self.link_marks: list[tuple] = []
-        self.campaign_marks: list[tuple] = []
-        #: Callables invoked with each progress mark tuple as it lands —
-        #: the campaign CLI hangs its live status line here.
-        self.campaign_listeners: list = []
 
     # ------------------------------------------------------------ attachment
 
@@ -196,15 +184,6 @@ class EventBus:
             self.link_marks.append((cycle, inflight, wait))
         if self.timeline is not None:
             self.timeline.on_link(cycle, inflight, wait)
-
-    def campaign_progress(self, pending: int, active: int, done: int,
-                          failed: int, cache_hits: int = 0,
-                          eta_s: float | None = None) -> None:
-        """One campaign-fabric progress snapshot (wall-clock ``eta_s``)."""
-        mark = (pending, active, done, failed, cache_hits, eta_s)
-        self.campaign_marks.append(mark)
-        for listener in self.campaign_listeners:
-            listener(mark)
 
     # -------------------------------------------------------------- summary
 

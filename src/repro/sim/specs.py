@@ -38,24 +38,17 @@ aggressor    tenant index flooding the serve runs (-1 = none)    -1
 ``tenants`` adds *serve tasks* to the campaign — multi-tenant QoS runs
 (:func:`repro.serve.serve_run`) expanded over ``tenants x dram x
 aggressor``.  The benchmark/tile axes do not apply to synthetic tenant
-streams, so a combined spec produces both grids side by side.
-
-This module also owns the :class:`~repro.common.config.SystemConfig`
-dict round-trip the on-disk campaign manifest needs: ``asdict`` flattens
-the frozen config tree into JSON, :func:`system_config_from_dict`
-rebuilds it bitwise (``tests/sim/test_specs.py`` pins the round-trip).
+streams.  A spec that sets ``tenants`` and none of the sweep-only keys
+(:data:`SWEEP_ONLY`) is a serving grid alone; one that also sets a
+sweep-only key produces both grids side by side.
 """
 
 from __future__ import annotations
 
 import fnmatch
-from dataclasses import asdict, replace
-from typing import Any
+from dataclasses import replace
 
-from repro.common.config import (
-    DRAM_PRESETS, CacheConfig, CoreConfig, DDR4Timing, DRAMConfig,
-    DX100Config, RemoteLinkConfig, SystemConfig, dram_preset,
-)
+from repro.common.config import DRAM_PRESETS, DRAMConfig, dram_preset
 from repro.sim.sweep import CONFIG_BUILDERS, MODES, SweepTask
 
 
@@ -92,6 +85,11 @@ _CHOICES = {
 }
 
 _INT_DIMS = {"tile", "cores", "sample", "tenants", "aggressor"}
+
+#: Keys that only shape the benchmark grid.  A ``tenants`` spec naming
+#: none of them expands serve tasks only.
+SWEEP_ONLY = ("benchmarks", "modes", "scale", "tile", "cores", "frontend",
+              "sample")
 
 
 # ------------------------------------------------------------------ parsing
@@ -201,9 +199,10 @@ def _dram_preset(name: str) -> DRAMConfig:
 
 def expand_sweep_tasks(spec: dict[str, list[int | str]]) -> list[SweepTask]:
     """The spec's (workload, config, mode) grid as deduplicated
-    :class:`~repro.sim.sweep.SweepTask` items, grouped by benchmark so a
-    worker claiming in order runs every mode of one dataset back to back
-    (the fabric's generate-reuse window)."""
+    :class:`~repro.sim.sweep.SweepTask` items, grouped by benchmark (empty
+    for a serving-only spec)."""
+    if "tenants" in spec and not any(k in spec for k in SWEEP_ONLY):
+        return []
     benchmarks = _match_benchmarks(spec.get("benchmarks", ["*"]))
     modes = [str(m) for m in spec.get("modes", list(MODES))]
     drams = [str(d) for d in spec.get("dram", ["ddr4"])]
@@ -249,7 +248,7 @@ def expand_sweep_tasks(spec: dict[str, list[int | str]]) -> list[SweepTask]:
 
 def expand_serve_params(spec: dict[str, list[int | str]]) -> list[dict]:
     """The spec's serving-layer grid (``tenants x dram x aggressor``) as
-    parameter dicts for :class:`repro.sim.fabric.ServeParams`."""
+    parameter dicts for :func:`execute_serve`."""
     if "tenants" not in spec:
         return []
     drams = [str(d) for d in spec.get("dram", ["ddr4"])]
@@ -270,60 +269,30 @@ def expand_serve_params(spec: dict[str, list[int | str]]) -> list[dict]:
     return params
 
 
-# -------------------------------------------------- config dict round-trip
-
-def system_config_to_dict(config: SystemConfig) -> dict[str, Any]:
-    """JSON-ready dict of the whole config tree (plain ``asdict``)."""
-    return asdict(config)
-
-
-def system_config_from_dict(data: dict[str, Any]) -> SystemConfig:
-    """Rebuild a :class:`SystemConfig` from its ``asdict`` form, bitwise.
-
-    The campaign manifest stores every task's config as JSON so a resumed
-    campaign (possibly on another host sharing the results directory)
-    re-simulates exactly the grid that was scheduled, not whatever the
-    current defaults happen to be.
-    """
-    d = dict(data)
-    dram_d = dict(d["dram"])
-    # Every nested frozen dataclass must be rebuilt explicitly — a plain
-    # ``DRAMConfig(**dram_d)`` would land raw dicts in the typed fields
-    # and silently break hashing/equality (tests/sim/test_cache_key_coverage
-    # pins that each nested type survives the round trip).
-    dram = DRAMConfig(**{
-        **dram_d,
-        "timing": DDR4Timing(**dram_d["timing"]),
-        "remote": RemoteLinkConfig(**dram_d["remote"]),
-    })
-    dx100 = DX100Config(**d["dx100"]) if d.get("dx100") else None
-    return SystemConfig(**{
-        **d,
-        "core": CoreConfig(**d["core"]),
-        "l1": CacheConfig(**d["l1"]),
-        "l2": CacheConfig(**d["l2"]),
-        "llc": CacheConfig(**d["llc"]),
-        "dram": dram,
-        "dx100": dx100,
-    })
+def execute_serve(params: dict):
+    """Run one serve task (uncached) and return its
+    :class:`~repro.serve.ServeReport`.  Tenants use the ``serve`` command's
+    defaults: 4 tiles of 96 lines, seed 0, borrow on."""
+    from repro.serve import make_tenants, serve_run
+    config = replace(dram_preset(params["dram"]), engine=params["engine"])
+    tenants = make_tenants(params["tenants"], tiles=4, tile_lines=96,
+                           aggressor=params["aggressor"])
+    return serve_run(tenants, config=config)
 
 
-def sweep_task_to_dict(task: SweepTask) -> dict[str, Any]:
-    """Manifest form of one sweep task."""
-    return {
-        "benchmark": task.benchmark,
-        "mode": task.mode,
-        "quick": task.quick,
-        "warm": task.warm,
-        "sample_every": task.sample_every,
-        "config": system_config_to_dict(task.config),
-    }
-
-
-def sweep_task_from_dict(data: dict[str, Any]) -> SweepTask:
-    return SweepTask(
-        benchmark=data["benchmark"], mode=data["mode"],
-        quick=data["quick"], warm=data.get("warm", False),
-        sample_every=data.get("sample_every", 0),
-        config=system_config_from_dict(data["config"]),
-    )
+def task_labels(tasks: list[SweepTask],
+                serves: list[dict]) -> list[str]:
+    """Readable, unique names for a campaign's tasks, sweep tasks first
+    (``IS.quick.dx100``, ``serve.t4.ddr5``); axis collisions such as two
+    tile sizes get ``.2``/``.3`` suffixes."""
+    bases = [f"{t.benchmark}.{'quick' if t.quick else 'main'}.{t.mode}"
+             for t in tasks]
+    for p in serves:
+        aggressor = f".a{p['aggressor']}" if p["aggressor"] >= 0 else ""
+        bases.append(f"serve.t{p['tenants']}.{p['dram']}{aggressor}")
+    labels: list[str] = []
+    seen: dict[str, int] = {}
+    for base in bases:
+        seen[base] = seen.get(base, 0) + 1
+        labels.append(base if seen[base] == 1 else f"{base}.{seen[base]}")
+    return labels

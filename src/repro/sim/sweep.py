@@ -31,6 +31,7 @@ Entry points:
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import multiprocessing
 import os
@@ -238,20 +239,16 @@ class RunCache:
 
 # ---------------------------------------------------------------- execution
 
-def execute_task(task: SweepTask,
-                 workload=None) -> tuple[RunResult, float]:
+def execute_task(task: SweepTask) -> tuple[RunResult, float]:
     """Run one task from scratch; returns (result, wall seconds).
 
-    ``workload`` lets the campaign fabric pass a prepared instance (with
-    the generate stage snapshotted by its :class:`GenerateCache`); the
-    default builds a fresh one from the registry, which is the path every
+    The workload is built fresh from the registry, which is the path every
     golden metric is pinned against.  The runner pauses the cyclic GC for
     the run (see :func:`repro.sim.runner.gc_paused`).
     """
     from repro.sim.runner import run_baseline, run_dx100
     t0 = time.perf_counter()
-    if workload is None:
-        workload = task.factory()()
+    workload = task.factory()()
     obs = None
     if task.sample_every:
         from repro.obs.events import EventBus
@@ -418,6 +415,49 @@ def _pool_context():
         "fork" if "fork" in methods else "spawn")
 
 
+def _label(task: SweepTask) -> str:
+    scale = "quick" if task.quick else "main"
+    return f"{task.benchmark}/{task.mode} [{scale}]"
+
+
+def _execute(tasks: list[SweepTask], indices: list[int], jobs: int):
+    """Yield ``(index, result, wall)`` for each of ``indices`` as it
+    finishes: in order and in-process for one job, else in completion
+    order from a pool holding at most ``jobs`` tasks in flight.
+
+    A pool worker that dies (SIGKILL, the OOM killer) breaks the pool;
+    that is re-raised naming the tasks that were in flight, instead of
+    waiting forever for a result that will never come.
+    """
+    if jobs == 1 or len(indices) <= 1:
+        for i in indices:
+            yield _worker((i, tasks[i]))
+        return
+    from concurrent.futures import (
+        FIRST_COMPLETED, ProcessPoolExecutor, wait,
+    )
+    from concurrent.futures.process import BrokenProcessPool
+    queue = iter(indices)
+    with ProcessPoolExecutor(max_workers=min(jobs, len(indices)),
+                             mp_context=_pool_context()) as pool:
+        inflight = {pool.submit(_worker, (i, tasks[i])): i
+                    for i in itertools.islice(queue, jobs)}
+        while inflight:
+            finished, _ = wait(inflight, return_when=FIRST_COMPLETED)
+            for future in finished:
+                try:
+                    yield future.result()
+                except BrokenProcessPool as exc:
+                    names = ", ".join(_label(tasks[i])
+                                      for i in sorted(inflight.values()))
+                    raise RuntimeError(
+                        f"a sweep worker process died while running "
+                        f"{names}") from exc
+                del inflight[future]
+                for i in itertools.islice(queue, 1):
+                    inflight[pool.submit(_worker, (i, tasks[i]))] = i
+
+
 def run_sweep(tasks: list[SweepTask], jobs: int | None = None,
               cache: bool = True,
               cache_dir: str | Path | None = None,
@@ -426,8 +466,11 @@ def run_sweep(tasks: list[SweepTask], jobs: int | None = None,
 
     ``jobs=None`` uses ``REPRO_JOBS`` or the CPU count; ``jobs=1`` runs
     strictly serially in-process (no pool), which the determinism tests
-    compare against the parallel path.  ``progress`` is an optional
-    ``callable(TaskRun)`` invoked as each task settles.
+    compare against the parallel path.  Each result is stored in the run
+    cache as it settles, so a killed sweep keeps every finished task and
+    rerunning it simulates only the rest.  ``progress`` is an optional
+    ``callable(TaskRun)`` invoked as each task settles (cache hits first,
+    then simulated tasks in completion order).
     """
     if jobs is not None and jobs < 1:
         raise ValueError(
@@ -440,35 +483,28 @@ def run_sweep(tasks: list[SweepTask], jobs: int | None = None,
     keys = [task.key() for task in tasks]
     settled: list[TaskRun | None] = [None] * len(tasks)
     misses: list[int] = []
-    hits = 0
     for i, (task, key) in enumerate(zip(tasks, keys)):
         found = store.load(key) if store is not None else None
-        if found is not None:
-            settled[i] = TaskRun(task, found, 0.0, True, key)
-            hits += 1
-        else:
+        if found is None:
             misses.append(i)
+            continue
+        settled[i] = TaskRun(task, found, 0.0, True, key)
+        if progress is not None:
+            progress(settled[i])
 
-    if misses:
-        if jobs == 1 or len(misses) == 1:
-            fresh = [_worker((i, tasks[i])) for i in misses]
-        else:
-            ctx = _pool_context()
-            with ctx.Pool(processes=min(jobs, len(misses))) as pool:
-                fresh = pool.map(_worker, [(i, tasks[i]) for i in misses])
-        for index, result, wall in fresh:
-            run = TaskRun(tasks[index], result, wall, False, keys[index])
-            settled[index] = run
-            if store is not None:
-                store.store(keys[index], tasks[index], result)
+    for index, result, wall in _execute(tasks, misses, jobs):
+        run = TaskRun(tasks[index], result, wall, False, keys[index])
+        settled[index] = run
+        if store is not None:
+            store.store(keys[index], tasks[index], result)
+        if progress is not None:
+            progress(run)
 
     runs = [r for r in settled if r is not None]
-    if progress is not None:
-        for run in runs:
-            progress(run)
     return SweepOutcome(runs=runs, jobs=jobs,
                         wall=time.perf_counter() - t0,
-                        cache_hits=hits, cache_misses=len(misses))
+                        cache_hits=len(tasks) - len(misses),
+                        cache_misses=len(misses))
 
 
 # ------------------------------------------------------- the main-eval grid
@@ -562,17 +598,7 @@ def write_sweep_records(outcome: SweepOutcome,
     sweep_path.write_text(json.dumps(outcome.to_json_dict(), indent=2,
                                      sort_keys=True) + "\n")
     bench_path = results_dir.parent / "BENCH_mainsweep.json"
-    record = outcome.bench_record()
-    # The campaign fabric folds its own A/B block into this file under
-    # "campaign" (see repro.sim.fabric.merge_bench_record); a plain sweep
-    # re-recording the grid must not erase it.
-    try:
-        previous = json.loads(bench_path.read_text())
-        if "campaign" in previous and "campaign" not in record:
-            record["campaign"] = previous["campaign"]
-    except (FileNotFoundError, json.JSONDecodeError):
-        pass
-    bench_path.write_text(json.dumps(record, indent=2,
+    bench_path.write_text(json.dumps(outcome.bench_record(), indent=2,
                                      sort_keys=True) + "\n")
 
 

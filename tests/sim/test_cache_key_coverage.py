@@ -11,22 +11,16 @@ tree (so a field added to any config class is covered the day it lands):
   ``DDR4Timing``, ``RemoteLinkConfig``, ``DX100Config``) — must change
   the cache key;
 * a stored result must be a cache **miss** under the mutated config (the
-  regression the key test abstracts);
-* the campaign-manifest JSON round trip must rebuild every mutated
-  config bitwise, with the nested frozen dataclasses re-typed (a raw
-  dict landing in a typed field is exactly the aliasing trap that
-  motivated this file).
+  regression the key test abstracts).
 """
 
 import dataclasses
-import json
 
 import pytest
 
 from repro.common.config import (
     DDR4Timing, DRAMConfig, RemoteLinkConfig, SystemConfig,
 )
-from repro.sim.specs import system_config_from_dict, system_config_to_dict
 from repro.sim.sweep import RunCache, SweepTask, execute_task
 
 
@@ -128,19 +122,3 @@ def test_mutated_config_misses_the_run_cache(tmp_path):
         edited = _task(_with_mutation(_base_config(), path))
         assert cache.load(edited.key()) is None, \
             f"edit to {'.'.join(path)} hit the cache"
-
-
-@pytest.mark.parametrize("path",
-                         [p for p in ALL_PATHS if p[0] == "dram"],
-                         ids=[".".join(p) for p in ALL_PATHS
-                              if p[0] == "dram"])
-def test_manifest_round_trip_is_bitwise_per_field(path):
-    """Each mutated DRAM-subtree config survives the campaign-manifest
-    JSON round trip bitwise, with nested types rebuilt (not raw dicts)."""
-    config = _with_mutation(_base_config(), path)
-    back = system_config_from_dict(
-        json.loads(json.dumps(system_config_to_dict(config))))
-    assert back == config
-    assert isinstance(back.dram.timing, DDR4Timing)
-    assert isinstance(back.dram.remote, RemoteLinkConfig)
-    assert hash(back) == hash(config)   # frozen trees stay hashable

@@ -1,17 +1,16 @@
-"""The campaign spec DSL: grammar, grid expansion, and the config dict
-round-trip the on-disk manifest depends on (bitwise)."""
+"""The campaign spec DSL: grammar, grid expansion, and the campaign
+command that runs the expanded grid on the sweep executor."""
 
 from dataclasses import asdict
 
 import pytest
 
-from repro.common.config import SystemConfig, ddr5_6400
+from repro.common.config import ddr5_6400
 from repro.sim.specs import (
     SpecError, expand_range, expand_serve_params, expand_sweep_tasks,
-    expand_values, parse_atom, parse_spec, sweep_task_from_dict,
-    sweep_task_to_dict, system_config_from_dict, system_config_to_dict,
+    expand_values, parse_atom, parse_spec, task_labels,
 )
-from repro.sim.sweep import CONFIG_BUILDERS, MODES
+from repro.sim.sweep import MODES, main_sweep_tasks, run_sweep
 
 
 # ------------------------------------------------------------------ grammar
@@ -129,11 +128,6 @@ def test_dram_cxl_expands_with_the_remote_link_enabled():
     assert tasks, "cxl must be a legal dram value"
     for task in tasks:
         assert task.config.dram.remote.enabled
-    # And it round-trips through the campaign manifest bitwise.
-    rebuilt = sweep_task_from_dict(sweep_task_to_dict(tasks[0]))
-    assert rebuilt == tasks[0]
-    assert rebuilt.config.dram.remote.enabled
-    assert rebuilt.key() == tasks[0].key()
 
 
 def test_serve_axis_accepts_cxl():
@@ -151,27 +145,71 @@ def test_serve_axis_expands_tenants_by_dram_by_aggressor():
     assert expand_serve_params(parse_spec("benchmarks=IS")) == []
 
 
-# --------------------------------------------------------------- round-trip
+def test_tenants_alone_is_a_serving_grid_only(capsys):
+    """The documented serving grid expands serve tasks only; any
+    sweep-only key brings the benchmark grid back beside it."""
+    from repro.__main__ import main
 
-@pytest.mark.parametrize("mode", MODES)
-def test_system_config_round_trips_bitwise(mode):
-    config = CONFIG_BUILDERS[mode](4)
-    rebuilt = system_config_from_dict(system_config_to_dict(config))
-    assert rebuilt == config
-    assert asdict(rebuilt) == asdict(config)
+    spec = parse_spec("tenants=1:8 dram=ddr4,ddr5")
+    assert expand_sweep_tasks(spec) == []
+    assert len(expand_serve_params(spec)) == 8
+    assert main(["campaign", "tenants=1:8 dram=ddr4,ddr5", "--dry-run"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "8 task(s):"
+    assert all(line.strip().startswith("serve.") for line in lines[1:])
+
+    both = parse_spec("benchmarks=IS tenants=2")
+    assert [t.mode for t in expand_sweep_tasks(both)] == list(MODES)
+    assert len(expand_serve_params(both)) == 1
 
 
-def test_system_config_round_trip_covers_ddr5_and_tile_overrides():
-    from dataclasses import replace
-    config = SystemConfig.dx100_scaled(4)
-    config = replace(config, dram=ddr5_6400(),
-                     dx100=config.dx100.with_tile(8192))
-    assert system_config_from_dict(system_config_to_dict(config)) == config
+def test_task_labels_are_readable_and_unique():
+    spec = parse_spec("benchmarks=IS modes=dx100 tile=4k:8k scale=quick "
+                      "tenants=2 aggressor=1")
+    labels = task_labels(expand_sweep_tasks(spec), expand_serve_params(spec))
+    assert labels == ["IS.quick.dx100", "IS.quick.dx100.2",
+                      "serve.t2.ddr4.a1"]
 
 
-def test_sweep_task_round_trip_preserves_the_cache_key():
-    task = expand_sweep_tasks(parse_spec(
-        "benchmarks=CG modes=dx100 tile=8k scale=quick"))[0]
-    rebuilt = sweep_task_from_dict(sweep_task_to_dict(task))
-    assert rebuilt == task
-    assert rebuilt.key() == task.key()
+# ----------------------------------------------------------------- campaign
+
+def test_campaign_grid_is_the_sweep_grid():
+    """``campaign 'benchmarks=IS,CG scale=quick'`` and ``sweep --quick IS
+    CG`` schedule the same tasks: equal cache keys, so they share run-cache
+    entries and give the same RunResults."""
+    campaign = expand_sweep_tasks(parse_spec("benchmarks=IS,CG scale=quick"))
+    sweep = main_sweep_tasks(quick=True, benchmarks=["IS", "CG"])
+    assert [t.key() for t in campaign] == [t.key() for t in sweep]
+
+
+def test_campaign_cli_runs_on_the_sweep_cache(tmp_path, capsys):
+    """A campaign stores its sweep results in the run cache, so rerunning
+    the same spec settles every sweep task from the cache."""
+    from repro.__main__ import main
+
+    spec = "benchmarks=IS modes=baseline,dx100 scale=quick tenants=1"
+    argv = ["campaign", spec, "--jobs", "1", "--cache-dir", str(tmp_path)]
+    assert main(argv) == 0
+    first = capsys.readouterr().out
+    assert "3 task(s)" in first and "0 cached, 3 simulated" in first
+    assert main(argv) == 0
+    again = capsys.readouterr().out
+    assert "2 cached, 1 simulated" in again
+    assert "IS.quick.dx100" in again and "serve.t1.ddr4" in again
+
+    cached = run_sweep(expand_sweep_tasks(parse_spec(spec)), jobs=1,
+                       cache_dir=tmp_path)
+    direct = run_sweep(expand_sweep_tasks(parse_spec(spec)), jobs=1,
+                       cache=False)
+    assert cached.cache_hits == 2
+    assert [asdict(r.result) for r in cached.runs] == \
+        [asdict(r.result) for r in direct.runs]
+
+
+def test_campaign_cli_rejects_bad_input(capsys):
+    from repro.__main__ import main
+
+    assert main(["campaign", "bogus=1"]) == 2
+    assert "bad spec" in capsys.readouterr().err
+    assert main(["campaign", "scale=quick", "--jobs", "0"]) == 2
+    assert "--jobs must be >= 1" in capsys.readouterr().err

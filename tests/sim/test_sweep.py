@@ -1,6 +1,10 @@
 """The sweep executor: determinism, the content-addressed run cache, and
 cache-key sensitivity (ISSUE 2's bitwise-identical guarantee)."""
 
+import multiprocessing
+import os
+import signal
+import time
 from dataclasses import asdict, replace
 
 import pytest
@@ -292,3 +296,74 @@ def test_sweep_cli_reports_bad_repro_jobs(monkeypatch, capsys, tmp_path):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     assert main(["sweep", "--quick", "IS", "--configs", "baseline"]) == 2
     assert "REPRO_JOBS must be a positive integer" in capsys.readouterr().err
+
+
+# ------------------------------------------------------- settling order
+
+def test_progress_fires_as_each_task_settles(monkeypatch):
+    """With one job, the first task's callback runs before the last task
+    starts (not after the whole sweep)."""
+    from repro.sim import sweep
+
+    events = []
+    real = sweep.execute_task
+
+    def execute(task):
+        events.append(("start", task.mode))
+        return real(task)
+
+    monkeypatch.setattr(sweep, "execute_task", execute)
+    run_sweep(_tasks(), jobs=1, cache=False,
+              progress=lambda run: events.append(("settled", run.task.mode)))
+    assert events == [("start", "baseline"), ("settled", "baseline"),
+                      ("start", "dx100"), ("settled", "dx100")]
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="forked workers inherit the patched task body")
+def test_dead_pool_worker_raises_instead_of_hanging(tmp_path, monkeypatch):
+    """A worker that dies mid-task (here it SIGKILLs itself, as the OOM
+    killer would) must fail the sweep with the task named, not hang it;
+    the task that finished first is already in the cache."""
+    from repro.sim import sweep
+
+    survivor, victim = _tasks()
+    survivor_file = tmp_path / f"{survivor.key()}.json"
+    real = sweep.execute_task
+
+    def execute(task):
+        if task.mode == victim.mode:
+            deadline = time.monotonic() + 30.0
+            while not survivor_file.exists() and time.monotonic() < deadline:
+                time.sleep(0.02)
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real(task)
+
+    monkeypatch.setattr(sweep, "execute_task", execute)
+
+    def sweep_in_child(conn):
+        os.setpgid(0, 0)   # one group: a hung pool is killed with it
+        try:
+            run_sweep([survivor, victim], jobs=2, cache_dir=tmp_path)
+            conn.send("finished")
+        except Exception as exc:   # noqa: BLE001 — reported to the test
+            conn.send(f"{type(exc).__name__}: {exc}")
+
+    ctx = multiprocessing.get_context("fork")
+    recv, send = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=sweep_in_child, args=(send,))
+    child.start()
+    try:
+        assert recv.poll(60.0), "run_sweep hung after a worker died"
+        outcome = recv.recv()
+    finally:
+        if child.is_alive():
+            try:
+                os.killpg(child.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                child.kill()
+        child.join(10.0)
+    assert not child.is_alive()
+    assert outcome.startswith("RuntimeError"), outcome
+    assert "IS/dx100 [quick]" in outcome
+    assert RunCache(tmp_path).load(survivor.key()) is not None
