@@ -23,12 +23,13 @@ audit:
 	$(RUN_REPRO) run --all --quick --audit --configs baseline dmp dx100
 
 # Parallel, content-addressed-cached benchmark x configuration grid
-# (results/sweep.json + BENCH_mainsweep.json).  JOBS=N to pin workers.
+# (run record in results/sweep.json).  JOBS=N to pin workers.
+GRID = run --all --configs baseline dmp dx100 --json results/sweep.json
 sweep:
-	$(RUN_REPRO) sweep $(SWEEP_JOBS)
+	$(RUN_REPRO) $(GRID) $(SWEEP_JOBS)
 
 sweep-quick:
-	$(RUN_REPRO) sweep --quick $(SWEEP_JOBS)
+	$(RUN_REPRO) $(GRID) --quick $(SWEEP_JOBS)
 
 # The task grid of a declarative spec, run on the sweep executor and the
 # run cache (re-run the same target to resume a killed campaign).  E.g.
@@ -73,15 +74,18 @@ timeline:
 	$(RUN_REPRO) timeline $(TIMELINE_ARGS)
 
 # The CI trace smoke check: record Chrome traces for two quick benchmarks
-# and validate that every file is Perfetto-loadable.
+# under two configurations and validate that every file is
+# Perfetto-loadable.
 trace-smoke:
-	$(RUN_REPRO) run IS PR --quick --configs baseline dx100 \
-		--trace results/trace.json --sample-every 1000
+	for b in IS PR; do for m in baseline dx100; do \
+		$(RUN_REPRO) timeline $$b --quick --mode $$m \
+			--trace results/trace-$$b-$$m.json > /dev/null || exit 1; \
+	done; done
 	PYTHONPATH=src $(PYTHON) -m repro.obs.validate results/trace-*.json
 
 # Figure benches consume the same sweep executor via benchmarks/mainsweep.py,
 # so they inherit the worker pool and the run cache (REPRO_JOBS,
-# REPRO_NO_CACHE, REPRO_CACHE_DIR).
+# REPRO_NO_CACHE, REPRO_CACHE_DIR); they alone write BENCH_mainsweep.json.
 bench:
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/ --benchmark-only
 

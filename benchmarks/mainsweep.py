@@ -7,9 +7,9 @@ session and caches the results for every figure's bench to consume.
 The heavy lifting lives in :mod:`repro.sim.sweep`: runs fan out over
 ``multiprocessing`` workers and land in a content-addressed on-disk cache
 (``results/.runcache``), so an unchanged model re-runs nothing and every
-figure bench inherits parallelism and caching for free.  Each sweep also
-writes ``results/sweep.json`` and the ``BENCH_mainsweep.json``
-perf-trajectory record.
+figure bench inherits parallelism and caching for free.  The grid run
+here also writes ``results/sweep.json`` and the ``BENCH_mainsweep.json``
+perf-trajectory record; it is the only writer of the latter.
 
 Environment knobs:
 
@@ -26,7 +26,7 @@ import os
 from pathlib import Path
 
 from repro.sim import RunResult
-from repro.sim.sweep import run_main_sweep, write_sweep_records
+from repro.sim.sweep import main_sweep_tasks, run_sweep
 from repro.workloads import MAIN_BENCHMARKS, QUICK_BENCHMARKS
 
 RESULTS_DIR = Path(__file__).resolve().parent.parent / "results"
@@ -44,11 +44,17 @@ def get_results() -> dict[str, dict[str, RunResult]]:
     """name -> {"baseline": ..., "dmp": ..., "dx100": ...}."""
     global _cache
     if _cache is None:
-        outcome = run_main_sweep(
-            quick=bool(os.environ.get("REPRO_QUICK")),
-            cache=not os.environ.get("REPRO_NO_CACHE"),
-        )
-        write_sweep_records(outcome, RESULTS_DIR)
+        quick = bool(os.environ.get("REPRO_QUICK"))
+        outcome = run_sweep(main_sweep_tasks(quick=quick),
+                            cache=not os.environ.get("REPRO_NO_CACHE"))
+        outcome.extras["quick"] = quick
+        RESULTS_DIR.mkdir(parents=True, exist_ok=True)
+        for path, record in ((RESULTS_DIR / "sweep.json",
+                              outcome.to_json_dict()),
+                             (RESULTS_DIR.parent / "BENCH_mainsweep.json",
+                              outcome.bench_record())):
+            path.write_text(json.dumps(record, indent=2, sort_keys=True)
+                            + "\n")
         _cache = outcome.nested()
     return _cache
 

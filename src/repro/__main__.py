@@ -4,18 +4,21 @@ Usage::
 
     python -m repro list                      # available benchmarks
     python -m repro run IS PR --configs baseline dx100
-    python -m repro run --all --quick --csv results/results.csv
-    python -m repro sweep --quick --jobs 4    # parallel + cached grid
+    python -m repro run --all --quick --jobs 4 --csv results/results.csv
+    python -m repro run IS --scale full --json results/full_scale.json
     python -m repro campaign 'benchmarks=IS,CG dram=ddr4,ddr5' --jobs 2
-    python -m repro run IS --quick --trace results/trace.json
     python -m repro timeline IS --quick       # ASCII observability timeline
+    python -m repro timeline IS --quick --trace results/trace.json
     python -m repro serve --tenants 2 --aggressor 1   # multi-tenant QoS
     python -m repro golden check              # every golden suite, bitwise
     python -m repro golden update <suite>     # quick | memtech | tenancy
     python -m repro area                      # Table 4
 
-Each run prints a comparison table; ``--csv`` additionally writes the raw
-metrics, like the artifact's ``results.csv``.
+``run`` turns its flags into tasks (:func:`repro.sim.sweep.task_grid`)
+and executes them in parallel on :func:`repro.sim.sweep.run_sweep`, so a
+repeated run is answered by the run cache.  It prints a comparison table;
+``--csv`` additionally writes the raw metrics, like the artifact's
+``results.csv``, and ``--json`` the structured run record.
 """
 
 from __future__ import annotations
@@ -24,18 +27,11 @@ import argparse
 import sys
 from dataclasses import replace
 
-from repro.common import SystemConfig
-from repro.common.config import DRAM_PRESETS, dram_preset
+from repro.common.config import DRAM_PRESETS
 from repro.dx100.area import area_power
-from repro.sim import run_baseline, run_dx100
 from repro.sim.report import comparison_table, to_csv
+from repro.sim.sweep import MODES, SCALES
 from repro.workloads import MAIN_BENCHMARKS, QUICK_BENCHMARKS
-
-CONFIG_BUILDERS = {
-    "baseline": lambda cores: SystemConfig.baseline_scaled(cores),
-    "dmp": lambda cores: SystemConfig.dmp_scaled(cores),
-    "dx100": lambda cores: SystemConfig.dx100_scaled(cores),
-}
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -47,15 +43,24 @@ def _parser() -> argparse.ArgumentParser:
 
     sub.add_parser("list", help="list available benchmarks")
 
-    run = sub.add_parser("run", help="run benchmarks")
+    run = sub.add_parser(
+        "run",
+        help="run the benchmark x configuration grid on the task executor, "
+             "in parallel and backed by the content-addressed run cache",
+    )
     run.add_argument("benchmarks", nargs="*",
                      help="benchmark names (see `list`)")
     run.add_argument("--all", action="store_true",
-                     help="run all 12 benchmarks")
-    run.add_argument("--quick", action="store_true",
-                     help="use the reduced dataset sizes")
+                     help="run every benchmark of the chosen scale")
+    run.add_argument("--quick", dest="scale", action="store_const",
+                     const="quick", help="alias for --scale quick")
+    run.add_argument("--scale", choices=SCALES,
+                     help="dataset scale: main (default), quick (reduced "
+                          "sizes), or full — paper-sized footprints far past "
+                          "every cache (2^25-key IS etc.; IS, CG and XRAGE "
+                          "only)")
     run.add_argument("--configs", nargs="+", default=None,
-                     choices=sorted(CONFIG_BUILDERS),
+                     choices=MODES,
                      help="configurations to run (default: baseline dx100; "
                           "--scale full defaults to dx100 alone)")
     run.add_argument("--cores", type=int, default=4)
@@ -65,23 +70,18 @@ def _parser() -> argparse.ArgumentParser:
                           "is violated")
     run.add_argument("--csv", metavar="PATH",
                      help="also write raw metrics as CSV")
-    run.add_argument("--stats-dir", metavar="DIR",
-                     help="write a full gem5-style stats dump per run")
-    run.add_argument("--trace", metavar="PATH",
-                     help="record a Chrome trace-event JSON (load in "
-                          "Perfetto / chrome://tracing); with several runs "
-                          "the benchmark and config names are inserted "
-                          "before the extension")
+    run.add_argument("--json", metavar="PATH",
+                     help="also write the structured run record (per-task "
+                          "key, cache status, wall-clock and RunResult)")
     run.add_argument("--sample-every", type=int, default=0, metavar="N",
-                     help="snapshot the timeline samplers every N cycles "
-                          "(0 = off; --trace alone defaults to 1000)")
-    run.add_argument("--scale", choices=["main", "quick", "full"],
+                     help="attach the timeline samplers to every run "
+                          "(period N cycles; summaries land in each "
+                          "result's extra fields; 0 = off)")
+    run.add_argument("--engine", choices=["batched", "scalar"],
                      default=None,
-                     help="dataset scale: main (default), quick (alias for "
-                          "--quick), or full — paper-sized footprints far "
-                          "past every cache (2^25-key IS etc.); full "
-                          "defaults to the dx100 configuration and writes "
-                          "results/full_scale.json")
+                     help="force the DRAM engine for every run (default: "
+                          "the config's engine, i.e. batched; --engine "
+                          "scalar runs the oracle)")
     run.add_argument("--frontend", choices=["batched", "scalar"],
                      default=None,
                      help="force the simulation front-end for every run "
@@ -91,56 +91,18 @@ def _parser() -> argparse.ArgumentParser:
                      help="memory technology preset (default: ddr4; cxl "
                           "puts the pool behind the modeled far-memory "
                           "link)")
-
-    sweep = sub.add_parser(
-        "sweep",
-        help="run the benchmark x configuration grid in parallel, backed "
-             "by the content-addressed run cache",
-    )
-    sweep.add_argument("benchmarks", nargs="*",
-                       help="benchmark names (default: all 12)")
-    sweep.add_argument("--quick", action="store_true",
-                       help="use the reduced dataset sizes")
-    sweep.add_argument("--configs", nargs="+",
-                       default=["baseline", "dmp", "dx100"],
-                       choices=sorted(CONFIG_BUILDERS))
-    sweep.add_argument("--jobs", type=int, default=None,
-                       help="worker processes (default: REPRO_JOBS or the "
-                            "CPU count; 1 = strictly serial)")
-    sweep.add_argument("--no-cache", action="store_true",
-                       help="re-simulate everything, ignoring the run cache")
-    sweep.add_argument("--cache-dir", metavar="DIR",
-                       help="run-cache location (default: results/.runcache "
-                            "or $REPRO_CACHE_DIR)")
-    sweep.add_argument("--json", metavar="PATH",
-                       help="where to write the structured sweep record "
-                            "(default: results/sweep.json)")
-    sweep.add_argument("--prune-cache", action="store_true",
-                       help="first delete cache entries from older model "
-                            "versions")
-    sweep.add_argument("--sample-every", type=int, default=0, metavar="N",
-                       help="attach the timeline samplers to every run "
-                            "(period N cycles; summaries land in each "
-                            "result's extra fields; 0 = off)")
-    sweep.add_argument("--engine", choices=["batched", "scalar"],
-                       default=None,
-                       help="force the DRAM engine for every run (default: "
-                            "the config's engine, i.e. batched; --engine "
-                            "scalar runs the oracle)")
-    sweep.add_argument("--frontend", choices=["batched", "scalar"],
-                       default=None,
-                       help="force the simulation front-end for every run "
-                            "(scalar replays the per-op cache/core oracle)")
-    sweep.add_argument("--dram", choices=sorted(DRAM_PRESETS), default=None,
-                       help="memory technology preset for every task "
-                            "(default: ddr4; cxl puts the pool behind the "
-                            "modeled far-memory link)")
-    sweep.add_argument("--profile", action="store_true",
-                       help="after the timed sweep, re-run the grid once "
-                            "under cProfile and record per-component and "
-                            "pipeline-stage tottimes in "
-                            "BENCH_mainsweep.json (the recorded wall_s "
-                            "stays un-instrumented)")
+    run.add_argument("--jobs", type=int, default=None,
+                     help="worker processes (default: REPRO_JOBS or the "
+                          "CPU count; 1 = strictly serial)")
+    run.add_argument("--no-cache", action="store_true",
+                     help="re-simulate everything, ignoring the run cache")
+    run.add_argument("--cache-dir", metavar="DIR",
+                     help="run-cache location (default: results/.runcache "
+                          "or $REPRO_CACHE_DIR)")
+    run.add_argument("--prune-cache", action="store_true",
+                     help="first delete cache entries from older model "
+                          "versions")
+    run.set_defaults(scale="main")
 
     campaign = sub.add_parser(
         "campaign",
@@ -174,7 +136,7 @@ def _parser() -> argparse.ArgumentParser:
     timeline.add_argument("benchmark", nargs="?", default="IS",
                           help="benchmark name (default: IS)")
     timeline.add_argument("--mode", default="dx100",
-                          choices=sorted(CONFIG_BUILDERS))
+                          choices=MODES)
     timeline.add_argument("--quick", action="store_true",
                           help="use the reduced dataset sizes")
     timeline.add_argument("--cores", type=int, default=4)
@@ -198,7 +160,7 @@ def _parser() -> argparse.ArgumentParser:
     prof.add_argument("benchmark", nargs="?", default="IS",
                       help="benchmark name (default: IS)")
     prof.add_argument("--mode", default="baseline",
-                      choices=sorted(CONFIG_BUILDERS))
+                      choices=MODES)
     prof.add_argument("--quick", action="store_true",
                       help="use the reduced dataset sizes")
     prof.add_argument("--top", type=int, default=25,
@@ -268,188 +230,85 @@ def cmd_list() -> int:
     return 0
 
 
-def cmd_run(args) -> int:
-    """Run the selected benchmarks under the selected configurations."""
-    from repro.workloads import FULL_BENCHMARKS
+def _check_jobs(jobs: int | None) -> bool:
+    """Report a non-positive ``--jobs``; True when it is usable."""
+    if jobs is not None and jobs < 1:
+        print(f"--jobs must be >= 1 (got {jobs}); omit it for the "
+              f"REPRO_JOBS/CPU-count default", file=sys.stderr)
+        return False
+    return True
 
-    scale = args.scale or ("quick" if args.quick else "main")
-    registry = {"main": MAIN_BENCHMARKS, "quick": QUICK_BENCHMARKS,
-                "full": FULL_BENCHMARKS}[scale]
-    configs = args.configs
-    if configs is None:
-        # The full-scale footprints are only tractable offloaded: the
-        # baseline's per-op trace would be tens of millions of ops.
-        configs = ["dx100"] if scale == "full" else ["baseline", "dx100"]
-    names = list(registry) if args.all else args.benchmarks
-    if not names and scale == "full":
-        names = ["IS"]
-    if not names:
+
+def cmd_run(args) -> int:
+    """Run the selected benchmarks under the selected configurations as
+    cached tasks on ``run_sweep``."""
+    import json
+    from pathlib import Path
+
+    from repro.sim.sweep import RunCache, run_sweep, task_grid
+
+    if not args.all and not args.benchmarks:
         print("no benchmarks selected (name them or pass --all)",
               file=sys.stderr)
         return 2
-    unknown = [n for n in names if n not in registry]
-    if unknown:
-        print(f"unknown benchmarks: {', '.join(unknown)}"
-              + (f" (at --scale full only {', '.join(registry)} are sized)"
-                 if scale == "full" else ""),
-              file=sys.stderr)
+    if not _check_jobs(args.jobs):
         return 2
-
-    sample_every = args.sample_every
-    if args.trace and not sample_every:
-        sample_every = 1000
-    multi = len(names) * len(configs) > 1
-
-    results: dict[str, dict] = {}
-    flat = []
-    for name in names:
-        runs = {}
-        for config_name in configs:
-            config = CONFIG_BUILDERS[config_name](args.cores)
-            if args.dram is not None:
-                config = replace(config, dram=dram_preset(args.dram))
-            if args.audit:
-                config = replace(config,
-                                 dram=replace(config.dram, audit=True))
-            if args.frontend is not None:
-                config = replace(config, frontend=args.frontend)
-            wl = registry[name]()
-            obs = None
-            if args.trace or sample_every:
-                from repro.obs.events import EventBus
-                obs = EventBus(trace=bool(args.trace),
-                               sample_every=sample_every)
-            if config_name == "dx100":
-                runs[config_name] = run_dx100(wl, config, warm=False,
-                                              obs=obs)
-            else:
-                runs[config_name] = run_baseline(wl, config, warm=False,
-                                                 obs=obs)
-            flat.append(runs[config_name])
-            if args.trace:
-                from pathlib import Path
-                from repro.obs.trace import write_chrome_trace
-                path = Path(args.trace)
-                if multi:
-                    path = path.with_name(
-                        f"{path.stem}-{name}-{config_name}{path.suffix}")
-                write_chrome_trace(obs, path)
-                print(f"  trace written to {path}", file=sys.stderr)
-            print(f"  done: {name} [{config_name}]", file=sys.stderr)
-        results[name] = runs
-    if args.stats_dir:
-        # Per-run stats dumps require re-running with a retained system;
-        # dump one representative system per (benchmark, config) instead.
-        from pathlib import Path
-        from repro.sim.statsdump import write_stats
-        from repro.sim.system import SimSystem
-        out_dir = Path(args.stats_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        for name in names:
-            config = CONFIG_BUILDERS[configs[0]](args.cores)
-            if args.dram is not None:
-                config = replace(config, dram=dram_preset(args.dram))
-            system = SimSystem(config)
-            wl = registry[name]()
-            wl.generate(system.hostmem)
-            system.multicore.run(wl.baseline_traces(config.cores))
-            system.dram.drain()
-            write_stats(system, out_dir / f"{name}.stats.txt")
-    print(comparison_table(results))
-    if scale == "full":
-        # Record the paper-scale runs alongside the sweep artifacts so the
-        # EXPERIMENTS table can cite committed numbers.
-        import json
-        from pathlib import Path
-        out = Path("results/full_scale.json")
-        out.parent.mkdir(parents=True, exist_ok=True)
-        payload = {
-            "scale": "full",
-            "frontend": args.frontend or "batched",
-            "runs": [
-                {
-                    "workload": r.workload,
-                    "config": r.config,
-                    "cycles": r.cycles,
-                    "instructions": r.instructions,
-                    "dram_bytes": r.dram_bytes,
-                    "dram_requests": r.dram_requests,
-                    "bandwidth_utilization": r.bandwidth_utilization,
-                    "row_buffer_hit_rate": r.row_buffer_hit_rate,
-                    "llc_mpki": r.llc_mpki,
-                }
-                for r in flat
-            ],
-        }
-        out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        print(f"\nfull-scale metrics written to {out}")
-    if args.csv:
-        to_csv(flat, args.csv)
-        print(f"\nraw metrics written to {args.csv}")
-    if args.audit:
-        commands = sum(r.extra.get("audit_commands", 0) for r in flat)
-        violations = sum(r.extra.get("audit_violations", 0) for r in flat)
-        print(f"\naudit: {int(commands)} DRAM commands checked, "
-              f"{int(violations)} timing violation(s)")
-        if violations:
-            for r in flat:
-                if r.extra.get("audit_violations"):
-                    print(f"--- {r.workload} [{r.config}] ---",
-                          file=sys.stderr)
-                    print(r.extra.get("audit_report", ""), file=sys.stderr)
-            return 1
-    return 0
-
-
-def cmd_sweep(args) -> int:
-    """Parallel, cached sweep over the benchmark x configuration grid."""
-    from pathlib import Path
-
-    from repro.sim.sweep import RunCache, run_main_sweep, write_sweep_records
-
-    if args.jobs is not None and args.jobs < 1:
-        print(f"--jobs must be >= 1 (got {args.jobs}); omit it for the "
-              f"REPRO_JOBS/CPU-count default", file=sys.stderr)
+    # The full-scale footprints are only tractable offloaded: the
+    # baseline's per-op trace would be tens of millions of ops.
+    modes = args.configs or (["dx100"] if args.scale == "full"
+                             else ["baseline", "dx100"])
+    try:
+        tasks = task_grid(None if args.all else args.benchmarks,
+                          tuple(modes), args.scale, cores=(args.cores,),
+                          drams=(args.dram,), audit=args.audit,
+                          engine=args.engine, frontend=args.frontend,
+                          sample_every=args.sample_every)
+    except (KeyError, ValueError) as exc:
+        print(exc.args[0], file=sys.stderr)
         return 2
-
     if args.prune_cache:
         removed = RunCache(args.cache_dir).prune()
         print(f"pruned {removed} stale cache entr"
               f"{'y' if removed == 1 else 'ies'}", file=sys.stderr)
 
-    quick = args.quick
-    benchmarks = args.benchmarks or None
-    modes = tuple(args.configs)
+    def progress(run) -> None:
+        print(f"  {'cached' if run.cached else 'done'}: "
+              f"{run.task.benchmark} [{run.task.mode}]", file=sys.stderr)
+
     try:
-        outcome = run_main_sweep(
-            quick=quick, benchmarks=benchmarks, modes=modes, jobs=args.jobs,
-            cache=not args.no_cache, cache_dir=args.cache_dir,
-            sample_every=args.sample_every,
-            engine=args.engine, frontend=args.frontend, dram=args.dram,
-        )
+        outcome = run_sweep(tasks, jobs=args.jobs, cache=not args.no_cache,
+                            cache_dir=args.cache_dir, progress=progress)
     except ValueError as exc:   # e.g. a bad REPRO_JOBS value
         print(exc, file=sys.stderr)
         return 2
-    if args.profile:
-        # Instrumented second pass, strictly serial, AFTER the timed sweep
-        # so the recorded wall_s stays un-instrumented.
-        from repro.sim.profile import profile_tasks
-        from repro.sim.sweep import main_sweep_tasks
-        print("profiling pass (serial, instrumented)...", file=sys.stderr)
-        tasks = main_sweep_tasks(quick=quick, benchmarks=benchmarks,
-                                 modes=modes, engine=args.engine,
-                                 frontend=args.frontend, dram=args.dram)
-        outcome.extras.update(profile_tasks(tasks))
-    write_sweep_records(outcome, Path("results"), sweep_json=args.json)
-
+    results = [run.result for run in outcome.runs]
     print(comparison_table(outcome.nested()))
-    fresh_wall = sum(r.wall for r in outcome.runs if not r.cached)
+    fresh_wall = sum(run.wall for run in outcome.runs if not run.cached)
     print(f"\n{len(outcome.runs)} runs in {outcome.wall:.1f}s wall "
           f"({outcome.jobs} job(s)): {outcome.cache_hits} cached, "
           f"{outcome.cache_misses} simulated "
           f"({fresh_wall:.1f}s of simulation)")
-    print(f"sweep record: {args.json or 'results/sweep.json'}; "
-          f"perf trajectory: BENCH_mainsweep.json")
+    if args.json:
+        path = Path(args.json)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(json.dumps(outcome.to_json_dict(), indent=2,
+                                   sort_keys=True) + "\n")
+        print(f"run record written to {path}")
+    if args.csv:
+        to_csv(results, args.csv)
+        print(f"raw metrics written to {args.csv}")
+    if args.audit:
+        commands = sum(r.extra.get("audit_commands", 0) for r in results)
+        violations = sum(r.extra.get("audit_violations", 0) for r in results)
+        print(f"\naudit: {int(commands)} DRAM commands checked, "
+              f"{int(violations)} timing violation(s)")
+        if violations:
+            for r in results:
+                if r.extra.get("audit_violations"):
+                    print(f"--- {r.workload} [{r.config}] ---",
+                          file=sys.stderr)
+                    print(r.extra.get("audit_report", ""), file=sys.stderr)
+            return 1
     return 0
 
 
@@ -493,20 +352,18 @@ def cmd_campaign(args) -> int:
     import time as _time
 
     from repro.sim.specs import (
-        SpecError, execute_serve, expand_serve_params, expand_sweep_tasks,
+        execute_serve, expand_serve_params, expand_sweep_tasks,
         parse_spec, task_labels,
     )
     from repro.sim.sweep import run_sweep
 
-    if args.jobs is not None and args.jobs < 1:
-        print(f"--jobs must be >= 1 (got {args.jobs}); omit it for the "
-              f"REPRO_JOBS/CPU-count default", file=sys.stderr)
+    if not _check_jobs(args.jobs):
         return 2
     try:
         spec = parse_spec(args.spec)
         tasks = expand_sweep_tasks(spec)
         serves = expand_serve_params(spec)
-    except SpecError as exc:
+    except ValueError as exc:   # a SpecError, or a value no config takes
         print(f"bad spec: {exc}", file=sys.stderr)
         return 2
     labels = task_labels(tasks, serves)
@@ -575,23 +432,20 @@ def cmd_timeline(args) -> int:
     """Run one benchmark with samplers on and print the ASCII timeline."""
     from repro.obs.events import EventBus
     from repro.obs.timeline import render_timeline
+    from repro.sim.sweep import execute_task, task_grid
 
-    registry = QUICK_BENCHMARKS if args.quick else MAIN_BENCHMARKS
-    if args.benchmark not in registry:
-        print(f"unknown benchmark {args.benchmark!r}", file=sys.stderr)
-        return 2
     if args.sample_every <= 0:
         print("--sample-every must be positive", file=sys.stderr)
         return 2
-    config = CONFIG_BUILDERS[args.mode](args.cores)
-    if args.dram is not None:
-        config = replace(config, dram=dram_preset(args.dram))
-    wl = registry[args.benchmark]()
+    try:
+        (task,) = task_grid([args.benchmark], (args.mode,),
+                            "quick" if args.quick else "main",
+                            cores=(args.cores,), drams=(args.dram,))
+    except (KeyError, ValueError) as exc:
+        print(exc.args[0], file=sys.stderr)
+        return 2
     obs = EventBus(trace=bool(args.trace), sample_every=args.sample_every)
-    if args.mode == "dx100":
-        result = run_dx100(wl, config, warm=False, obs=obs)
-    else:
-        result = run_baseline(wl, config, warm=False, obs=obs)
+    result, _ = execute_task(task, obs=obs)
 
     print(f"{args.benchmark} [{args.mode}]: {result.cycles} cycles, "
           f"BW {result.bandwidth_utilization:.2f}, "
@@ -651,8 +505,6 @@ def main(argv=None) -> int:
         return cmd_list()
     if args.command == "run":
         return cmd_run(args)
-    if args.command == "sweep":
-        return cmd_sweep(args)
     if args.command == "campaign":
         return cmd_campaign(args)
     if args.command == "profile":

@@ -10,8 +10,8 @@ from repro.sim.scale import run_dx100_multi
 from repro.sim.statsdump import dump_stats, format_stats, write_stats
 from repro.sim.specs import expand_sweep_tasks, parse_spec
 from repro.sim.sweep import (
-    RunCache, SweepOutcome, SweepTask, main_sweep_tasks, run_main_sweep,
-    run_sweep,
+    RunCache, SweepOutcome, SweepTask, main_sweep_tasks, run_sweep,
+    task_grid,
 )
 from repro.sim.system import SimSystem
 
@@ -37,9 +37,9 @@ __all__ = [
     "run_dmp",
     "run_dx100",
     "run_dx100_multi",
-    "run_main_sweep",
     "run_sweep",
     "software_pipeline",
+    "task_grid",
     "to_csv",
     "write_stats",
 ]

@@ -214,46 +214,24 @@ def profile_run(benchmark: str = "IS", mode: str = "baseline",
                 frontend: str | None = None) -> dict:
     """Profile one (benchmark, mode) run; returns the structured report.
 
-    The run itself is a plain :func:`repro.sim.runner.run_baseline` /
-    ``run_dx100`` call — same configs the sweep uses — executed under
-    cProfile with a :class:`StageTimers` threaded through, so the report's
-    numbers describe exactly the code the sweep exercises.  ``frontend``
+    The run is the sweep's own task (:func:`repro.sim.sweep.task_grid`,
+    :func:`~repro.sim.sweep.execute_task`) executed under cProfile with a
+    :class:`StageTimers` threaded through, so the report's numbers
+    describe exactly the code the sweep exercises.  ``frontend``
     overrides :attr:`SystemConfig.frontend` (profile the scalar oracle
     against the batched engine on identical work).
     """
     # Imported here so that `import repro.sim.profile` stays dependency-free
     # for the runner (which imports NULL_TIMERS from this module).
-    from dataclasses import replace
+    from repro.sim.sweep import execute_task, task_grid
 
-    from repro.common.config import SystemConfig
-    from repro.sim.runner import run_baseline, run_dx100
-    from repro.workloads import MAIN_BENCHMARKS, QUICK_BENCHMARKS
-
-    registry = QUICK_BENCHMARKS if quick else MAIN_BENCHMARKS
-    if benchmark not in registry:
-        raise KeyError(f"unknown benchmark {benchmark!r}")
-    builders = {
-        "baseline": SystemConfig.baseline_scaled,
-        "dmp": SystemConfig.dmp_scaled,
-        "dx100": SystemConfig.dx100_scaled,
-    }
-    if mode not in builders:
-        raise ValueError(f"unknown mode {mode!r} (want {sorted(builders)})")
-    workload = registry[benchmark]()
-    config = builders[mode](4)
-    if frontend is not None:
-        config = replace(config, frontend=frontend)
-
+    (task,) = task_grid([benchmark], (mode,), "quick" if quick else "main",
+                        frontend=frontend)
     timers = StageTimers()
     profiler = cProfile.Profile()
-    t0 = perf_counter()
     profiler.enable()
-    if mode == "dx100":
-        result = run_dx100(workload, config, warm=False, timers=timers)
-    else:
-        result = run_baseline(workload, config, warm=False, timers=timers)
+    result, wall = execute_task(task, timers=timers)
     profiler.disable()
-    wall = perf_counter() - t0
 
     stats = pstats.Stats(profiler)
     hotspots, components = summarize_profile(stats, top)
@@ -262,7 +240,7 @@ def profile_run(benchmark: str = "IS", mode: str = "baseline",
         "benchmark": benchmark,
         "mode": mode,
         "quick": quick,
-        "frontend": frontend or config.frontend,
+        "frontend": task.config.frontend,
         "wall_s": round(wall, 6),
         "stages_s": timers.as_dict(),
         "components_s": components,
@@ -276,34 +254,6 @@ def profile_run(benchmark: str = "IS", mode: str = "baseline",
             "bandwidth_utilization": result.bandwidth_utilization,
             "row_buffer_hit_rate": result.row_buffer_hit_rate,
         },
-    }
-
-
-def profile_tasks(tasks) -> dict:
-    """Profile a list of :class:`~repro.sim.sweep.SweepTask` serially.
-
-    One cProfile session accumulates across every task, so the folded
-    components and pipeline-stage rows describe the *whole grid* the way
-    ``BENCH_mainsweep.json`` tracks it.  Runs everything in-process with
-    no cache — this is the instrumented second pass behind
-    ``python -m repro sweep --profile``; the un-instrumented wall-clock is
-    measured separately by the sweep itself.
-    """
-    from repro.sim.sweep import execute_task
-
-    profiler = cProfile.Profile()
-    t0 = perf_counter()
-    profiler.enable()
-    for task in tasks:
-        execute_task(task)
-    profiler.disable()
-    wall = perf_counter() - t0
-    stats = pstats.Stats(profiler)
-    _, components = summarize_profile(stats, top=0)
-    return {
-        "profile_wall_s": round(wall, 3),
-        "profile_components_s": components,
-        "profile_stages_s": stage_breakdown(stats),
     }
 
 

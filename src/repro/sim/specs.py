@@ -15,7 +15,8 @@ the tile axis instead of replicating).  Value lists compose three forms:
   included as the final point, so ``4k:48k`` -> 4k,8k,16k,32k,48k);
 * **suffixes** — integers accept ``k``/``m``/``g`` (powers of 1024);
 * **globs** — benchmark names match ``fnmatch`` patterns against the
-  registry (``G*`` selects GZZ, GZZI, GZP, GZPI).
+  scale's registry (``G*`` selects GZZ, GZZI, GZP, GZPI; at
+  ``scale=full`` only IS, CG and XRAGE are sized).
 
 Dimensions (all optional; a spec of ``""`` is the full default grid):
 
@@ -27,7 +28,7 @@ modes        baseline, dmp, dx100 (alias: ``configs``)           all three
 dram         DRAM_PRESETS registry: ddr4, ddr5, cxl              ddr4
 tile         DX100 tile elements (dx100 tasks only)              config
 cores        core counts                                         4
-scale        quick, main                                         main
+scale        quick, main, full                                   main
 engine       batched, scalar (DRAM engine override)              config
 frontend     batched, scalar (simulation front-end override)     config
 sample       timeline sampling period in cycles                  0 (off)
@@ -48,8 +49,8 @@ from __future__ import annotations
 import fnmatch
 from dataclasses import replace
 
-from repro.common.config import DRAM_PRESETS, DRAMConfig, dram_preset
-from repro.sim.sweep import CONFIG_BUILDERS, MODES, SweepTask
+from repro.common.config import DRAM_PRESETS, dram_preset
+from repro.sim.sweep import MODES, SCALES, SweepTask, scale_registry, task_grid
 
 
 class SpecError(ValueError):
@@ -79,7 +80,7 @@ _CHOICES = {
     # technology (e.g. ``cxl``) is accepted here the moment it exists —
     # the grammar can never lag the config layer.
     "dram": set(DRAM_PRESETS),
-    "scale": {"quick", "main"},
+    "scale": set(SCALES),
     "engine": {"batched", "scalar"},
     "frontend": {"batched", "scalar"},
 }
@@ -174,11 +175,10 @@ def parse_spec(text: str) -> dict[str, list[int | str]]:
     return spec
 
 
-def _match_benchmarks(patterns: list[int | str]) -> list[str]:
-    """Glob-expand benchmark patterns against the registry, in registry
-    order, erroring on patterns that match nothing."""
-    from repro.workloads import MAIN_BENCHMARKS
-    names = list(MAIN_BENCHMARKS)
+def _match_benchmarks(patterns: list[int | str], scale: str) -> list[str]:
+    """Glob-expand benchmark patterns against the scale's registry, in
+    registry order, erroring on patterns that match nothing."""
+    names = list(scale_registry(scale))
     selected: list[str] = []
     for pattern in patterns:
         pat = str(pattern)
@@ -193,56 +193,28 @@ def _match_benchmarks(patterns: list[int | str]) -> list[str]:
 
 # ---------------------------------------------------------------- expansion
 
-def _dram_preset(name: str) -> DRAMConfig:
-    return dram_preset(str(name))
-
-
 def expand_sweep_tasks(spec: dict[str, list[int | str]]) -> list[SweepTask]:
     """The spec's (workload, config, mode) grid as deduplicated
-    :class:`~repro.sim.sweep.SweepTask` items, grouped by benchmark (empty
-    for a serving-only spec)."""
+    :class:`~repro.sim.sweep.SweepTask` items, one
+    :func:`~repro.sim.sweep.task_grid` per scale (empty for a
+    serving-only spec)."""
     if "tenants" in spec and not any(k in spec for k in SWEEP_ONLY):
         return []
-    benchmarks = _match_benchmarks(spec.get("benchmarks", ["*"]))
-    modes = [str(m) for m in spec.get("modes", list(MODES))]
-    drams = [str(d) for d in spec.get("dram", ["ddr4"])]
-    tiles: list[int | None] = list(spec["tile"]) if "tile" in spec \
-        else [None]   # type: ignore[list-item]
-    cores = [int(c) for c in spec.get("cores", [4])]
-    scales = [str(s) for s in spec.get("scale", ["main"])]
     engine = spec.get("engine", [None])[0]
     frontend = spec.get("frontend", [None])[0]
-    sample = int(spec.get("sample", [0])[0])  # type: ignore[arg-type]
-
     tasks: list[SweepTask] = []
-    seen: set[str] = set()
-    for scale in scales:
-        for name in benchmarks:
-            for mode in modes:
-                for dram in drams:
-                    for tile in tiles:
-                        for n_cores in cores:
-                            config = CONFIG_BUILDERS[mode](n_cores)
-                            dram_cfg = _dram_preset(dram)
-                            if engine is not None:
-                                dram_cfg = replace(dram_cfg,
-                                                   engine=str(engine))
-                            config = replace(config, dram=dram_cfg)
-                            if tile is not None and config.dx100 is not None:
-                                config = replace(
-                                    config,
-                                    dx100=config.dx100.with_tile(int(tile)))
-                            if frontend is not None:
-                                config = replace(config,
-                                                 frontend=str(frontend))
-                            task = SweepTask(
-                                benchmark=name, mode=mode,
-                                quick=(scale == "quick"), config=config,
-                                sample_every=sample)
-                            key = task.key()
-                            if key not in seen:
-                                seen.add(key)
-                                tasks.append(task)
+    for scale in (str(s) for s in spec.get("scale", ["main"])):
+        tasks += task_grid(
+            _match_benchmarks(spec.get("benchmarks", ["*"]), scale),
+            tuple(str(m) for m in spec.get("modes", MODES)), scale,
+            cores=tuple(int(c) for c in spec.get("cores", [4])),
+            drams=tuple(map(str, spec["dram"])) if "dram" in spec
+            else (None,),
+            tiles=tuple(map(int, spec["tile"])) if "tile" in spec
+            else (None,),
+            engine=None if engine is None else str(engine),
+            frontend=None if frontend is None else str(frontend),
+            sample_every=int(spec.get("sample", [0])[0]))
     return tasks
 
 
@@ -285,8 +257,7 @@ def task_labels(tasks: list[SweepTask],
     """Readable, unique names for a campaign's tasks, sweep tasks first
     (``IS.quick.dx100``, ``serve.t4.ddr5``); axis collisions such as two
     tile sizes get ``.2``/``.3`` suffixes."""
-    bases = [f"{t.benchmark}.{'quick' if t.quick else 'main'}.{t.mode}"
-             for t in tasks]
+    bases = [f"{t.benchmark}.{t.scale}.{t.mode}" for t in tasks]
     for p in serves:
         aggressor = f".a{p['aggressor']}" if p["aggressor"] >= 0 else ""
         bases.append(f"serve.t{p['tenants']}.{p['dram']}{aggressor}")

@@ -21,9 +21,10 @@ this, and the golden-metrics harness pins the quick suite's numbers).
 Entry points:
 
 * :func:`run_sweep` — execute a list of :class:`SweepTask`;
-* :func:`main_sweep_tasks` / :func:`run_main_sweep` — the Figure 9-12
-  benchmark x configuration grid (``benchmarks/mainsweep.py`` delegates
-  here, and ``python -m repro sweep`` exposes it on the command line);
+* :func:`task_grid` — the one builder of task configs, behind
+  ``python -m repro run``, the campaign spec DSL and
+  :func:`main_sweep_tasks` (the Figure 9-12 benchmark x configuration
+  grid ``benchmarks/mainsweep.py`` runs);
 * :func:`golden_snapshot` — the quick suite's golden snapshot, which
   :mod:`repro.sim.golden` pins in ``tests/golden/quick_suite.json``.
 """
@@ -39,11 +40,14 @@ import time
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
-from repro.common.config import SystemConfig
+from repro.common.config import SystemConfig, dram_preset
 from repro.common.stats import geomean
 from repro.sim.metrics import RunResult
 
 MODES = ("baseline", "dmp", "dx100")
+
+#: Dataset scales, smallest first: each names a workload registry.
+SCALES = ("quick", "main", "full")
 
 #: Bump when the metric *semantics* change without a source change that the
 #: model-version hash would see (e.g. an external data file).  Part of every
@@ -111,7 +115,7 @@ class SweepTask:
 
     benchmark: str            # registry name, e.g. "IS"
     mode: str                 # baseline | dmp | dx100
-    quick: bool               # QUICK_BENCHMARKS vs MAIN_BENCHMARKS sizes
+    scale: str                # quick | main | full (see scale_registry)
     config: SystemConfig
     warm: bool = False
     #: Observability sampling period in cycles (0 = off).  When nonzero the
@@ -125,8 +129,7 @@ class SweepTask:
             raise ValueError(f"unknown mode {self.mode!r} (want {MODES})")
 
     def factory(self):
-        from repro.workloads import MAIN_BENCHMARKS, QUICK_BENCHMARKS
-        registry = QUICK_BENCHMARKS if self.quick else MAIN_BENCHMARKS
+        registry = scale_registry(self.scale)
         if self.benchmark not in registry:
             raise KeyError(f"unknown benchmark {self.benchmark!r}")
         return registry[self.benchmark]
@@ -136,10 +139,10 @@ class SweepTask:
 
         ``frontend`` and ``scale`` are named explicitly even though both
         are derivable (``config.frontend`` rides in via ``asdict``, and
-        ``quick`` implies the registry): the simulation front-end and the
-        dataset scale each select a different engine/workload pairing, and
-        an aliased cache hit across either would silently replay the wrong
-        run.  Keeping them as top-level key fields makes that impossible
+        the workload fingerprint reflects the registry): the simulation
+        front-end and the dataset scale each select a different
+        engine/workload pairing, and an aliased cache hit across either
+        would silently replay the wrong run.  Keeping them as top-level key fields makes that impossible
         to regress by refactoring the config dict.
         """
         payload = {
@@ -150,11 +153,24 @@ class SweepTask:
             "warm": self.warm,
             "sample_every": self.sample_every,
             "frontend": self.config.frontend,
-            "scale": "quick" if self.quick else "main",
+            "scale": self.scale,
             "config": asdict(self.config),
         }
         blob = json.dumps(payload, sort_keys=True, default=str)
         return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def scale_registry(scale: str) -> dict:
+    """The workload registry sizing ``scale``; ``KeyError`` for an unknown
+    scale, as for an unknown benchmark."""
+    from repro.workloads import (
+        FULL_BENCHMARKS, MAIN_BENCHMARKS, QUICK_BENCHMARKS,
+    )
+    registries = {"quick": QUICK_BENCHMARKS, "main": MAIN_BENCHMARKS,
+                  "full": FULL_BENCHMARKS}
+    if scale not in registries:
+        raise KeyError(f"unknown scale {scale!r} (want {SCALES})")
+    return registries[scale]
 
 
 def result_to_dict(result: RunResult) -> dict:
@@ -199,7 +215,7 @@ class RunCache:
             "model": model_version(),
             "benchmark": task.benchmark,
             "mode": task.mode,
-            "quick": task.quick,
+            "scale": task.scale,
             "result": result_to_dict(result),
         }
         # Per-process temp name: concurrent sweeps (or a sweep racing a
@@ -239,24 +255,26 @@ class RunCache:
 
 # ---------------------------------------------------------------- execution
 
-def execute_task(task: SweepTask) -> tuple[RunResult, float]:
+def execute_task(task: SweepTask, obs=None,
+                 timers=None) -> tuple[RunResult, float]:
     """Run one task from scratch; returns (result, wall seconds).
 
     The workload is built fresh from the registry, which is the path every
     golden metric is pinned against.  The runner pauses the cyclic GC for
-    the run (see :func:`repro.sim.runner.gc_paused`).
+    the run (see :func:`repro.sim.runner.gc_paused`).  ``obs`` replaces the
+    trace-less event bus ``sample_every`` attaches (``timeline`` passes one
+    that records a trace); ``timers`` collects stage timings for
+    ``profile``.  Neither changes a simulated number.
     """
     from repro.sim.runner import run_baseline, run_dx100
     t0 = time.perf_counter()
     workload = task.factory()()
-    obs = None
-    if task.sample_every:
+    if obs is None and task.sample_every:
         from repro.obs.events import EventBus
         obs = EventBus(trace=False, sample_every=task.sample_every)
-    if task.mode == "dx100":
-        result = run_dx100(workload, task.config, warm=task.warm, obs=obs)
-    else:
-        result = run_baseline(workload, task.config, warm=task.warm, obs=obs)
+    run = run_dx100 if task.mode == "dx100" else run_baseline
+    result = run(workload, task.config, warm=task.warm, obs=obs,
+                 timers=timers)
     return result, time.perf_counter() - t0
 
 
@@ -331,7 +349,7 @@ class SweepOutcome:
                 {
                     "benchmark": r.task.benchmark,
                     "mode": r.task.mode,
-                    "quick": r.task.quick,
+                    "scale": r.task.scale,
                     "key": r.key,
                     "cached": r.cached,
                     "wall_s": round(r.wall, 3),
@@ -416,8 +434,7 @@ def _pool_context():
 
 
 def _label(task: SweepTask) -> str:
-    scale = "quick" if task.quick else "main"
-    return f"{task.benchmark}/{task.mode} [{scale}]"
+    return f"{task.benchmark}/{task.mode} [{task.scale}]"
 
 
 def _execute(tasks: list[SweepTask], indices: list[int], jobs: int):
@@ -507,13 +524,64 @@ def run_sweep(tasks: list[SweepTask], jobs: int | None = None,
                         cache_misses=len(misses))
 
 
-# ------------------------------------------------------- the main-eval grid
+# ------------------------------------------------------------ the task grid
 
 CONFIG_BUILDERS = {
     "baseline": SystemConfig.baseline_scaled,
     "dmp": SystemConfig.dmp_scaled,
     "dx100": SystemConfig.dx100_scaled,
 }
+
+
+def task_grid(benchmarks: list[str] | None = None,
+              modes: tuple[str, ...] = MODES, scale: str = "main",
+              cores: tuple[int, ...] = (4,),
+              drams: tuple[str | None, ...] = (None,),
+              tiles: tuple[int | None, ...] = (None,),
+              audit: bool = False, engine: str | None = None,
+              frontend: str | None = None,
+              sample_every: int = 0) -> list[SweepTask]:
+    """Every (benchmark, mode, dram, tile, cores) point as a deduplicated
+    :class:`SweepTask`, grouped by benchmark; ``benchmarks=None`` is the
+    whole registry of ``scale``.
+
+    This is the one place a task's :class:`SystemConfig` is built: the
+    mode's preset at ``cores``, then the ``dram`` technology
+    (:data:`repro.common.config.DRAM_PRESETS`; ``None`` keeps the preset's
+    DDR4), the JEDEC ``audit``, the DRAM ``engine`` override (``"scalar"``
+    runs the per-request oracle), the DX100 ``tile`` size, and the
+    simulation ``frontend`` override (``"scalar"`` replays the per-op
+    cache/core oracle).  Each override is part of the cache key, so oracle
+    runs never alias batched ones.  A tile point exists only for configs
+    with a DX100, so baseline/dmp tasks collapse across the tile axis.
+    """
+    registry = scale_registry(scale)
+    names = list(registry) if benchmarks is None else list(benchmarks)
+    unknown = [n for n in names if n not in registry]
+    if unknown:
+        raise KeyError(f"unknown benchmarks: {', '.join(unknown)}"
+                       + ("" if scale == "main" else
+                          f" (at scale {scale}: {', '.join(registry)})"))
+    bad = [n for n in cores if n < 1]
+    if bad:
+        raise ValueError(f"cores must be >= 1, got {bad[0]}")
+    tasks: dict[SweepTask, None] = {}
+    for name, mode, dram, tile, n_cores in itertools.product(
+            names, modes, drams, tiles, cores):
+        config = CONFIG_BUILDERS[mode](n_cores)
+        if dram is not None:
+            config = replace(config, dram=dram_preset(dram))
+        if audit:
+            config = replace(config, dram=replace(config.dram, audit=True))
+        if engine is not None:
+            config = replace(config, dram=replace(config.dram, engine=engine))
+        if tile is not None and config.dx100 is not None:
+            config = replace(config, dx100=config.dx100.with_tile(tile))
+        if frontend is not None:
+            config = replace(config, frontend=frontend)
+        tasks[SweepTask(name, mode, scale, config,
+                        sample_every=sample_every)] = None
+    return list(tasks)
 
 
 def main_sweep_tasks(quick: bool = False, benchmarks: list[str] | None = None,
@@ -523,83 +591,12 @@ def main_sweep_tasks(quick: bool = False, benchmarks: list[str] | None = None,
                      engine: str | None = None,
                      frontend: str | None = None,
                      dram: str | None = None) -> list[SweepTask]:
-    """The Figure 9-12 grid: every benchmark under every configuration.
-
-    ``engine`` overrides :attr:`DRAMConfig.engine` for every task
-    (``"scalar"`` runs the whole grid on the per-request oracle — the CI
-    differential check that the goldens hold on both engines).  It is part
-    of each task's cache key, so oracle runs never alias batched ones.
-    ``frontend`` does the same for :attr:`SystemConfig.frontend`
-    (``"scalar"`` replays the grid on the per-op cache/core oracle — the
-    front-end half of the differential check).  ``dram`` swaps the whole
-    memory technology via :data:`repro.common.config.DRAM_PRESETS`
-    (``"cxl"`` puts the pool behind the modeled far-memory link); it is
-    applied *before* the audit/engine overrides so those compose on top.
-    """
-    from repro.workloads import MAIN_BENCHMARKS, QUICK_BENCHMARKS
-    registry = QUICK_BENCHMARKS if quick else MAIN_BENCHMARKS
-    names = list(registry) if benchmarks is None else list(benchmarks)
-    unknown = [n for n in names if n not in registry]
-    if unknown:
-        raise KeyError(f"unknown benchmarks: {', '.join(unknown)}")
-    tasks = []
-    for name in names:
-        for mode in modes:
-            config = CONFIG_BUILDERS[mode](cores)
-            if dram is not None:
-                from repro.common.config import dram_preset
-                config = replace(config, dram=dram_preset(dram))
-            if audit:
-                config = replace(config,
-                                 dram=replace(config.dram, audit=True))
-            if engine is not None:
-                config = replace(config,
-                                 dram=replace(config.dram, engine=engine))
-            if frontend is not None:
-                config = replace(config, frontend=frontend)
-            tasks.append(SweepTask(benchmark=name, mode=mode, quick=quick,
-                                   config=config,
-                                   sample_every=sample_every))
-    return tasks
-
-
-def run_main_sweep(quick: bool = False,
-                   benchmarks: list[str] | None = None,
-                   modes: tuple[str, ...] = MODES,
-                   jobs: int | None = None, cache: bool = True,
-                   cache_dir: str | Path | None = None,
-                   results_dir: str | Path | None = None,
-                   sample_every: int = 0,
-                   engine: str | None = None,
-                   frontend: str | None = None,
-                   dram: str | None = None) -> SweepOutcome:
-    """Run the main-evaluation grid and emit the structured JSON records
-    (``results/sweep.json`` + ``BENCH_mainsweep.json``)."""
-    tasks = main_sweep_tasks(quick=quick, benchmarks=benchmarks, modes=modes,
-                             sample_every=sample_every, engine=engine,
-                             frontend=frontend, dram=dram)
-    outcome = run_sweep(tasks, jobs=jobs, cache=cache, cache_dir=cache_dir)
-    outcome.extras["quick"] = quick
-    if results_dir is not None:
-        write_sweep_records(outcome, results_dir)
-    return outcome
-
-
-def write_sweep_records(outcome: SweepOutcome,
-                        results_dir: str | Path,
-                        sweep_json: str | Path | None = None) -> None:
-    """Write ``sweep.json`` into ``results_dir`` and the perf-trajectory
-    record ``BENCH_mainsweep.json`` next to it (one level up when
-    ``results_dir`` is the conventional ``results/``)."""
-    results_dir = Path(results_dir)
-    results_dir.mkdir(parents=True, exist_ok=True)
-    sweep_path = Path(sweep_json) if sweep_json else results_dir / "sweep.json"
-    sweep_path.parent.mkdir(parents=True, exist_ok=True)
-    sweep_path.write_text(json.dumps(outcome.to_json_dict(), indent=2,
-                                     sort_keys=True) + "\n")
-    bench_path = results_dir.parent / "BENCH_mainsweep.json"
-    bench_path.write_text(json.dumps(outcome.bench_record(), indent=2,
-                                     sort_keys=True) + "\n")
+    """The Figure 9-12 grid: every benchmark under every configuration, at
+    the quick or main scale (:func:`task_grid` with one point per axis)."""
+    return task_grid(benchmarks, modes, "quick" if quick else "main",
+                     cores=(cores,), drams=(dram,), audit=audit,
+                     engine=engine, frontend=frontend,
+                     sample_every=sample_every)
 
 
 # ---------------------------------------------------- golden-metrics harness

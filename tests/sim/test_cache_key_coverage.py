@@ -67,7 +67,7 @@ def _base_config() -> SystemConfig:
 
 
 def _task(config: SystemConfig) -> SweepTask:
-    return SweepTask(benchmark="IS", mode="dx100", quick=True,
+    return SweepTask(benchmark="IS", mode="dx100", scale="quick",
                      config=config)
 
 

@@ -201,7 +201,7 @@ def test_quick_benchmark_end_to_end_pair(bench, mode):
     results = {}
     for frontend in ("batched", "scalar"):
         config = replace(CONFIG_BUILDERS[mode](4), frontend=frontend)
-        task = SweepTask(benchmark=bench, mode=mode, quick=True,
+        task = SweepTask(benchmark=bench, mode=mode, scale="quick",
                          config=config)
         result, _wall = execute_task(task)
         results[frontend] = result

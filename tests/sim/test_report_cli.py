@@ -61,29 +61,71 @@ def test_cli_area(capsys):
     assert "scratchpad" in out and "TOTAL" in out
 
 
-def test_cli_run_quick(capsys, tmp_path):
+@pytest.fixture
+def run_cache(tmp_path, monkeypatch):
+    """Point ``run``'s run cache at a temporary directory."""
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "runcache"))
+    return tmp_path / "runcache"
+
+
+def test_cli_run_quick(capsys, tmp_path, run_cache):
     csv_path = tmp_path / "out.csv"
     code = main(["run", "XRAGE", "--quick", "--configs", "baseline",
-                 "dx100", "--csv", str(csv_path)])
+                 "dx100", "--csv", str(csv_path), "--jobs", "1"])
     assert code == 0
     out = capsys.readouterr().out
     assert "XRAGE" in out and "geomean" in out
     assert csv_path.exists()
 
 
-def test_cli_run_rejects_unknown(capsys):
+def test_cli_run_rejects_unknown(capsys, run_cache):
     assert main(["run", "NOPE", "--quick"]) == 2
     assert main(["run", "--quick"]) == 2
+    assert main(["run", "--scale", "full"]) == 2   # no default benchmark
+    assert main(["run", "BFS", "--scale", "full"]) == 2
+    assert "at scale full" in capsys.readouterr().err
 
 
-def test_cli_run_with_trace(capsys, tmp_path):
-    from repro.obs.validate import validate_file
-    trace_path = tmp_path / "trace.json"
-    code = main(["run", "XRAGE", "--quick", "--configs", "baseline",
-                 "--trace", str(trace_path), "--sample-every", "500"])
-    assert code == 0
-    assert trace_path.exists()
-    assert validate_file(trace_path) == []
+def test_cli_run_rejects_zero_cores(capsys, run_cache):
+    """``--cores 0`` is a usage error naming the field, not a traceback
+    from deep inside the trace builder."""
+    assert main(["run", "IS", "--quick", "--configs", "baseline",
+                 "--cores", "0"]) == 2
+    assert "cores must be >= 1" in capsys.readouterr().err
+
+
+def test_cli_run_writes_only_the_requested_records(tmp_path, monkeypatch,
+                                                   run_cache):
+    """``run`` writes no record unless asked: neither the figure grid's
+    ``BENCH_mainsweep.json`` nor a default ``results/sweep.json``."""
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", "IS", "--quick", "--configs", "baseline",
+                 "--jobs", "1"]) == 0
+    assert not (tmp_path / "BENCH_mainsweep.json").exists()
+    assert not (tmp_path / "results" / "sweep.json").exists()
+
+
+def test_cli_run_twice_is_all_cache_hits(tmp_path, capsys, run_cache):
+    """A repeated ``run`` is answered by the run cache: every task is a
+    hit, the table is identical and the RunResults are bitwise equal."""
+    import json
+    argv = ["run", "IS", "PR", "--quick", "--jobs", "1", "--audit"]
+    records = []
+    tables = []
+    for name in ("first", "again"):
+        path = tmp_path / f"{name}.json"
+        assert main(argv + ["--json", str(path)]) == 0
+        out = capsys.readouterr().out
+        tables.append(out[:out.index(" runs in ")])
+        records.append(json.loads(path.read_text()))
+    first, again = records
+    assert first["cache_misses"] == 4 and first["cache_hits"] == 0
+    assert again["cache_misses"] == 0 and again["cache_hits"] == 4
+    assert all(run["cached"] for run in again["runs"])
+    assert [r["result"] for r in again["runs"]] == \
+        [r["result"] for r in first["runs"]]
+    assert tables[0] == tables[1]
+    assert "0 timing violation(s)" in out
 
 
 def test_cli_timeline(capsys):
@@ -94,6 +136,16 @@ def test_cli_timeline(capsys):
     assert "timeline:" in out
     assert "rbh" in out and "bw_util" in out
     assert "timeline_samples" in out
+
+
+def test_cli_timeline_with_trace(capsys, tmp_path):
+    from repro.obs.validate import validate_file
+    trace_path = tmp_path / "trace.json"
+    code = main(["timeline", "XRAGE", "--quick", "--mode", "baseline",
+                 "--trace", str(trace_path), "--sample-every", "500"])
+    assert code == 0
+    assert trace_path.exists()
+    assert validate_file(trace_path) == []
 
 
 def test_cli_timeline_rejects_bad_args(capsys):

@@ -81,7 +81,19 @@ def test_benchmark_globs_match_the_registry_in_order():
 def test_empty_spec_is_the_full_default_grid():
     tasks = expand_sweep_tasks(parse_spec(""))
     assert len(tasks) == 12 * len(MODES)
-    assert all(not t.quick for t in tasks)
+    assert all(t.scale == "main" for t in tasks)
+
+
+def test_full_scale_is_a_scale_value():
+    """``scale=full`` selects the paper-sized registry: the same tasks
+    ``run --scale full --all`` builds."""
+    from repro.sim.sweep import task_grid
+    tasks = expand_sweep_tasks(parse_spec("scale=full modes=dx100"))
+    assert [(t.benchmark, t.scale) for t in tasks] == \
+        [("IS", "full"), ("CG", "full"), ("XRAGE", "full")]
+    assert tasks == task_grid(None, ("dx100",), "full")
+    with pytest.raises(SpecError, match="matches nothing"):
+        expand_sweep_tasks(parse_spec("benchmarks=BFS scale=full"))
 
 
 def test_tile_axis_only_replicates_dx100_tasks():
@@ -174,9 +186,9 @@ def test_task_labels_are_readable_and_unique():
 # ----------------------------------------------------------------- campaign
 
 def test_campaign_grid_is_the_sweep_grid():
-    """``campaign 'benchmarks=IS,CG scale=quick'`` and ``sweep --quick IS
-    CG`` schedule the same tasks: equal cache keys, so they share run-cache
-    entries and give the same RunResults."""
+    """``campaign 'benchmarks=IS,CG scale=quick'`` and ``run --quick IS CG
+    --configs baseline dmp dx100`` schedule the same tasks: equal cache
+    keys, so they share run-cache entries and give the same RunResults."""
     campaign = expand_sweep_tasks(parse_spec("benchmarks=IS,CG scale=quick"))
     sweep = main_sweep_tasks(quick=True, benchmarks=["IS", "CG"])
     assert [t.key() for t in campaign] == [t.key() for t in sweep]

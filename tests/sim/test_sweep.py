@@ -104,7 +104,7 @@ def test_key_is_stable_and_content_sensitive():
         a.config, llc=replace(a.config.llc, size_bytes=2560 * 1024)))
     assert other_config.key() != a.key()
 
-    other_size = replace(a, quick=False)   # MAIN vs QUICK constructor params
+    other_size = replace(a, scale="main")  # MAIN vs QUICK constructor params
     assert other_size.key() != a.key()
 
 
@@ -158,8 +158,12 @@ def test_unknown_benchmark_and_mode_are_rejected():
     with pytest.raises(KeyError):
         main_sweep_tasks(quick=True, benchmarks=["NOPE"])
     with pytest.raises(ValueError):
-        SweepTask(benchmark="IS", mode="turbo", quick=True,
+        SweepTask(benchmark="IS", mode="turbo", scale="quick",
                   config=SystemConfig.baseline_scaled())
+    # An unknown scale fails where an unknown benchmark does: in factory().
+    odd = SweepTask("IS", "baseline", "huge", SystemConfig.baseline_scaled())
+    with pytest.raises(KeyError, match="unknown scale"):
+        odd.factory()
 
 
 # ------------------------------------------------------------ golden diffs
@@ -281,21 +285,54 @@ def test_default_jobs_rejects_bad_repro_jobs(monkeypatch):
         default_jobs()
 
 
-def test_sweep_cli_rejects_jobs_zero_with_a_clear_message(capsys):
+def test_run_cli_rejects_jobs_zero_with_a_clear_message(capsys):
     from repro.__main__ import main
 
-    assert main(["sweep", "--jobs", "0", "--quick", "IS"]) == 2
+    assert main(["run", "--jobs", "0", "--quick", "IS"]) == 2
     err = capsys.readouterr().err
     assert "--jobs must be >= 1" in err
 
 
-def test_sweep_cli_reports_bad_repro_jobs(monkeypatch, capsys, tmp_path):
+def test_run_cli_reports_bad_repro_jobs(monkeypatch, capsys, tmp_path):
     from repro.__main__ import main
 
     monkeypatch.setenv("REPRO_JOBS", "0")
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-    assert main(["sweep", "--quick", "IS", "--configs", "baseline"]) == 2
+    assert main(["run", "--quick", "IS", "--configs", "baseline"]) == 2
     assert "REPRO_JOBS must be a positive integer" in capsys.readouterr().err
+
+
+# -------------------------------------------------------------- full scale
+
+def test_run_full_scale_is_an_ordinary_cached_task(monkeypatch, capsys,
+                                                   tmp_path):
+    """``run IS --scale full`` builds the 4-core DX100 task at scale
+    ``full``, and executing it gives exactly what a direct ``run_dx100`` of
+    the full-scale IS gives (the CI full-scale pins and the perf harness's
+    full pass run that).  The full IS is swapped for the quick one so the
+    test takes seconds."""
+    import json
+
+    from repro.__main__ import main
+    from repro.sim.sweep import CONFIG_BUILDERS
+    from repro.workloads import FULL_BENCHMARKS
+
+    monkeypatch.setitem(FULL_BENCHMARKS, "IS", QUICK_BENCHMARKS["IS"])
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    want = SweepTask("IS", "dx100", "full", CONFIG_BUILDERS["dx100"](4))
+    record = tmp_path / "full.json"
+    assert main(["run", "IS", "--scale", "full", "--jobs", "1",
+                 "--json", str(record)]) == 0
+    (run,) = json.loads(record.read_text())["runs"]
+    assert (run["benchmark"], run["mode"], run["scale"]) == \
+        ("IS", "dx100", "full")
+    assert run["key"] == want.key()
+
+    direct = run_dx100(FULL_BENCHMARKS["IS"](), CONFIG_BUILDERS["dx100"](4),
+                       warm=False)
+    result, _ = execute_task(want)
+    assert result == direct
+    assert run["result"] == asdict(direct)
 
 
 # ------------------------------------------------------- settling order
