@@ -3,7 +3,7 @@
 This is the cache half of the ``SystemConfig.frontend = "batched"`` engine
 split (mirroring :mod:`repro.dram.batched`): the same L1 -> L2 -> LLC walk
 as :class:`~repro.cache.hierarchy.MemoryHierarchy`, but with the per-level
-``Cache.hit`` / ``MSHRFile.lookup`` / ``MSHRFile.allocate`` calls fused
+``Cache.lookup`` / ``MSHRFile.lookup`` / ``MSHRFile.allocate`` calls fused
 into one function body, and a whole-tile :meth:`BatchedHierarchy.access_lines`
 path for the DX100 stream units that decodes a tile once through
 ``AddressMapper.map_arrays`` and hands every miss to the DRAM system
@@ -25,7 +25,7 @@ from __future__ import annotations
 from repro.common.config import SystemConfig
 from repro.common.types import HitLevel
 from repro.cache.hierarchy import AccessResult, MemoryHierarchy
-from repro.cache.mshr import MSHREntry
+from repro.cache.mshr import MSHREntry, MSHRFile
 from repro.cache.prefetcher import _StrideEntry
 from repro.dram.system import DRAMSystem
 
@@ -39,8 +39,11 @@ _DRAM = HitLevel.DRAM
 class BatchedHierarchy(MemoryHierarchy):
     """The fused-walk twin of :class:`MemoryHierarchy`.
 
-    Every method here must stay line-for-line equivalent to the scalar
-    walk it replaces; comments mark the scalar method each block mirrors.
+    Every method here must stay equivalent to the scalar walk it replaces;
+    comments mark the scalar method each block mirrors.  The engine owns
+    its hoisted state (latencies, counter keys, set geometry) and its
+    ``_stall_for_mshr``; the scalar classes it shares are listed in
+    docs/MODEL.md ("Two front-ends, one walk").
     """
 
     def __init__(self, config: SystemConfig, dram: DRAMSystem) -> None:
@@ -53,26 +56,36 @@ class BatchedHierarchy(MemoryHierarchy):
             raise ValueError("batched frontend needs one line size "
                              "across all cache levels")
         self._line_shift = self.llc._line_shift
+        # Optional PC filter for the observers: when every observer is
+        # known to ignore accesses whose PC is not a key of this dict (or
+        # whose tag is negative), the walk skips the calls entirely.
+        # ``None`` = no such guarantee, call observers always.
+        self.observer_pc_filter: dict | None = None
         # Per-access hoists: the walk indexes seven per-core structures on
         # every call, and all of them are identity-stable after construction
         # (tag sets and MSHR entry dicts are mutated in place, never
         # rebound), so one tuple unpack replaces the attribute/index chain.
         self._counters = self.stats.counters
+        self._l1_latency = config.l1.latency
+        self._l2_latency = config.l2.latency
+        self._llc_latency = config.llc.latency
         self._per_core = [
             (self.l1_mshr[c], self.l1_mshr[c]._entries,
-             self.l1[c], self.l1[c]._sets, self.l1[c]._num_sets,
+             self.l1[c], self.l1[c]._sets, len(self.l1[c]._sets),
              self.l2_mshr[c], self.l2_mshr[c]._entries,
-             self.l2[c], self.l2[c]._sets, self.l2[c]._num_sets,
+             self.l2[c], self.l2[c]._sets, len(self.l2[c]._sets),
              self.l1_pf[c], self.l2_pf[c],
-             self.l1[c]._ways, self.l2[c]._ways)
+             config.l1.ways, config.l2.ways)
             for c in range(config.cores)
         ]
         self._llc_sets = self.llc._sets
-        self._llc_nsets = self.llc._num_sets
-        self._llc_ways = self.llc._ways
+        self._llc_nsets = len(self.llc._sets)
+        self._llc_ways = config.llc.ways
         self._llc_entries = self.llc_mshr._entries
-        self._all_sets = [(c._sets, c._num_sets)
+        # L1s then L2s (the snoop's probe order), then the LLC.
+        self._all_sets = [(c._sets, len(c._sets))
                           for c in (*self.l1, *self.l2, self.llc)]
+        self._core_sets = self._all_sets[:-1]
         # LLC MSHR entries only become releasable when a DRAM request
         # finishes, and both engines bump their controller's "serviced"
         # counter in the same frame that sets ``request.finish``.  Snapshot
@@ -81,6 +94,25 @@ class BatchedHierarchy(MemoryHierarchy):
         # would provably be a no-op).
         self._ctrl_counters = [c.stats.counters for c in dram.controllers]
         self._llc_sweep_stamp = -1.0
+
+    # ------------------------------------------------------------ MSHR stall
+
+    def _stall_for_mshr(self, mshr: MSHRFile, t: int) -> int:
+        """Scalar ``_stall_for_mshr`` past its fullness test, which every
+        caller here makes inline on the entry dict: sweep the resolved
+        entries, then wait on the oldest fill while the file is full."""
+        mshr.release_resolved()
+        entries = mshr._entries
+        capacity = mshr.capacity
+        while len(entries) >= capacity:
+            oldest = mshr.oldest()
+            if oldest.ready < 0 and oldest.request is not None:
+                oldest.ready = self.dram.complete(oldest.request)
+            if oldest.ready > t:
+                t = oldest.ready
+            del entries[oldest.line_addr]
+            self._counters[mshr.name + "_stalls"] += 1.0
+        return t
 
     # ------------------------------------------------------------ demand walk
 
@@ -115,7 +147,7 @@ class BatchedHierarchy(MemoryHierarchy):
                 entry = None
             else:
                 entry.waiters += 1
-                counters[mshr._key_coalesced] += 1.0
+                counters["l1_mshr_coalesced"] += 1.0
         if entry is not None:
             # _pending_result(entry, L1)
             if entry.ready >= 0:
@@ -139,7 +171,7 @@ class BatchedHierarchy(MemoryHierarchy):
                     t = self._stall_for_mshr(mshr, t)
                 l1_entry = MSHREntry(line, t)
                 entries[line] = l1_entry
-                counters[mshr._key_allocations] += 1.0
+                counters["l1_mshr_allocations"] += 1.0
                 if mshr.obs is not None:
                     mshr.obs.mshr_occupancy(mshr.name, t, len(entries),
                                             mshr.capacity)
@@ -158,7 +190,7 @@ class BatchedHierarchy(MemoryHierarchy):
                         entry2 = None
                     else:
                         entry2.waiters += 1
-                        counters[mshr2._key_coalesced] += 1.0
+                        counters["l2_mshr_coalesced"] += 1.0
                 if entry2 is not None:
                     if entry2.ready >= 0:
                         floor = t_l2 + lat2
@@ -182,7 +214,7 @@ class BatchedHierarchy(MemoryHierarchy):
                             t_l2 = self._stall_for_mshr(mshr2, t_l2)
                         l2_entry = MSHREntry(line, t_l2)
                         entries2[line] = l2_entry
-                        counters[mshr2._key_allocations] += 1.0
+                        counters["l2_mshr_allocations"] += 1.0
                         if mshr2.obs is not None:
                             mshr2.obs.mshr_occupancy(mshr2.name, t_l2,
                                                      len(entries2),
@@ -227,7 +259,7 @@ class BatchedHierarchy(MemoryHierarchy):
                                 entry_pf.last_addr = line
                                 if confidence >= 2:
                                     counters["prefetch_trains"] += 1.0
-                                    mask = prefetcher2._line_mask
+                                    mask = ~(prefetcher2.line_bytes - 1)
                                     issued = 0.0
                                     last_line = -1
                                     for k in range(
@@ -280,7 +312,7 @@ class BatchedHierarchy(MemoryHierarchy):
                 entry.last_addr = addr
                 if confidence >= 2:
                     counters["prefetch_trains"] += 1.0
-                    mask = prefetcher._line_mask
+                    mask = ~(prefetcher.line_bytes - 1)
                     issue = result[1]
                     issued = 0.0
                     last_line = -1
@@ -327,14 +359,14 @@ class BatchedHierarchy(MemoryHierarchy):
                     entry = None
                 else:
                     entry.waiters += 1
-                    counters[mshr._key_coalesced] += 1.0
+                    counters["llc_mshr_coalesced"] += 1.0
             elif entry.ready >= 0 or (entry.request is not None
                                       and entry.request.finish >= 0):
                 del entries[line]
                 entry = None
             else:
                 entry.waiters += 1
-                counters[mshr._key_coalesced] += 1.0
+                counters["llc_mshr_coalesced"] += 1.0
         if entry is not None:
             if entry.prefetch:
                 # Demand racing an in-flight prefetch fill: one miss.
@@ -370,7 +402,7 @@ class BatchedHierarchy(MemoryHierarchy):
             t = self._stall_for_mshr(mshr, t)
         entry = MSHREntry(line, t)
         entries[line] = entry
-        counters[mshr._key_allocations] += 1.0
+        counters["llc_mshr_allocations"] += 1.0
         if mshr.obs is not None:
             mshr.obs.mshr_occupancy(mshr.name, t, len(entries),
                                     mshr.capacity)
@@ -409,27 +441,27 @@ class BatchedHierarchy(MemoryHierarchy):
         counters = self._counters
         counters["prefetch_fills"] += 1.0
         li = line >> self._line_shift
+        (_, _, _, l1_sets, l1_nsets, _, _, _, l2_sets, l2_nsets,
+         _, _, l1_ways, l2_ways) = self._per_core[core]
         if from_level == 1:
-            l1 = self.l1[core]
-            cset1 = l1._sets[li % l1._num_sets]
+            cset1 = l1_sets[li % l1_nsets]
             if li in cset1:
                 counters["prefetch_redundant"] += 1.0
                 return
             # l1.insert(line, False) inlined on the missing-line path.
-            if len(cset1) >= l1._ways:
+            if len(cset1) >= l1_ways:
                 _, vdirty = cset1.popitem(last=False)
                 counters["evictions"] += 1
                 if vdirty:
                     counters["dirty_evictions"] += 1
             cset1[li] = False
-        l2 = self.l2[core]
-        cset2 = l2._sets[li % l2._num_sets]
+        cset2 = l2_sets[li % l2_nsets]
         if li in cset2:
             if from_level >= 2:
                 counters["prefetch_redundant"] += 1.0
             return
         # l2.insert(line, False) inlined on the missing-line path.
-        if len(cset2) >= l2._ways:
+        if len(cset2) >= l2_ways:
             _, vdirty = cset2.popitem(last=False)
             counters["evictions"] += 1
             if vdirty:
@@ -480,7 +512,7 @@ class BatchedHierarchy(MemoryHierarchy):
             return
         entry = MSHREntry(line, t)
         entries[line] = entry
-        counters[mshr._key_allocations] += 1.0
+        counters["llc_mshr_allocations"] += 1.0
         if mshr.obs is not None:
             mshr.obs.mshr_occupancy(mshr.name, t, len(entries),
                                     mshr.capacity)
@@ -509,11 +541,8 @@ class BatchedHierarchy(MemoryHierarchy):
         li = addr >> self._line_shift
         if li in self._llc_sets[li % self._llc_nsets]:
             return True
-        for c in self.l1:
-            if li in c._sets[li % c._num_sets]:
-                return True
-        for c in self.l2:
-            if li in c._sets[li % c._num_sets]:
+        for sets, nsets in self._core_sets:
+            if li in sets[li % nsets]:
                 return True
         return False
 

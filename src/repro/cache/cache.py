@@ -4,10 +4,10 @@ The simulator tracks tag state only; data values flow through NumPy arrays
 in the workloads and through the DX100 scratchpad, so caches never hold
 payloads.  Timing is attached by :mod:`repro.cache.hierarchy`.
 
-The tag-store operations are on the per-access hot path of every simulated
-memory reference (three levels per miss), so the set/line arithmetic is
-inlined into each method rather than factored through a helper that would
-allocate a tuple per call.
+Each set is an ``OrderedDict`` from line index to dirty bit, least
+recently used first.  The batched front end
+(:mod:`repro.cache.batched`) probes these sets directly; this class is the
+readable statement of what each probe means.
 """
 
 from __future__ import annotations
@@ -21,9 +21,6 @@ from repro.common.stats import Stats
 class Cache:
     """Tag store for one cache level."""
 
-    __slots__ = ("config", "stats", "_sets", "_line_shift", "_num_sets",
-                 "_ways")
-
     def __init__(self, config: CacheConfig, stats: Stats | None = None) -> None:
         self.config = config
         self.stats = stats if stats is not None else Stats()
@@ -31,39 +28,24 @@ class Cache:
             OrderedDict() for _ in range(config.sets)
         ]
         self._line_shift = config.line_bytes.bit_length() - 1
-        self._num_sets = config.sets
-        self._ways = config.ways
+
+    def _set(self, addr: int) -> tuple[int, OrderedDict[int, bool]]:
+        """The line index of ``addr`` and the set that holds it."""
+        line = addr >> self._line_shift
+        return line, self._sets[line % len(self._sets)]
 
     def lookup(self, addr: int, update_lru: bool = True) -> bool:
         """True if the line holding ``addr`` is resident."""
-        line = addr >> self._line_shift
-        cset = self._sets[line % self._num_sets]
-        if line in cset:
-            if update_lru:
-                cset.move_to_end(line)
-            return True
-        return False
-
-    def hit(self, addr: int, dirty: bool = False) -> bool:
-        """Combined lookup + touch: one set probe for the hit fast path.
-
-        Equivalent to ``lookup(addr) and touch(addr, dirty)`` but with a
-        single line/set computation — the common case of every access at
-        every level, so the hierarchy walk calls this instead of the pair.
-        """
-        line = addr >> self._line_shift
-        cset = self._sets[line % self._num_sets]
+        line, cset = self._set(addr)
         if line not in cset:
             return False
-        cset.move_to_end(line)
-        if dirty:
-            cset[line] = True
+        if update_lru:
+            cset.move_to_end(line)
         return True
 
     def touch(self, addr: int, dirty: bool = False) -> None:
         """Mark an access to a resident line (LRU bump + dirty update)."""
-        line = addr >> self._line_shift
-        cset = self._sets[line % self._num_sets]
+        line, cset = self._set(addr)
         cset.move_to_end(line)
         if dirty:
             cset[line] = True
@@ -71,28 +53,23 @@ class Cache:
     def insert(self, addr: int, dirty: bool = False) -> tuple[int, bool] | None:
         """Insert the line for ``addr``; returns (victim_addr, was_dirty) if a
         line was evicted."""
-        line = addr >> self._line_shift
-        cset = self._sets[line % self._num_sets]
+        line, cset = self._set(addr)
         if line in cset:
-            cset.move_to_end(line)
-            if dirty:
-                cset[line] = True
+            self.touch(addr, dirty)
             return None
         victim = None
-        if len(cset) >= self._ways:
+        if len(cset) >= self.config.ways:
             victim_line, victim_dirty = cset.popitem(last=False)
             victim = (victim_line << self._line_shift, victim_dirty)
-            counters = self.stats.counters
-            counters["evictions"] += 1
+            self.stats.add("evictions")
             if victim_dirty:
-                counters["dirty_evictions"] += 1
+                self.stats.add("dirty_evictions")
         cset[line] = dirty
         return victim
 
     def invalidate(self, addr: int) -> bool:
         """Drop the line if present; returns whether it was resident."""
-        line = addr >> self._line_shift
-        cset = self._sets[line % self._num_sets]
+        line, cset = self._set(addr)
         return cset.pop(line, None) is not None
 
     def line_addr(self, addr: int) -> int:

@@ -77,24 +77,14 @@ class MemoryHierarchy:
         self._spd_regions: list[tuple[int, int, int]] = []  # (lo, hi, latency)
         # Demand-access observers (the DMP engine registers one).
         self.observers: list = []
-        # Optional PC filter for the observers: when every observer is
-        # known to ignore accesses whose PC is not a key of this dict (or
-        # whose tag is negative), the batched walk skips the calls
-        # entirely.  ``None`` = no such guarantee, call observers always.
-        self.observer_pc_filter: dict | None = None
         # Owning tenant per core (-1 = untagged).  Consulted on every demand
         # access so the serving layer (:mod:`repro.serve`) and the tenant
         # co-run path can attribute DRAM traffic without touching the core
         # model; tags never change scheduling.
         self.core_tenant: list[int] = [-1] * config.cores
         # Observability bus (:class:`repro.obs.events.EventBus`); None when
-        # observability is off, so the hot paths pay one branch only.
+        # observability is off.
         self.obs: Any = None
-        # Per-level latencies, hoisted off the config dataclasses for the
-        # per-access walk.
-        self._l1_latency = config.l1.latency
-        self._l2_latency = config.l2.latency
-        self._llc_latency = config.llc.latency
 
     def register_spd_region(self, lo: int, hi: int, latency: int) -> None:
         """Declare [lo, hi) as scratchpad-backed with the given fill latency."""
@@ -114,11 +104,12 @@ class MemoryHierarchy:
         """If the MSHR file is full, wait for its oldest fill to complete.
 
         Resolved entries are released lazily (see :meth:`MSHRFile.lookup`),
-        so the apparent occupancy may include already-finished fills; the
-        sweep to drop them runs only when the file looks full, which keeps
-        the common (non-full) miss path free of the scan.
+        so a full-looking file may hold finished fills; they are swept
+        only when it looks full.  The sweep must not run earlier: it would
+        drop in-flight prefetch entries that ``lookup(now=)`` still
+        charges as a miss.
         """
-        if len(mshr) >= mshr.capacity:
+        if mshr.full:
             mshr.release_resolved()
             while mshr.full:
                 oldest = mshr.oldest()
@@ -136,7 +127,7 @@ class MemoryHierarchy:
                prefetch: bool = True) -> AccessResult:
         """A demand access from ``core`` at cycle ``t``."""
         line = self.llc.line_addr(addr)
-        self.stats.counters["l1_accesses"] += 1
+        self.stats.add("l1_accesses")
         result = self._access_line(core, line, is_write, t,
                                    self.core_tenant[core])
         prefetcher = self.l1_pf[core]
@@ -178,61 +169,47 @@ class MemoryHierarchy:
 
     def _access_line(self, core: int, line: int, is_write: bool,
                      t: int, tenant: int = -1) -> AccessResult:
-        # L1: coalesce onto outstanding fills (resolved ones release
-        # lazily inside lookup), then tag probe.
+        latency = self.config.l1.latency
         mshr = self.l1_mshr[core]
         pending = mshr.lookup(line)
         if pending is not None:
-            return self._pending_result(pending, HitLevel.L1,
-                                        self._l1_latency, t)
-        counters = self.stats.counters
+            return self._pending_result(pending, HitLevel.L1, latency, t)
         l1 = self.l1[core]
-        if l1.hit(line, is_write):
-            counters["l1_hits"] += 1
-            return AccessResult(HitLevel.L1, issue=t,
-                                complete=t + self._l1_latency)
-        counters["l1_misses"] += 1
+        if l1.lookup(line):
+            l1.touch(line, is_write)
+            self.stats.add("l1_hits")
+            return AccessResult(HitLevel.L1, issue=t, complete=t + latency)
+        self.stats.add("l1_misses")
         t = self._stall_for_mshr(mshr, t)
-        l1_entry = mshr.allocate(line, t)
-
-        t_l2 = t + self._l1_latency
-        counters["l2_accesses"] += 1
-        result = self._access_l2(core, line, is_write, t_l2, tenant)
+        entry = mshr.allocate(line, t)
+        self.stats.add("l2_accesses")
+        result = self._access_l2(core, line, is_write, t + latency, tenant)
         self._fill(l1, line, is_write)
-        if result.complete >= 0:
-            l1_entry.ready = result.complete
-        else:
-            l1_entry.request = result.request
+        self._publish(entry, result)
         return result
 
     def _access_l2(self, core: int, line: int, is_write: bool,
                    t: int, tenant: int = -1) -> AccessResult:
+        latency = self.config.l2.latency
         mshr = self.l2_mshr[core]
         pending = mshr.lookup(line)
         if pending is not None:
-            return self._pending_result(pending, HitLevel.L2,
-                                        self._l2_latency, t)
-        counters = self.stats.counters
+            return self._pending_result(pending, HitLevel.L2, latency, t)
         l2 = self.l2[core]
-        if l2.hit(line, is_write):
-            counters["l2_hits"] += 1
-            return AccessResult(HitLevel.L2, issue=t,
-                                complete=t + self._l2_latency)
-        counters["l2_misses"] += 1
+        if l2.lookup(line):
+            l2.touch(line, is_write)
+            self.stats.add("l2_hits")
+            return AccessResult(HitLevel.L2, issue=t, complete=t + latency)
+        self.stats.add("l2_misses")
         t = self._stall_for_mshr(mshr, t)
-        l2_entry = mshr.allocate(line, t)
-
-        t_llc = t + self._l2_latency
-        counters["llc_accesses"] += 1
-        result = self._access_llc(line, is_write, t_llc, tenant=tenant)
+        entry = mshr.allocate(line, t)
+        self.stats.add("llc_accesses")
+        result = self._access_llc(line, is_write, t + latency, tenant=tenant)
         self._fill(l2, line, is_write)
-        if result.complete >= 0:
-            l2_entry.ready = result.complete
-        else:
-            l2_entry.request = result.request
-
+        self._publish(entry, result)
         prefetcher = self.l2_pf[core]
         if prefetcher is not None:
+            # The L2 prefetcher trains on line addresses under PC 0.
             for pf_line in prefetcher.observe(0, line):
                 self._prefetch_fill(core, pf_line, t, from_level=2)
         return result
@@ -240,48 +217,49 @@ class MemoryHierarchy:
     def _access_llc(self, line: int, is_write: bool, t: int,
                     decoded: tuple | None = None,
                     tenant: int = -1) -> AccessResult:
-        mshr = self.llc_mshr
-        counters = self.stats.counters
-        pending = mshr.lookup(line, now=t)
+        latency = self.config.llc.latency
+        pending = self.llc_mshr.lookup(line, now=t)
         if pending is not None:
             if pending.prefetch:
                 # A demand racing an in-flight prefetch fill: the prefetch
                 # absorbed the demand miss, so charge exactly one miss and
                 # wait for the *actual* fill (no free hit).
                 pending.prefetch = False
-                counters["llc_misses"] += 1
-                if self.obs is not None:
-                    self.obs.llc_miss(t)
-            return self._pending_result(pending, HitLevel.LLC,
-                                        self._llc_latency, t)
-        llc = self.llc
-        if llc.hit(line, is_write):
-            counters["llc_hits"] += 1
-            return AccessResult(HitLevel.LLC, issue=t,
-                                complete=t + self._llc_latency)
-        counters["llc_misses"] += 1
+                self._llc_miss(t)
+            return self._pending_result(pending, HitLevel.LLC, latency, t)
+        if self.llc.lookup(line):
+            self.llc.touch(line, is_write)
+            self.stats.add("llc_hits")
+            return AccessResult(HitLevel.LLC, issue=t, complete=t + latency)
+        self._llc_miss(t)
+        spd_latency = self._spd_latency(line)
+        if spd_latency is not None:
+            # Scratchpad-backed line: filled by DX100, no DRAM transaction.
+            self.stats.add("spd_fills")
+            self._fill(self.llc, line, is_write)
+            return AccessResult(HitLevel.SPD, issue=t,
+                                complete=t + latency + spd_latency)
+        t = self._stall_for_mshr(self.llc_mshr, t)
+        entry = self.llc_mshr.allocate(line, t)
+        entry.request = self.dram.access(line, is_write=False,
+                                         arrival=t + latency,
+                                         decoded=decoded, tenant=tenant)
+        self._fill(self.llc, line, is_write, to_dram=True)
+        return AccessResult(HitLevel.DRAM, issue=t, request=entry.request,
+                            return_latency=latency)
+
+    def _llc_miss(self, t: int) -> None:
+        self.stats.add("llc_misses")
         if self.obs is not None:
             self.obs.llc_miss(t)
-        if self._spd_regions:
-            spd_latency = self._spd_latency(line)
-            if spd_latency is not None:
-                # Scratchpad-backed line: filled by DX100, no DRAM
-                # transaction.
-                counters["spd_fills"] += 1
-                self._fill(llc, line, is_write)
-                return AccessResult(
-                    HitLevel.SPD, issue=t,
-                    complete=t + self._llc_latency + spd_latency,
-                )
-        t = self._stall_for_mshr(mshr, t)
-        entry = mshr.allocate(line, t)
-        req = self.dram.access(line, is_write=False,
-                               arrival=t + self._llc_latency,
-                               decoded=decoded, tenant=tenant)
-        entry.request = req
-        self._fill(llc, line, is_write, to_dram=True)
-        return AccessResult(HitLevel.DRAM, issue=t, request=req,
-                            return_latency=self._llc_latency)
+
+    @staticmethod
+    def _publish(entry, result: AccessResult) -> None:
+        """Record a lower level's answer on this level's MSHR entry."""
+        if result.complete >= 0:
+            entry.ready = result.complete
+        else:
+            entry.request = result.request
 
     def _pending_result(self, entry, level: HitLevel, latency: int,
                         t: int) -> AccessResult:
@@ -336,9 +314,8 @@ class MemoryHierarchy:
 
         ``decoded`` is an optional pre-decoded ``(channel, rank, bankgroup,
         bank, row)`` for the line, threaded down to the DRAM enqueue when
-        the access misses — DX100 decodes whole tiles through
-        :meth:`~repro.dram.address.AddressMapper.map_arrays` and reuses the
-        result here instead of re-mapping per line.
+        the access misses, so a DX100 unit that already holds the line's
+        coordinates does not have them mapped again.
         """
         line = self.llc.line_addr(addr)
         self.stats.add("llc_accesses")

@@ -18,7 +18,8 @@ from repro.common.types import DRAMRequest
 
 @dataclass(slots=True)
 class MSHREntry:
-    """One outstanding line fill."""
+    """One outstanding line fill (slotted: the batched walk builds one per
+    miss)."""
 
     line_addr: int
     allocated_at: int
@@ -30,15 +31,15 @@ class MSHREntry:
     #: a timely fill is a plain hit, an in-flight fill is *one* miss.
     prefetch: bool = False
 
-    def resolve(self, ready: int) -> None:
-        self.ready = ready
+    @property
+    def resolved(self) -> bool:
+        """The fill has completed (or its completion time is known)."""
+        return self.ready >= 0 or (self.request is not None
+                                   and self.request.finish >= 0)
 
 
 class MSHRFile:
     """Bounded set of outstanding misses with same-line coalescing."""
-
-    __slots__ = ("capacity", "name", "stats", "obs", "_entries", "_counters",
-                 "_key_coalesced", "_key_allocations")
 
     def __init__(self, capacity: int, stats: Stats | None = None,
                  name: str = "mshr") -> None:
@@ -50,12 +51,6 @@ class MSHRFile:
         # Observability bus; None (one branch on allocate) unless attached.
         self.obs: Any = None
         self._entries: OrderedDict[int, MSHREntry] = OrderedDict()
-        # Hot-path counter access: the counters dict is a defaultdict and
-        # its identity is stable, so bump it directly with precomputed keys
-        # instead of formatting the stat name on every lookup/allocate.
-        self._counters = self.stats.counters
-        self._key_coalesced = f"{name}_coalesced"
-        self._key_allocations = f"{name}_allocations"
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -69,8 +64,7 @@ class MSHRFile:
 
         Entries are released *lazily*: a resolved entry (fill completed)
         encountered here is dropped and reported absent, exactly as if it
-        had been pruned eagerly at the start of the access — so callers
-        never need a full :meth:`release_resolved` sweep on the hot path.
+        had been pruned eagerly at the start of the access.
 
         Prefetch entries are the exception: their fill was speculative, so
         a resolved entry is released only when the fill landed at or before
@@ -86,32 +80,27 @@ class MSHRFile:
             ready = entry.ready
             if ready < 0 and entry.request is not None:
                 ready = entry.request.finish
-            if 0 <= ready <= now:
-                del self._entries[line_addr]
-                return None
-            entry.waiters += 1
-            self._counters[self._key_coalesced] += 1.0
-            return entry
-        if entry.ready >= 0 or (entry.request is not None
-                                and entry.request.finish >= 0):
+            released = 0 <= ready <= now
+        else:
+            released = entry.resolved
+        if released:
             del self._entries[line_addr]
             return None
         entry.waiters += 1
-        self._counters[self._key_coalesced] += 1.0
+        self.stats.add(f"{self.name}_coalesced")
         return entry
 
     def allocate(self, line_addr: int, allocated_at: int) -> MSHREntry:
-        entries = self._entries
-        if len(entries) >= self.capacity:
+        if self.full:
             raise RuntimeError(f"{self.name} full; release an entry first")
-        if line_addr in entries:
+        if line_addr in self._entries:
             raise ValueError(f"line {line_addr:#x} already outstanding")
         entry = MSHREntry(line_addr=line_addr, allocated_at=allocated_at)
-        entries[line_addr] = entry
-        self._counters[self._key_allocations] += 1.0
+        self._entries[line_addr] = entry
+        self.stats.add(f"{self.name}_allocations")
         if self.obs is not None:
-            self.obs.mshr_occupancy(self.name, allocated_at, len(entries),
-                                    self.capacity)
+            self.obs.mshr_occupancy(self.name, allocated_at,
+                                    len(self._entries), self.capacity)
         return entry
 
     def release(self, line_addr: int) -> MSHREntry:
@@ -125,29 +114,15 @@ class MSHRFile:
 
         The access path relies on :meth:`lookup`'s lazy per-line release
         instead; this wholesale sweep runs only under capacity pressure
-        (:meth:`MemoryHierarchy._stall_for_mshr`) and before external
+        (the hierarchy's ``_stall_for_mshr``) and before external
         prefetch admission, where an exact occupancy count matters.
         """
-        entries = self._entries
-        if not entries:
-            return
-        stale = None
-        for line_addr, entry in entries.items():
-            if entry.ready >= 0 or (entry.request is not None
-                                    and entry.request.finish >= 0):
-                if stale is None:
-                    stale = [line_addr]
-                else:
-                    stale.append(line_addr)
-        if stale is not None:
-            for line_addr in stale:
-                del entries[line_addr]
+        for line_addr in [line for line, entry in self._entries.items()
+                          if entry.resolved]:
+            del self._entries[line_addr]
 
     def oldest(self) -> MSHREntry:
         """FIFO-oldest entry — the one a full-MSHR stall waits on."""
         if not self._entries:
             raise RuntimeError("MSHR file is empty")
         return next(iter(self._entries.values()))
-
-    def entries(self) -> list[MSHREntry]:
-        return list(self._entries.values())

@@ -17,6 +17,8 @@ from repro.common.stats import Stats
 
 @dataclass(slots=True)
 class _StrideEntry:
+    """One PC's row (slotted: the batched walk builds one per new PC)."""
+
     last_addr: int
     stride: int = 0
     confidence: int = 0
@@ -25,9 +27,6 @@ class _StrideEntry:
 class StridePrefetcher:
     """Reference prediction table keyed by PC."""
 
-    __slots__ = ("degree", "table_size", "line_bytes", "stats", "_table",
-                 "_counters", "_line_mask")
-
     def __init__(self, degree: int = 2, table_size: int = 64,
                  line_bytes: int = 64, stats: Stats | None = None) -> None:
         self.degree = degree
@@ -35,45 +34,29 @@ class StridePrefetcher:
         self.line_bytes = line_bytes
         self.stats = stats if stats is not None else Stats()
         self._table: dict[int, _StrideEntry] = {}
-        # ``observe`` runs once per demand access; keep the counter dict and
-        # the line mask at hand rather than re-deriving them every call.
-        self._counters = self.stats.counters
-        self._line_mask = ~(line_bytes - 1)
 
-    def observe(self, pc: int, addr: int) -> list[int] | tuple[int, ...]:
-        """Record a demand access; returns line addresses to prefetch.
-
-        The no-candidate paths (cold entry, unconfirmed stride) return an
-        empty tuple — callers only iterate the result.
-        """
-        table = self._table
-        entry = table.get(pc)
+    def observe(self, pc: int, addr: int) -> list[int]:
+        """Record a demand access; returns line addresses to prefetch."""
+        entry = self._table.get(pc)
         if entry is None:
-            if len(table) >= self.table_size:
-                table.pop(next(iter(table)))
-            table[pc] = _StrideEntry(last_addr=addr)
-            return ()
+            if len(self._table) >= self.table_size:
+                self._table.pop(next(iter(self._table)))   # oldest PC
+            self._table[pc] = _StrideEntry(last_addr=addr)
+            return []
         stride = addr - entry.last_addr
         if stride == entry.stride and stride != 0:
-            confidence = entry.confidence + 1
-            if confidence > 3:
-                confidence = 3
-            entry.confidence = confidence
+            entry.confidence = min(entry.confidence + 1, 3)
         else:
             entry.stride = stride
-            entry.confidence = confidence = 0
+            entry.confidence = 0
         entry.last_addr = addr
-        if confidence < 2:
-            return ()
-        counters = self._counters
-        counters["prefetch_trains"] += 1.0
-        mask = self._line_mask
-        out = []
-        last_line = -1
+        if entry.confidence < 2:
+            return []
+        self.stats.add("prefetch_trains")
+        out: list[int] = []
         for k in range(1, self.degree + 1):
-            line = (addr + k * stride) & mask
-            if line != last_line and line >= 0:
+            line = (addr + k * stride) & ~(self.line_bytes - 1)
+            if line >= 0 and (not out or line != out[-1]):
                 out.append(line)
-                last_line = line
-        counters["prefetches_issued"] += float(len(out))
+        self.stats.add("prefetches_issued", float(len(out)))
         return out

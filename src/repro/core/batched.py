@@ -26,6 +26,7 @@ timing into the core's result columns; no per-op record object is built.
 from __future__ import annotations
 
 import heapq
+from collections import deque
 from collections.abc import Generator
 from contextlib import suppress
 
@@ -59,6 +60,15 @@ class _Flight:
 class BatchedCoreModel(CoreModel):
     """`CoreModel` with the per-op loop fused into one frame."""
 
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        # The flights whose consumers still occupy issue-queue slots, in
+        # window (append) order: the scalar model scans the whole ROB
+        # window for them.  Retired flights are removed lazily: they stay
+        # here with ``in_iq`` already cleared and get skipped/popped on the
+        # next drain, so the IQ scan touches only IQ residents.
+        self._iq_flights: deque[_Flight] = deque()
+
     def start(self, trace: Trace, at: int = 0) -> None:
         super().start(trace, at)
         # Op index -> in-flight record, so dependence resolution is a dict
@@ -81,7 +91,8 @@ class BatchedCoreModel(CoreModel):
         return done
 
     def _drain_iq(self, now: float) -> None:
-        # Scalar ``_drain_iq`` over the folded flight fields.
+        # Scalar ``_drain_iq`` over the IQ residents: a single pass that
+        # rebuilds the deque (survivors keep their window order).
         if not self._iq_used:
             if self._iq_flights:
                 self._iq_flights.clear()

@@ -96,12 +96,6 @@ class CoreModel:
         # Observability bus; None (one branch on forced retire) when off.
         self.obs: Any = None
         self._window: deque[_InFlight] = deque()
-        # Flights whose consumers still occupy issue-queue slots, in window
-        # (append) order.  Retired flights are removed lazily: they stay in
-        # the deque with ``in_iq`` already cleared and get skipped/popped on
-        # the next drain, so the per-op IQ scan touches only IQ residents
-        # instead of the whole ROB window.
-        self._iq_flights: deque[_InFlight] = deque()
         self._rob_used = 0
         self._iq_used = 0
         self._lq_used = 0
@@ -138,55 +132,20 @@ class CoreModel:
     # --------------------------------------------------------------- helpers
 
     def _complete(self, flight: _InFlight) -> int:
-        # ``AccessResult.resolve`` inlined: one call per op completion.
-        result = flight.result
-        done = result.complete
-        if done < 0:
-            request = result.request
-            if request.finish < 0:
-                self.dram.complete(request)
-            done = request.finish + result.return_latency
-            result.complete = done
+        done = flight.result.resolve(self.dram)
         self.op_complete[flight.index] = done
         return done
 
     def _drain_iq(self, now: float) -> None:
         """Free IQ slots whose load completed by wall-clock ``now``."""
-        if not self._iq_used:
-            if self._iq_flights:
-                self._iq_flights.clear()   # only lazily-retired leftovers
-            return
-        # Single pass with a rebuild instead of rotating the deque through
-        # popleft/append: survivors keep their relative (window) order.
-        flights = self._iq_flights
-        kept: list[_InFlight] = []
-        keep = kept.append
-        iq_used = self._iq_used
-        for flight in flights:
-            if not flight.in_iq:
-                continue
-            complete = flight.result.complete
-            if 0 <= complete <= now:
+        for flight in self._window:
+            if flight.in_iq and 0 <= flight.result.complete <= now:
                 flight.in_iq = False
-                iq_used -= flight.iq_instrs
-            else:
-                keep(flight)
-        self._iq_used = iq_used
-        flights.clear()
-        flights.extend(kept)
+                self._iq_used -= flight.iq_instrs
 
     def _retire_oldest(self, forced: bool = False) -> None:
         flight = self._window.popleft()
-        # ``_complete`` inlined (one call per retired op).
-        result = flight.result
-        done = result.complete
-        if done < 0:
-            request = result.request
-            if request.finish < 0:
-                self.dram.complete(request)
-            done = request.finish + result.return_latency
-            result.complete = done
-        self.op_complete[flight.index] = done
+        done = self._complete(flight)
         self._rob_used -= flight.instrs
         if flight.in_iq:
             self._iq_used -= flight.iq_instrs
@@ -195,8 +154,7 @@ class CoreModel:
             self._lq_used -= 1
         else:
             self._sq_used -= 1
-        if done > self._finish:
-            self._finish = done
+        self._finish = max(self._finish, done)
         if forced:
             # Structural stall: fetch was blocked until the ROB head
             # completed — this head-of-line burstiness is what keeps the
@@ -209,8 +167,7 @@ class CoreModel:
                 self._fetch_time = float(done)
         else:
             refill = done - self._rob_used / self.config.width
-            if refill > self._fetch_time:
-                self._fetch_time = refill
+            self._fetch_time = max(self._fetch_time, refill)
 
     def _dep_ready(self, op: MemOp) -> int:
         ready = 0
@@ -238,8 +195,6 @@ class CoreModel:
         op = self._trace.op(index)
         self._next += 1
         cfg = self.config
-        counters = self.stats.counters
-        window = self._window
         instrs = 1 + op.extra_instrs
         is_load = op.kind is AccessType.LOAD
 
@@ -252,86 +207,72 @@ class CoreModel:
         # consumer instructions of every outstanding miss sit unissued in
         # the 50-entry issue queue, so only a few iterations' misses can be
         # in flight at once (the paper's Section 6.2 analysis).
-        while window and self._rob_used + instrs > cfg.rob_size:
-            counters["rob_stalls"] += 1
+        while self._window and self._rob_used + instrs > cfg.rob_size:
+            self.stats.add("rob_stalls")
             self._retire_oldest(forced=True)
-        # ``_iq_used`` is only consulted here, so draining can wait until
-        # the (over-)estimate signals pressure: if the undrained count fits,
-        # the drained one fits too and the stall loop is skipped either way.
         if self._iq_used + instrs > cfg.iq_size:
+            # Undrained occupancy over-counts, so drain only under pressure.
             self._drain_iq(self._fetch_time)
             while self._iq_used + instrs > cfg.iq_size:
                 # Wait (wall-clock) for the oldest miss holding IQ slots.
-                iq_flights = self._iq_flights
-                while iq_flights and not iq_flights[0].in_iq:
-                    iq_flights.popleft()   # retired lazily; discard
-                if not iq_flights:
+                oldest = next((f for f in self._window if f.in_iq), None)
+                if oldest is None:
                     break
-                counters["iq_stalls"] += 1
-                done = self._complete(iq_flights[0])
-                if done > self._fetch_time:
-                    self._fetch_time = float(done)
+                self.stats.add("iq_stalls")
+                done = self._complete(oldest)
+                self._fetch_time = max(self._fetch_time, float(done))
                 self._drain_iq(self._fetch_time)
         if is_load:
-            while window and self._lq_used >= cfg.lq_size:
-                counters["lq_stalls"] += 1
+            while self._window and self._lq_used >= cfg.lq_size:
+                self.stats.add("lq_stalls")
                 self._retire_oldest(forced=True)
         else:
-            while window and self._sq_used >= cfg.sq_size:
-                counters["sq_stalls"] += 1
+            while self._window and self._sq_used >= cfg.sq_size:
+                self.stats.add("sq_stalls")
                 self._retire_oldest(forced=True)
-        if self._fetch_time > dispatch:
-            dispatch = self._fetch_time
+        dispatch = max(dispatch, self._fetch_time)
 
         # Data dependences: the address is ready when producers complete.
         issue = int(dispatch)
         if op.deps:
-            ready = self._dep_ready(op)
-            if ready > issue:
-                issue = ready
+            issue = max(issue, self._dep_ready(op))
 
         if op.atomic:
             issue = self.atomics.acquire(self.core_id, issue)
-            counters["atomics"] += 1
+            self.stats.add("atomics")
 
         result = self.hierarchy.access(self.core_id, op.addr,
                                        op.kind.is_write, issue, pc=op.pc,
                                        tag=op.tag)
         self.op_issue[index] = result.issue
         self.op_level[index] = result.level
-        complete = result.complete
-        if complete >= 0:
-            self.op_complete[index] = complete
-
+        flight = _InFlight(op, index, result, instrs)
         if op.atomic:
             # The line lock / fence delays this core's next atomic.
-            complete = self.op_complete[index] = result.resolve(self.dram)
-            self.atomics.release(self.core_id, issue, complete)
-
-        flight = _InFlight(op, index, result, instrs)
-        if complete < 0:
+            self.atomics.release(self.core_id, issue, self._complete(flight))
+        elif result.complete >= 0:
+            self.op_complete[index] = result.complete
+        else:
             # Miss: the op and roughly half its attributed instructions
             # (the value consumers) wait in the issue queue until the line
             # returns; the rest (address generation, control) issued early.
             flight.iq_instrs = 1 + op.extra_instrs // 2
             flight.in_iq = True
             self._iq_used += flight.iq_instrs
-            self._iq_flights.append(flight)
-        window.append(flight)
+        self._window.append(flight)
         self._rob_used += instrs
         if is_load:
             self._lq_used += 1
         else:
             self._sq_used += 1
-        counters["ops"] += 1
-        counters["instructions"] += instrs
+        self.stats.add("ops")
+        self.stats.add("instructions", instrs)
         return op
 
     def drain(self) -> int:
         """Retire everything outstanding; returns the core's finish cycle."""
         while self._window:
             self._retire_oldest()
-        self._iq_flights.clear()   # all retired above; drop stale refs
         tail = self._trace.tail_instrs if self._trace else 0
         if tail:
             self.stats.add("instructions", tail)

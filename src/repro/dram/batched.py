@@ -325,10 +325,6 @@ class BatchedController:
         # reference cycle, leaving the channel to the cyclic collector.
         return _BufferView(self)
 
-    @property
-    def pending(self) -> int:
-        return self._buffered + len(self.input_queue)
-
     def next_event(self) -> int | None:
         """Earliest cycle this channel has schedulable work, or None."""
         if self._buffered:

@@ -153,10 +153,6 @@ class MemoryController:
         """Forget the requests :meth:`enqueue_lines` handed tickets for."""
         self._tickets.clear()
 
-    @property
-    def pending(self) -> int:
-        return len(self.buffer) + len(self.input_queue)
-
     def next_event(self) -> int | None:
         """Earliest cycle this channel has schedulable work, or None.
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from repro.common.config import DX100Config
 from repro.common.stats import Stats
-from repro.common.types import AluOp, DRAMCoord, DType
+from repro.common.types import AluOp, DType
 from repro.cache.hierarchy import MemoryHierarchy
 from repro.dram.system import DRAMSystem
 from repro.dx100.alu import RMW_UFUNCS
@@ -116,7 +116,6 @@ class IndirectUnit:
         addrs = base + sel_idx * dtype.nbytes
 
         t = t_start + (self.tlb.translate_tile(addrs) if addrs.size else 0)
-        fields = self.mapper.map_arrays(addrs) if addrs.size else None
 
         row_table = RowTable(self.config.row_table_rows,
                              self.config.row_table_cols)
@@ -128,34 +127,23 @@ class IndirectUnit:
         avail_t0, avail_rate = index_avail if index_avail else (t, float("inf"))
         fill_cursor = float(t)
 
-        if fields is not None:
-            chans = fields["channel"].tolist()
-            ranks = fields["rank"].tolist()
-            bgs = fields["bankgroup"].tolist()
-            banks = fields["bank"].tolist()
-            rows = fields["row"].tolist()
-            cols = fields["column"].tolist()
-            lines = fields["line"].tolist()
-            offs = (addrs % self.line_bytes).tolist()
-            it_list = iters.tolist()
-            for e in range(len(it_list)):
-                coord = DRAMCoord(channel=chans[e], rank=ranks[e],
-                                  bankgroup=bgs[e], bank=banks[e],
-                                  row=rows[e], column=cols[e])
-                fill_cursor = max(fill_cursor + 1.0 / fill_rate,
-                                  avail_t0 + e / avail_rate)
-                accepted, prev = row_table.insert(
-                    coord, lines[e], it_list[e], self.hierarchy.snoop)
+        for e, (it, addr) in enumerate(zip(iters.tolist(), addrs.tolist())):
+            coord = self.mapper.map(addr)
+            line = self.mapper.line_addr(addr)
+            fill_cursor = max(fill_cursor + 1.0 / fill_rate,
+                              avail_t0 + e / avail_rate)
+            accepted, prev = row_table.insert(coord, line, it,
+                                              self.hierarchy.snoop)
+            if not accepted:
+                # Capacity drain, then retry (must succeed on empty table).
+                pending_reqs += self._drain(row_table, int(fill_cursor),
+                                            kind, tile)
+                drains += 1
+                accepted, prev = row_table.insert(coord, line, it,
+                                                  self.hierarchy.snoop)
                 if not accepted:
-                    # Capacity drain, then retry (must succeed on empty table).
-                    pending_reqs += self._drain(row_table, int(fill_cursor),
-                                                kind, tile)
-                    drains += 1
-                    accepted, prev = row_table.insert(
-                        coord, lines[e], it_list[e], self.hierarchy.snoop)
-                    if not accepted:
-                        raise RuntimeError("insert failed on empty Row Table")
-                word_table.insert(it_list[e], offs[e], prev)
+                    raise RuntimeError("insert failed on empty Row Table")
+            word_table.insert(it, addr % self.line_bytes, prev)
 
         pending_reqs += self._drain(row_table, int(fill_cursor), kind, tile)
         drains += 1
@@ -233,9 +221,8 @@ class IndirectUnit:
         is_write = kind in ("st", "rmw")
         for j, pline in enumerate(row_table.drain()):
             arrival = t + j // drain_rate
-            # The tile was decoded wholesale by map_arrays at fill time;
-            # the Row Table carries the coordinates, so neither path below
-            # re-maps the line.
+            # The Row Table carries the coordinates decoded at fill time,
+            # so neither path below re-maps the line.
             decoded = pline.coord + (pline.row,)
             if pline.h_bit:
                 access = self.hierarchy.llc_access(

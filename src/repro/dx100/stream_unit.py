@@ -72,31 +72,16 @@ class StreamUnit:
         t = t_start
         window = self.config.request_table
         rate = self.config.stream_issue_rate
-        # Whole-tile decode: one map_arrays call replaces a per-line
-        # mapper.map on every LLC miss below.
-        line_list = lines.tolist()
-        if line_list:
-            fields = self.dram.mapper.map_arrays(lines)
-            decoded = list(zip(
-                fields["channel"].tolist(), fields["rank"].tolist(),
-                fields["bankgroup"].tolist(), fields["bank"].tolist(),
-                fields["row"].tolist(),
-            ))
-        else:
-            decoded = []
-        for j, line in enumerate(line_list):
+        for j, line in enumerate(lines.tolist()):
             if j >= window:
                 # Request-table back-pressure: wait for an older fill.
-                results[j - window].resolve(self.dram)
-                t = max(t, results[j - window].complete - window)
+                t = max(t, results[j - window].resolve(self.dram) - window)
             arrival = max(t, t_start + j // rate)
             if avail is not None:
                 arrival = max(arrival,
                               int(avail[0] + j * elems_per_line / avail[1]))
-            res = self.hierarchy.llc_access(int(line), is_write, arrival,
-                                            decoded=decoded[j],
-                                            tenant=self.tenant)
-            results.append(res)
+            results.append(self.hierarchy.llc_access(
+                line, is_write, arrival, tenant=self.tenant))
             t += 1
         completions = [r.resolve(self.dram) for r in results]
         if not completions:

@@ -29,7 +29,7 @@ from pathlib import Path
 from time import perf_counter
 
 #: Bump when the report dict's shape changes incompatibly.
-PROFILE_SCHEMA = 1
+PROFILE_SCHEMA = 2
 
 _SRC_ROOT = str(Path(__file__).resolve().parents[1])  # .../src/repro
 
@@ -84,91 +84,6 @@ def _component_of(filename: str) -> str:
             return head[:-3] or "repro"
         return head
     return "stdlib/other"
-
-
-#: (module-basename, function-name) -> pipeline stage.  Function names win
-#: over the per-file fallbacks below so fused batched kernels and their
-#: scalar twins land in the same row.
-_STAGE_FUNCS = {
-    # Tag-array interrogation (scalar Cache methods).
-    ("cache.py", "hit"): "cache:tag-lookup",
-    ("cache.py", "lookup"): "cache:tag-lookup",
-    ("cache.py", "touch"): "cache:tag-lookup",
-    ("cache.py", "line_addr"): "cache:tag-lookup",
-    # Fills and evictions.
-    ("cache.py", "insert"): "cache:fill",
-    ("cache.py", "invalidate"): "cache:fill",
-    ("hierarchy.py", "_fill"): "cache:fill",
-    ("hierarchy.py", "_prefetch_fill"): "cache:fill",
-    ("hierarchy.py", "prefetch_into"): "cache:fill",
-    ("batched.py", "_prefetch_fill"): "cache:fill",
-    ("batched.py", "prefetch_into"): "cache:fill",
-    # MSHR adjudication.
-    ("hierarchy.py", "_stall_for_mshr"): "cache:mshr",
-    # ROB drain: retirement and completion on both front-ends.
-    ("ooo.py", "_retire_oldest"): "core:rob-drain",
-    ("ooo.py", "_drain_iq"): "core:rob-drain",
-    ("ooo.py", "_complete"): "core:rob-drain",
-    ("ooo.py", "drain"): "core:rob-drain",
-    ("batched.py", "_drain_iq"): "core:rob-drain",
-    ("batched.py", "_complete"): "core:rob-drain",
-    ("batched.py", "drain"): "core:rob-drain",
-}
-
-#: subpackage-or-module fallback -> stage, applied when no function rule
-#: matched.  ``cache/batched.py``'s fused walk deliberately lands in
-#: ``cache:walk``: it *is* tag lookup + MSHR + fill in one body, and
-#: splitting it would require instrumentation the un-instrumented sweep
-#: must not carry.
-_STAGE_FILES = {
-    ("cache", "mshr.py"): "cache:mshr",
-    ("cache", "prefetcher.py"): "cache:prefetch",
-    ("prefetch", None): "cache:prefetch",
-    ("cache", None): "cache:walk",
-    ("core", "trace.py"): "core:trace",
-    ("core", None): "core:dispatch",
-    ("dram", "address.py"): "dram:decode",
-    ("dram", None): "dram:engine",
-    ("dx100", None): "dx100",
-    ("workloads", None): "workloads:gen",
-}
-
-
-def _stage_of(filename: str, func: str) -> str:
-    """Pipeline-stage attribution for one profiled function."""
-    if not filename.startswith(_SRC_ROOT):
-        return "other"
-    rel = filename[len(_SRC_ROOT):].lstrip("/")
-    parts = rel.split("/")
-    base = parts[-1]
-    head = parts[0]
-    stage = _STAGE_FUNCS.get((base, func))
-    if stage is not None and (head in ("cache", "core", "prefetch")):
-        return stage
-    stage = _STAGE_FILES.get((head, base))
-    if stage is not None:
-        return stage
-    stage = _STAGE_FILES.get((head, None))
-    if stage is not None:
-        return stage
-    return "sim:other"
-
-
-def stage_breakdown(stats: pstats.Stats) -> dict[str, float]:
-    """Fold cProfile ``tottime`` into pipeline-stage rows.
-
-    The rows answer the perf questions the sweep record tracks over time:
-    how much wall goes to tag lookup, MSHR adjudication, fills, prefetch
-    engines, ROB drain, dispatch, trace construction, and the DRAM
-    engine — independent of which front-end or engine produced them.
-    """
-    stages: dict[str, float] = {}
-    for (filename, _line, func), entry in stats.stats.items():
-        tottime = entry[2]
-        stage = _stage_of(filename, func)
-        stages[stage] = stages.get(stage, 0.0) + tottime
-    return {k: round(v, 6) for k, v in
-            sorted(stages.items(), key=lambda kv: -kv[1])}
 
 
 def _relative(filename: str) -> str:
@@ -244,7 +159,6 @@ def profile_run(benchmark: str = "IS", mode: str = "baseline",
         "wall_s": round(wall, 6),
         "stages_s": timers.as_dict(),
         "components_s": components,
-        "pipeline_stages_s": stage_breakdown(stats),
         "hotspots": hotspots,
         "result": {
             "cycles": result.cycles,
@@ -273,10 +187,6 @@ def format_report(report: dict) -> str:
     lines.append("components (cProfile tottime, seconds):")
     for name, secs in report["components_s"].items():
         lines.append(f"  {name:<14s} {secs:9.3f}")
-    lines.append("")
-    lines.append("pipeline stages (cProfile tottime, seconds):")
-    for name, secs in report.get("pipeline_stages_s", {}).items():
-        lines.append(f"  {name:<18s} {secs:9.3f}")
     lines.append("")
     lines.append(f"top {len(report['hotspots'])} hotspots by tottime:")
     lines.append(f"  {'tottime':>9s} {'cumtime':>9s} {'ncalls':>9s}  function")

@@ -42,7 +42,8 @@ class SimSystem:
             # ``observe`` returns without side effects unless the PC has a
             # registered stream and the op carries a loop tag; publish that
             # early-out so the batched walk can skip the call.
-            self.hierarchy.observer_pc_filter = self.dmp._lines
+            if isinstance(self.hierarchy, BatchedHierarchy):
+                self.hierarchy.observer_pc_filter = self.dmp._lines
         # Observability: an :class:`repro.obs.events.EventBus` (or None).
         # Attached last so the bus sees the fully-built component graph.
         self.obs = obs

@@ -56,9 +56,15 @@ def test_zero_capacity_rejected():
         MSHRFile(0)
 
 
-def test_resolve_sets_ready():
+def test_resolved_entry_released():
+    """An entry whose fill time is known is released lazily by lookup,
+    or wholesale by the capacity sweep."""
     m = MSHRFile(2)
     e = m.allocate(0, 0)
     assert e.ready == -1
-    e.resolve(123)
-    assert e.ready == 123
+    e.ready = 123
+    assert m.lookup(0) is None and len(m) == 0
+    m.allocate(64, 0).ready = 7
+    m.allocate(128, 0)
+    m.release_resolved()
+    assert len(m) == 1 and m.oldest().line_addr == 128

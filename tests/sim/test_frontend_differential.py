@@ -83,7 +83,9 @@ def _build_traces(program) -> list[Trace]:
 
 
 def _assert_equivalent(config: SystemConfig, program,
-                       dmp_stream=None) -> None:
+                       dmp_stream=None) -> dict[str, dict]:
+    """Replay ``program`` on both front ends, assert they agree, and
+    return each front end's hierarchy counters."""
     finishes, op_timings, cache_counters = {}, {}, {}
     dram_logs, dram_counters, instrs = {}, {}, {}
     traces = _build_traces(program)
@@ -108,6 +110,7 @@ def _assert_equivalent(config: SystemConfig, program,
     assert dram_logs["batched"] == dram_logs["scalar"]
     assert dram_counters["batched"] == dram_counters["scalar"]
     assert instrs["batched"] == instrs["scalar"]
+    return cache_counters
 
 
 # ------------------------------------------------- property: random traces
@@ -175,12 +178,42 @@ def test_dmp_with_registered_stream_agrees():
                        dmp_stream=(1, stream))
 
 
+def _tiny_mshrs(config: SystemConfig) -> SystemConfig:
+    """Two MSHRs per cache level, so a miss burst fills every file."""
+    return replace(config, l1=replace(config.l1, mshrs=2),
+                   l2=replace(config.l2, mshrs=2),
+                   llc=replace(config.llc, mshrs=2))
+
+
+def _miss_burst(n: int = 64):
+    """Independent loads to distinct lines in distinct sets, no compute
+    between them: every access misses with its MSHR files already full
+    of unresolved fills."""
+    return [(i % CORES, 0, i * 7 + 1, -1, 0, False, 0, -1)
+            for i in range(n)]
+
+
 def test_both_dram_engines_same_frontend_answer():
     """Front-end equivalence must hold on the scalar DRAM oracle too (the
     2x2 grid closes: any front-end x any engine gives the same system)."""
     program = _long_program(seed=42, n=300)
     for engine in ("batched", "scalar"):
         _assert_equivalent(_make_config("baseline", engine), program)
+
+
+@pytest.mark.parametrize("engine", ["batched", "scalar"])
+def test_mshr_full_wait_agrees(engine):
+    """A miss burst against two-entry MSHR files drives both front ends'
+    ``_stall_for_mshr`` into its wait branch (``oldest()`` plus a forced
+    DRAM completion), which the default geometry never reaches.  Each
+    wait bumps one ``*_mshr_stalls`` counter, so a non-zero count on both
+    sides means both front ends took it."""
+    counters = _assert_equivalent(_tiny_mshrs(_make_config("baseline",
+                                                           engine)),
+                                  _miss_burst())
+    for frontend in ("scalar", "batched"):
+        assert sum(counters[frontend].get(f"{level}_mshr_stalls", 0)
+                   for level in ("l1", "l2", "llc")) > 0, frontend
 
 
 # ---------------------------------------------- end-to-end benchmark pairs
