@@ -7,7 +7,7 @@ RUN_REPRO = PYTHONPATH=src $(PYTHON) -m repro
 SWEEP_JOBS = $(if $(JOBS),--jobs $(JOBS),)
 
 .PHONY: install test audit sweep sweep-quick campaign \
-        golden-check golden-update memtech remote-smoke profile timeline \
+        golden-check golden-update memtech remote-smoke timeline \
         trace-smoke bench bench-quick figures examples clean
 
 install:
@@ -59,13 +59,6 @@ memtech:
 # (`make golden-check` replays the memory-technology grid).
 remote-smoke:
 	$(RUN_REPRO) run IS --quick --dram cxl --configs baseline dx100
-
-# Where does the wall-clock go?  cProfile hotspots + per-component
-# attribution + stage timers for one run (PROFILE_ARGS to customize, e.g.
-# PROFILE_ARGS="PR --mode dx100 --json results/profile.json").
-PROFILE_ARGS ?= IS --quick
-profile:
-	$(RUN_REPRO) profile $(PROFILE_ARGS)
 
 # Observability: ASCII timeline of one run (TIMELINE_ARGS to customize,
 # e.g. TIMELINE_ARGS="PR --mode baseline --sample-every 500").

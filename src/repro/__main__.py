@@ -152,26 +152,6 @@ def _parser() -> argparse.ArgumentParser:
     timeline.add_argument("--trace", metavar="PATH",
                           help="also write the Chrome trace-event JSON")
 
-    prof = sub.add_parser(
-        "profile",
-        help="profile one benchmark run: cProfile hotspots, per-component "
-             "attribution, and coarse stage timers",
-    )
-    prof.add_argument("benchmark", nargs="?", default="IS",
-                      help="benchmark name (default: IS)")
-    prof.add_argument("--mode", default="baseline",
-                      choices=MODES)
-    prof.add_argument("--quick", action="store_true",
-                      help="use the reduced dataset sizes")
-    prof.add_argument("--top", type=int, default=25,
-                      help="hotspot functions to report (default: 25)")
-    prof.add_argument("--frontend", choices=["batched", "scalar"],
-                      default=None,
-                      help="simulation front-end to profile (default: the "
-                           "config's front-end, i.e. batched)")
-    prof.add_argument("--json", metavar="PATH",
-                      help="also write the structured report as JSON")
-
     serve = sub.add_parser(
         "serve",
         help="run the multi-tenant QoS serving layer: N closed-loop "
@@ -406,28 +386,6 @@ def cmd_campaign(args) -> int:
     return 0
 
 
-def cmd_profile(args) -> int:
-    """Profile one benchmark run and report where the wall-clock goes."""
-    from repro.sim.profile import format_report, profile_run
-
-    try:
-        report = profile_run(benchmark=args.benchmark, mode=args.mode,
-                             quick=args.quick, top=args.top,
-                             frontend=args.frontend)
-    except KeyError as exc:
-        print(exc.args[0], file=sys.stderr)
-        return 2
-    print(format_report(report))
-    if args.json:
-        import json
-        from pathlib import Path
-        path = Path(args.json)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-        print(f"\nstructured report written to {path}")
-    return 0
-
-
 def cmd_timeline(args) -> int:
     """Run one benchmark with samplers on and print the ASCII timeline."""
     from repro.obs.events import EventBus
@@ -507,8 +465,6 @@ def main(argv=None) -> int:
         return cmd_run(args)
     if args.command == "campaign":
         return cmd_campaign(args)
-    if args.command == "profile":
-        return cmd_profile(args)
     if args.command == "timeline":
         return cmd_timeline(args)
     if args.command == "serve":

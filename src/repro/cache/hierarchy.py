@@ -63,12 +63,16 @@ class MemoryHierarchy:
                         for _ in range(config.cores)]
         self.llc_mshr = MSHRFile(config.llc.mshrs, self.stats, "llc_mshr")
         self.l1_pf = [
-            StridePrefetcher(config.l1.prefetch_degree, stats=self.stats)
+            StridePrefetcher(config.l1.prefetch_degree,
+                             line_bytes=config.l1.line_bytes,
+                             stats=self.stats)
             if config.l1.prefetcher else None
             for _ in range(config.cores)
         ]
         self.l2_pf = [
-            StridePrefetcher(config.l2.prefetch_degree, stats=self.stats)
+            StridePrefetcher(config.l2.prefetch_degree,
+                             line_bytes=config.l2.line_bytes,
+                             stats=self.stats)
             if config.l2.prefetcher else None
             for _ in range(config.cores)
         ]

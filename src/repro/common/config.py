@@ -19,6 +19,15 @@ def ns_to_cycles(ns: float) -> int:
     return round(ns * CPU_GHZ)
 
 
+def _require_positive(config, names: tuple[str, ...]) -> None:
+    """Raise ``ValueError`` naming the first of ``names`` below 1."""
+    for name in names:
+        value = getattr(config, name)
+        if value < 1:
+            raise ValueError(f"{type(config).__name__}.{name} must be >= 1, "
+                             f"got {value}")
+
+
 @dataclass(frozen=True)
 class CoreConfig:
     """An out-of-order core modelled after Skylake (Table 3)."""
@@ -35,6 +44,10 @@ class CoreConfig:
     # Free Atomics measurement the paper cites), while atomics that miss to
     # DRAM serialize on the full memory latency.
     atomic_fence_cycles: int = 4
+
+    def __post_init__(self) -> None:
+        _require_positive(self, ("width", "rob_size", "lq_size", "sq_size",
+                                 "iq_size"))
 
 
 @dataclass(frozen=True)
@@ -175,6 +188,9 @@ class DRAMConfig:
         per_channel = self.line_bytes / (self.timing.tBL * CYCLE_NS)
         return per_channel * self.channels
 
+    def __post_init__(self) -> None:
+        _require_positive(self, ("request_buffer",))
+
 
 def ddr5_6400() -> "DRAMConfig":
     """An approximate DDR5-6400 configuration (sensitivity studies).
@@ -222,9 +238,9 @@ def cxl_remote(latency: int = 400, gbps: float = 32.0,
 
 
 #: The single registry of DRAM backend presets.  Everything that accepts a
-#: ``dram=`` name — the spec DSL (:mod:`repro.sim.specs`), the sweep/run
-#: CLI, the serve fabric — resolves through here, so adding a backend is
-#: one entry and every error message enumerates the same set.
+#: ``dram=`` name — the spec DSL (:mod:`repro.sim.specs`) and the run and
+#: timeline CLI — resolves through here, so adding a backend is one entry
+#: and every error message enumerates the same set.
 DRAM_PRESETS = {
     "ddr4": DRAMConfig,
     "ddr5": ddr5_6400,
@@ -262,6 +278,12 @@ class DX100Config:
     drain_rate: int = 2               # requests handed to Interface per cycle
     stream_issue_rate: int = 2        # stream-unit line requests per cycle
     tlb_miss_penalty: int = 100
+
+    def __post_init__(self) -> None:
+        _require_positive(self, (
+            "tile_elems", "num_tiles", "num_registers", "row_table_rows",
+            "row_table_cols", "request_table", "alu_lanes", "tlb_entries",
+            "fill_rate", "drain_rate", "stream_issue_rate"))
 
     @property
     def spd_bytes(self) -> int:

@@ -103,9 +103,6 @@ class Function:
     body: list[Stmt]
     scalars: dict[str, int | float] = field(default_factory=dict)
 
-    def array(self, name: str) -> ArrayDecl:
-        return self.arrays[name]
-
 
 # ------------------------------------------------------------------ helpers
 

@@ -716,12 +716,5 @@ class BatchedController:
 
     # ------------------------------------------------------------- metrics
 
-    def row_buffer_hit_rate(self) -> float:
-        """Fraction of serviced requests that hit an open row."""
-        serviced = self.stats.get("serviced")
-        if serviced == 0:
-            return 0.0
-        return self.stats.get("row_hits") / serviced
-
     def mean_occupancy(self) -> float:
         return self.stats.mean("occupancy")

@@ -66,52 +66,38 @@ class HostMemory:
         """The live NumPy view of a segment (mutations are visible to all)."""
         return self._segments[name][1]
 
-    def addr_of(self, name: str) -> int:
-        return self._segments[name][0]
-
     def interval_of(self, name: str) -> Interval:
         addr, view = self._segments[name]
         return Interval(addr, addr + view.nbytes)
 
     # ------------------------------------------------------------ raw access
 
-    def _offset(self, addr: int, nbytes: int) -> int:
-        off = addr - self.base
-        if not 0 <= off <= self.size - nbytes:
-            raise IndexError(f"address {addr:#x} outside simulated memory")
-        return off
+    def _word_index(self, addrs, np_dtype: np.dtype) -> np.ndarray:
+        """Element indices of ``addrs`` in the buffer viewed as ``np_dtype``;
+        ``IndexError`` outside simulated memory, ``ValueError`` if an
+        address is not aligned to the word size."""
+        offs = np.asarray(addrs, dtype=np.int64) - self.base
+        width = np_dtype.itemsize
+        if offs.size and (offs.min() < 0 or offs.max() > self.size - width):
+            raise IndexError("address outside simulated memory")
+        if offs.size and (offs % width).any():
+            raise ValueError(f"misaligned {np_dtype} access")
+        return offs // width
 
     def read_words(self, addrs, dtype: DType) -> np.ndarray:
         """Vectorized typed read at arbitrary (aligned) addresses."""
         np_dtype = np.dtype(dtype.numpy_name)
-        addrs = np.asarray(addrs, dtype=np.int64)
-        offs = addrs - self.base
-        if offs.size and (offs.min() < 0
-                          or offs.max() > self.size - np_dtype.itemsize):
-            raise IndexError("address outside simulated memory")
-        if offs.size and (offs % np_dtype.itemsize).any():
-            raise ValueError("misaligned typed read")
-        flat = self._buf.view(np_dtype)
-        return flat[offs // np_dtype.itemsize].copy()
+        return self._buf.view(np_dtype)[self._word_index(addrs, np_dtype)]
 
     def write_words(self, addrs, values, dtype: DType) -> None:
         """Vectorized typed write; duplicate addresses: last value wins."""
         np_dtype = np.dtype(dtype.numpy_name)
-        addrs = np.asarray(addrs, dtype=np.int64)
-        offs = addrs - self.base
-        if offs.size and (offs.min() < 0
-                          or offs.max() > self.size - np_dtype.itemsize):
-            raise IndexError("address outside simulated memory")
-        if offs.size and (offs % np_dtype.itemsize).any():
-            raise ValueError("misaligned typed write")
-        flat = self._buf.view(np_dtype)
-        flat[offs // np_dtype.itemsize] = np.asarray(values, dtype=np_dtype)
+        self._buf.view(np_dtype)[self._word_index(addrs, np_dtype)] = (
+            np.asarray(values, dtype=np_dtype))
 
     def rmw_words(self, addrs, values, dtype: DType, ufunc) -> None:
         """Vectorized read-modify-write using an unbuffered NumPy ufunc
         (``np.add``, ``np.minimum``, ...) so duplicate addresses accumulate."""
         np_dtype = np.dtype(dtype.numpy_name)
-        addrs = np.asarray(addrs, dtype=np.int64)
-        offs = (addrs - self.base) // np_dtype.itemsize
-        flat = self._buf.view(np_dtype)
-        ufunc.at(flat, offs, np.asarray(values, dtype=np_dtype))
+        ufunc.at(self._buf.view(np_dtype), self._word_index(addrs, np_dtype),
+                 np.asarray(values, dtype=np_dtype))

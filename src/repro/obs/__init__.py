@@ -1,10 +1,11 @@
 """Time-resolved observability for the simulated system (``repro.obs``).
 
-PR 4's profiling harness answers "where does the *simulator* spend wall
-clock"; this package answers "what is the *simulated system* doing over
-simulated time" — the view the paper uses to explain DX100 mechanistically
-(row-buffer hits collapsing when a tile drains, banks idling under
-inter-core interference, request buffers filling and draining).
+The perf benchmark's probe tracer answers "where does the *simulator*
+spend wall clock"; this package answers "what is the *simulated system*
+doing over simulated time" — the view the paper uses to explain DX100
+mechanistically (row-buffer hits collapsing when a tile drains, banks
+idling under inter-core interference, request buffers filling and
+draining).
 
 Three pieces, all off by default and near-zero-overhead when off:
 
@@ -27,8 +28,9 @@ Three pieces, all off by default and near-zero-overhead when off:
   tracks from the sampled timeline.  :mod:`~repro.obs.validate` checks an
   emitted file is well-formed (CI's trace smoke job).
 
-Wired as ``python -m repro run --trace out.json --sample-every N`` and
-``python -m repro timeline``; sweeps carry summary timeline stats in
+Wired as ``python -m repro timeline <B> --trace out.json`` (the ASCII
+timeline, plus the Chrome trace when ``--trace`` is given) and ``python
+-m repro run --sample-every N``, which carries summary timeline stats in
 ``RunResult.extra`` via ``SweepTask(sample_every=N)``.
 """
 

@@ -103,9 +103,6 @@ class PartitionedRowTable:
         """Drain one tenant's table in its interleaved issue order."""
         return self.tables[tenant].drain()
 
-    def occupancy(self, tenant: int) -> int:
-        return self.tables[tenant].occupancy
-
 
 def check_partition(part: PartitionedRowTable) -> None:
     """Verify the slice invariant and structural tenant isolation.

@@ -36,9 +36,6 @@ class NamespacedMemory:
     def view(self, name):
         return self._mem.view(self._prefix + name)
 
-    def addr_of(self, name) -> int:
-        return self._mem.addr_of(self._prefix + name)
-
     def interval_of(self, name):
         return self._mem.interval_of(self._prefix + name)
 

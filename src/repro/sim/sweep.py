@@ -255,16 +255,14 @@ class RunCache:
 
 # ---------------------------------------------------------------- execution
 
-def execute_task(task: SweepTask, obs=None,
-                 timers=None) -> tuple[RunResult, float]:
+def execute_task(task: SweepTask, obs=None) -> tuple[RunResult, float]:
     """Run one task from scratch; returns (result, wall seconds).
 
     The workload is built fresh from the registry, which is the path every
     golden metric is pinned against.  The runner pauses the cyclic GC for
     the run (see :func:`repro.sim.runner.gc_paused`).  ``obs`` replaces the
     trace-less event bus ``sample_every`` attaches (``timeline`` passes one
-    that records a trace); ``timers`` collects stage timings for
-    ``profile``.  Neither changes a simulated number.
+    that records a trace); it never changes a simulated number.
     """
     from repro.sim.runner import run_baseline, run_dx100
     t0 = time.perf_counter()
@@ -273,8 +271,7 @@ def execute_task(task: SweepTask, obs=None,
         from repro.obs.events import EventBus
         obs = EventBus(trace=False, sample_every=task.sample_every)
     run = run_dx100 if task.mode == "dx100" else run_baseline
-    result = run(workload, task.config, warm=task.warm, obs=obs,
-                 timers=timers)
+    result = run(workload, task.config, warm=task.warm, obs=obs)
     return result, time.perf_counter() - t0
 
 

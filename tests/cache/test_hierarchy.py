@@ -141,3 +141,34 @@ def test_mpki(system):
         h.access(0, i * 64 * cfg.l1.sets, False, 0, prefetch=False)
     assert h.mpki("l1", kilo_instructions=1.0) == 10
     assert h.mpki("l1", kilo_instructions=0) == 0.0
+
+
+@pytest.mark.parametrize("hierarchy_cls", [MemoryHierarchy,
+                                           BatchedHierarchy])
+def test_stride_prefetcher_aligns_to_the_cache_line(hierarchy_cls):
+    """With 128-byte lines, a 64-byte-stride stream's candidates are
+    128-byte lines: every fill is line-aligned and no train sends two
+    prefetches into one line (the prefetchers used to align to 64 B)."""
+    from dataclasses import replace
+    cfg = SystemConfig.baseline(1)
+    cfg = replace(cfg, l1=replace(cfg.l1, line_bytes=128),
+                  l2=replace(cfg.l2, line_bytes=128, prefetcher=False),
+                  llc=replace(cfg.llc, line_bytes=128))
+    h = hierarchy_cls(cfg, DRAMSystem(cfg.dram))
+    fills: list[tuple[int, int]] = []
+    prefetch_fill = h._prefetch_fill
+
+    def record(core, line, t, from_level=1):
+        fills.append((step, line))
+        prefetch_fill(core, line, t, from_level)
+
+    h._prefetch_fill = record
+    for step in range(8):
+        h.access(0, 0x10000 + 64 * step, False, step, pc=5)
+    assert h.stats.get("prefetch_trains") == 5
+    assert fills and all(line % 128 == 0 for _, line in fills)
+    assert len(set(fills)) == len(fills)
+    assert h.stats.get("prefetches_issued") == len(fills) == 7
+    # The rest re-fetch the demand's own line or the previous train's
+    # (at 64-byte alignment: 10 issued, 7 of them redundant).
+    assert h.stats.get("prefetch_redundant") == 4

@@ -1,8 +1,11 @@
 """Table 3 configuration presets."""
 
+from dataclasses import replace
+
 import pytest
 
-from repro.common import CacheConfig, DDR4Timing, DRAMConfig, SystemConfig, ns_to_cycles
+from repro.common import (CacheConfig, CoreConfig, DDR4Timing, DRAMConfig,
+                          DX100Config, SystemConfig, ns_to_cycles)
 
 
 def test_timing_matches_table3():
@@ -64,3 +67,22 @@ def test_dmp_preset():
     cfg = SystemConfig.dmp_system()
     assert cfg.dmp and cfg.dx100 is None
     assert cfg.llc.size_bytes == 10 * 1024 * 1024
+
+
+@pytest.mark.parametrize("cls, field", [
+    *((CoreConfig, f) for f in ("width", "rob_size", "lq_size", "sq_size",
+                                "iq_size")),
+    (DRAMConfig, "request_buffer"),
+    *((DX100Config, f) for f in (
+        "tile_elems", "num_tiles", "num_registers", "row_table_rows",
+        "row_table_cols", "request_table", "alu_lanes", "tlb_entries",
+        "fill_rate", "drain_rate", "stream_issue_rate")),
+])
+def test_zero_size_or_rate_rejected_naming_the_field(cls, field):
+    """A zero size or rate used to finish with nonsense cycles (a zero ROB
+    or drain rate) or fail deep in the engine; it is refused at
+    construction, and ``replace`` re-validates."""
+    with pytest.raises(ValueError, match=rf"\b{cls.__name__}\.{field}\b"):
+        cls(**{field: 0})
+    with pytest.raises(ValueError, match=field):
+        replace(cls(), **{field: 0})

@@ -699,3 +699,52 @@ def test_writebacks_interleave_with_later_reads():
     assert "WR" in kinds[:last_read]
     assert counters["writes"] == len(lines)
 
+
+def test_storage_reset_at_quiescent_points_matches_oracle(monkeypatch):
+    """The batched engine reclaims its columns once they pass
+    ``_RESET_THRESHOLD`` slots and nothing is in flight (main- and
+    full-scale runs cross 2^16).  With the threshold lowered, idle-gapped
+    line requests and column drains (held until ``release_lines``, with
+    writebacks pushed while held) still match the scalar oracle bitwise,
+    and the reset really runs, never while rids are held."""
+    import repro.dram.batched as batched_mod
+    monkeypatch.setattr(batched_mod, "_RESET_THRESHOLD", 48)
+    resets = []
+    reset_storage = BatchedController._reset_storage
+
+    def spy(self):
+        assert not self._held
+        resets.append(len(self._arr))
+        reset_storage(self)
+
+    monkeypatch.setattr(BatchedController, "_reset_storage", spy)
+
+    cfg = DRAMConfig(channels=1)
+    scalar, batched, slog, blog = _pair(cfg)
+    program = _long_program(seed=3, n=400, max_gap=900)
+    reqs_s, reqs_b = _requests(cfg, program)
+    for (_, _, gap), rs, rb in zip(program, reqs_s, reqs_b):
+        if gap > 600:          # an idle gap: the channel empties first
+            scalar.drain()
+            batched.drain()
+        scalar.enqueue(rs)
+        batched.enqueue(rb)
+    scalar.drain()
+    batched.drain()
+    assert slog == blog
+    assert [(r.start, r.finish, r.row_hit) for r in reqs_s] == \
+        [(r.start, r.finish, r.row_hit) for r in reqs_b]
+    assert dict(scalar.stats.counters) == dict(batched.stats.counters)
+    assert scalar.mean_occupancy() == batched.mean_occupancy()
+    line_resets = len(resets)
+    assert line_resets >= 3
+
+    program = []
+    for seed in range(6):
+        traffic = [(n, n % 2 == 0, 5) for n in _rows(cfg, 3, 50 + seed)]
+        program.append(("batch", _rows(cfg, 40, seed), 2000, seed % 2 == 0,
+                        traffic))
+        program.append(("core", seed, True, 3000))
+    _assert_batches_equivalent(replace(cfg, channels=2), program)
+    assert len(resets) - line_resets >= 4
+    assert all(size > 48 for size in resets)

@@ -76,3 +76,28 @@ def test_float_rmw_via_minimum():
 def test_invalid_size():
     with pytest.raises(ValueError):
         HostMemory(0)
+
+
+_ACCESSORS = {
+    "read": lambda mem, addr: mem.read_words([addr], DType.I32),
+    "write": lambda mem, addr: mem.write_words([addr], [7], DType.I32),
+    "rmw": lambda mem, addr: mem.rmw_words([addr], [7], DType.I32, np.add),
+}
+
+
+@pytest.mark.parametrize("access", sorted(_ACCESSORS))
+def test_every_typed_access_checks_bounds_and_alignment(access):
+    """Read, write and read-modify-write share one address check: below
+    the base (which NumPy would wrap to the last word), past the end, and
+    misaligned (which floor division would round down) all raise, and
+    memory is left untouched."""
+    mem = HostMemory(1 << 16)
+    base = mem.alloc("a", 4, DType.I32)
+    run = _ACCESSORS[access]
+    with pytest.raises(IndexError):
+        run(mem, mem.base - 4)
+    with pytest.raises(IndexError):
+        run(mem, mem.base + mem.size)
+    with pytest.raises(ValueError):
+        run(mem, base + 2)
+    assert not mem._buf.any()
