@@ -6,7 +6,7 @@ JOBS ?=
 RUN_REPRO = PYTHONPATH=src $(PYTHON) -m repro
 SWEEP_JOBS = $(if $(JOBS),--jobs $(JOBS),)
 
-.PHONY: install test audit sweep sweep-quick campaign \
+.PHONY: install test audit sweep sweep-quick \
         golden-check golden-update memtech remote-smoke timeline \
         trace-smoke bench bench-quick figures examples clean
 
@@ -30,13 +30,6 @@ sweep:
 
 sweep-quick:
 	$(RUN_REPRO) $(GRID) --quick $(SWEEP_JOBS)
-
-# The task grid of a declarative spec, run on the sweep executor and the
-# run cache (re-run the same target to resume a killed campaign).  E.g.
-# make campaign SPEC='benchmarks=IS,CG dram=ddr4,ddr5' JOBS=4
-SPEC ?=
-campaign:
-	$(RUN_REPRO) campaign '$(SPEC)' $(SWEEP_JOBS)
 
 # Golden harness: re-run every pinned suite (quick, memtech, tenancy)
 # and diff it bitwise against tests/golden/, or rewrite the files after an

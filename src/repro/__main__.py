@@ -6,7 +6,7 @@ Usage::
     python -m repro run IS PR --configs baseline dx100
     python -m repro run --all --quick --jobs 4 --csv results/results.csv
     python -m repro run IS --scale full --json results/full_scale.json
-    python -m repro campaign 'benchmarks=IS,CG dram=ddr4,ddr5' --jobs 2
+    python -m repro run 'G*' --dram ddr4 ddr5 --tile 4096 8192 --dry-run
     python -m repro timeline IS --quick       # ASCII observability timeline
     python -m repro timeline IS --quick --trace results/trace.json
     python -m repro serve --tenants 2 --aggressor 1   # multi-tenant QoS
@@ -16,9 +16,11 @@ Usage::
 
 ``run`` turns its flags into tasks (:func:`repro.sim.sweep.task_grid`)
 and executes them in parallel on :func:`repro.sim.sweep.run_sweep`, so a
-repeated run is answered by the run cache.  It prints a comparison table;
-``--csv`` additionally writes the raw metrics, like the artifact's
-``results.csv``, and ``--json`` the structured run record.
+repeated run is answered by the run cache.  ``--dram``, ``--tile`` and
+``--cores`` take several values each and span the grid over them;
+``--dry-run`` lists the tasks without running them.  It prints a
+comparison table; ``--csv`` additionally writes the raw metrics, like the
+artifact's ``results.csv``, and ``--json`` the structured run record.
 """
 
 from __future__ import annotations
@@ -49,7 +51,8 @@ def _parser() -> argparse.ArgumentParser:
              "in parallel and backed by the content-addressed run cache",
     )
     run.add_argument("benchmarks", nargs="*",
-                     help="benchmark names (see `list`)")
+                     help="benchmark names or fnmatch globs such as 'G*' "
+                          "(see `list`)")
     run.add_argument("--all", action="store_true",
                      help="run every benchmark of the chosen scale")
     run.add_argument("--quick", dest="scale", action="store_const",
@@ -63,7 +66,8 @@ def _parser() -> argparse.ArgumentParser:
                      choices=MODES,
                      help="configurations to run (default: baseline dx100; "
                           "--scale full defaults to dx100 alone)")
-    run.add_argument("--cores", type=int, default=4)
+    run.add_argument("--cores", type=int, nargs="+", default=[4],
+                     metavar="N", help="core counts (default: 4)")
     run.add_argument("--audit", action="store_true",
                      help="attach the JEDEC command-stream auditor to every "
                           "memory channel and fail if any timing constraint "
@@ -87,10 +91,18 @@ def _parser() -> argparse.ArgumentParser:
                      help="force the simulation front-end for every run "
                           "(default: the config's front-end, i.e. batched; "
                           "scalar replays the per-op cache/core oracle)")
-    run.add_argument("--dram", choices=sorted(DRAM_PRESETS), default=None,
-                     help="memory technology preset (default: ddr4; cxl "
+    run.add_argument("--dram", nargs="+", choices=sorted(DRAM_PRESETS),
+                     default=None,
+                     help="memory technology presets (default: ddr4; cxl "
                           "puts the pool behind the modeled far-memory "
                           "link)")
+    run.add_argument("--tile", type=int, nargs="+", default=None,
+                     metavar="N",
+                     help="DX100 tile sizes in elements (dx100 tasks only; "
+                          "default: the config's 16384)")
+    run.add_argument("--dry-run", action="store_true",
+                     help="print the task grid with short cache keys, then "
+                          "exit without simulating")
     run.add_argument("--jobs", type=int, default=None,
                      help="worker processes (default: REPRO_JOBS or the "
                           "CPU count; 1 = strictly serial)")
@@ -103,29 +115,6 @@ def _parser() -> argparse.ArgumentParser:
                      help="first delete cache entries from older model "
                           "versions")
     run.set_defaults(scale="main")
-
-    campaign = sub.add_parser(
-        "campaign",
-        help="run the task grid of a declarative spec ('benchmarks=IS,CG "
-             "dram=ddr4,ddr5 tile=4k:64k tenants=1:8') on the sweep "
-             "executor; rerunning a killed campaign resumes it, because "
-             "the run cache answers every finished task",
-    )
-    campaign.add_argument("spec", nargs="?", default="",
-                          help="spec line of key=values clauses (empty = "
-                               "the full default grid); see "
-                               "EXPERIMENTS.md 'Campaigns'")
-    campaign.add_argument("--jobs", type=int, default=None,
-                          help="worker processes (default: REPRO_JOBS or "
-                               "the CPU count; 1 = strictly serial)")
-    campaign.add_argument("--no-cache", action="store_true",
-                          help="re-simulate everything, ignoring the run "
-                               "cache")
-    campaign.add_argument("--cache-dir", metavar="DIR",
-                          help="run-cache location (default: "
-                               "results/.runcache or $REPRO_CACHE_DIR)")
-    campaign.add_argument("--dry-run", action="store_true",
-                          help="expand and print the task grid, then exit")
 
     timeline = sub.add_parser(
         "timeline",
@@ -210,13 +199,23 @@ def cmd_list() -> int:
     return 0
 
 
-def _check_jobs(jobs: int | None) -> bool:
-    """Report a non-positive ``--jobs``; True when it is usable."""
-    if jobs is not None and jobs < 1:
-        print(f"--jobs must be >= 1 (got {jobs}); omit it for the "
-              f"REPRO_JOBS/CPU-count default", file=sys.stderr)
-        return False
-    return True
+def _table(runs, dram_of: dict, args) -> dict:
+    """benchmark -> mode -> RunResult for the comparison table.  An axis
+    given several values splits it: DRAM presets and core counts into rows
+    (``IS cxl 8c``), tile sizes into DX100 columns (``dx4096``)."""
+    table: dict = {}
+    for run in runs:
+        task = run.task
+        row = task.benchmark
+        if dram_of:
+            row += f" {dram_of[task]}"
+        if len(args.cores) > 1:
+            row += f" {task.config.cores}c"
+        column = task.mode
+        if args.tile and len(args.tile) > 1 and task.config.dx100:
+            column = f"dx{task.config.dx100.tile_elems}"
+        table.setdefault(row, {})[column] = run.result
+    return table
 
 
 def cmd_run(args) -> int:
@@ -231,21 +230,35 @@ def cmd_run(args) -> int:
         print("no benchmarks selected (name them or pass --all)",
               file=sys.stderr)
         return 2
-    if not _check_jobs(args.jobs):
+    if args.jobs is not None and args.jobs < 1:
+        print(f"--jobs must be >= 1 (got {args.jobs}); omit it for the "
+              f"REPRO_JOBS/CPU-count default", file=sys.stderr)
         return 2
     # The full-scale footprints are only tractable offloaded: the
     # baseline's per-op trace would be tens of millions of ops.
     modes = args.configs or (["dx100"] if args.scale == "full"
                              else ["baseline", "dx100"])
+    names = None if args.all else args.benchmarks
+    drams = tuple(args.dram or (None,))
+    grid = dict(cores=tuple(args.cores), tiles=tuple(args.tile or (None,)),
+                audit=args.audit, engine=args.engine, frontend=args.frontend,
+                sample_every=args.sample_every)
     try:
-        tasks = task_grid(None if args.all else args.benchmarks,
-                          tuple(modes), args.scale, cores=(args.cores,),
-                          drams=(args.dram,), audit=args.audit,
-                          engine=args.engine, frontend=args.frontend,
-                          sample_every=args.sample_every)
+        tasks = task_grid(names, tuple(modes), args.scale, drams=drams,
+                          **grid)
+        # The preset each task runs on, which its config does not name.
+        dram_of = {} if len(drams) == 1 else {
+            task: dram for dram in drams
+            for task in task_grid(names, tuple(modes), args.scale,
+                                  drams=(dram,), **grid)}
     except (KeyError, ValueError) as exc:
         print(exc.args[0], file=sys.stderr)
         return 2
+    if args.dry_run:
+        print(f"{len(tasks)} task(s):")
+        for task in tasks:
+            print(f"  {task.label():<28s} {task.key()[:12]}")
+        return 0
     if args.prune_cache:
         removed = RunCache(args.cache_dir).prune()
         print(f"pruned {removed} stale cache entr"
@@ -262,7 +275,7 @@ def cmd_run(args) -> int:
         print(exc, file=sys.stderr)
         return 2
     results = [run.result for run in outcome.runs]
-    print(comparison_table(outcome.nested()))
+    print(comparison_table(_table(outcome.runs, dram_of, args)))
     fresh_wall = sum(run.wall for run in outcome.runs if not run.cached)
     print(f"\n{len(outcome.runs)} runs in {outcome.wall:.1f}s wall "
           f"({outcome.jobs} job(s)): {outcome.cache_hits} cached, "
@@ -324,66 +337,6 @@ def cmd_golden(args) -> int:
         print("if the model change is intentional, regenerate with "
               "`python -m repro golden update <suite>`", file=sys.stderr)
     return 1 if failed else 0
-
-
-def cmd_campaign(args) -> int:
-    """Expand a spec into sweep and serve tasks and run them: the sweep
-    tasks on ``run_sweep`` (cached), then the serve tasks in-process."""
-    import time as _time
-
-    from repro.sim.specs import (
-        execute_serve, expand_serve_params, expand_sweep_tasks,
-        parse_spec, task_labels,
-    )
-    from repro.sim.sweep import run_sweep
-
-    if not _check_jobs(args.jobs):
-        return 2
-    try:
-        spec = parse_spec(args.spec)
-        tasks = expand_sweep_tasks(spec)
-        serves = expand_serve_params(spec)
-    except ValueError as exc:   # a SpecError, or a value no config takes
-        print(f"bad spec: {exc}", file=sys.stderr)
-        return 2
-    labels = task_labels(tasks, serves)
-    if not labels:
-        print("spec expands to zero tasks", file=sys.stderr)
-        return 2
-    if args.dry_run:
-        print(f"{len(labels)} task(s):")
-        for label in labels:
-            print(f"  {label}")
-        return 0
-
-    print(f"{'task':<28s} {'cached':>6s} {'wall (s)':>9s}")
-
-    def row(label: str, cached: bool, wall: float) -> None:
-        print(f"{label:<28s} {'yes' if cached else 'no':>6s} {wall:9.3f}",
-              flush=True)
-
-    by_task = dict(zip(tasks, labels))
-    t0 = _time.perf_counter()
-    try:
-        outcome = run_sweep(tasks, jobs=args.jobs, cache=not args.no_cache,
-                            cache_dir=args.cache_dir,
-                            progress=lambda run: row(by_task[run.task],
-                                                     run.cached, run.wall))
-    except ValueError as exc:   # e.g. a bad REPRO_JOBS value
-        print(exc, file=sys.stderr)
-        return 2
-    sim_wall = sum(run.wall for run in outcome.runs)
-    for label, params in zip(labels[len(tasks):], serves):
-        start = _time.perf_counter()
-        execute_serve(params)
-        wall = _time.perf_counter() - start
-        sim_wall += wall
-        row(label, False, wall)
-    print(f"\n{len(labels)} task(s) in {_time.perf_counter() - t0:.1f}s "
-          f"wall ({outcome.jobs} job(s)): {outcome.cache_hits} cached, "
-          f"{outcome.cache_misses + len(serves)} simulated "
-          f"({sim_wall:.1f}s of simulation)")
-    return 0
 
 
 def cmd_timeline(args) -> int:
@@ -463,8 +416,6 @@ def main(argv=None) -> int:
         return cmd_list()
     if args.command == "run":
         return cmd_run(args)
-    if args.command == "campaign":
-        return cmd_campaign(args)
     if args.command == "timeline":
         return cmd_timeline(args)
     if args.command == "serve":

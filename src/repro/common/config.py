@@ -140,6 +140,21 @@ class RemoteLinkConfig:
     far_base: int = 0         # placement="range": far iff addr >= far_base
     far_fraction: float = 1.0  # placement="hash": fraction of lines far
 
+    def __post_init__(self) -> None:
+        _require_positive(self, ("queue_depth",))
+        if self.placement not in ("all", "range", "hash"):
+            raise ValueError(f"RemoteLinkConfig.placement must be all, "
+                             f"range or hash, got {self.placement!r}")
+        if self.latency < 0:
+            raise ValueError(f"RemoteLinkConfig.latency must be >= 0, got "
+                             f"{self.latency}")
+        if not self.gbps > 0:
+            raise ValueError(f"RemoteLinkConfig.gbps must be positive, got "
+                             f"{self.gbps}")
+        if not 0.0 <= self.far_fraction <= 1.0:
+            raise ValueError(f"RemoteLinkConfig.far_fraction must be in "
+                             f"[0, 1], got {self.far_fraction}")
+
 
 @dataclass(frozen=True)
 class DRAMConfig:
@@ -190,6 +205,9 @@ class DRAMConfig:
 
     def __post_init__(self) -> None:
         _require_positive(self, ("request_buffer",))
+        if self.page_policy not in ("open", "closed"):
+            raise ValueError(f"DRAMConfig.page_policy must be open or "
+                             f"closed, got {self.page_policy!r}")
 
 
 def ddr5_6400() -> "DRAMConfig":
@@ -238,9 +256,9 @@ def cxl_remote(latency: int = 400, gbps: float = 32.0,
 
 
 #: The single registry of DRAM backend presets.  Everything that accepts a
-#: ``dram=`` name — the spec DSL (:mod:`repro.sim.specs`) and the run and
-#: timeline CLI — resolves through here, so adding a backend is one entry
-#: and every error message enumerates the same set.
+#: DRAM name — ``sweep.task_grid`` and the run and timeline CLI — resolves
+#: through here, so adding a backend is one entry and every error message
+#: enumerates the same set.
 DRAM_PRESETS = {
     "ddr4": DRAMConfig,
     "ddr5": ddr5_6400,

@@ -51,19 +51,6 @@ class RemoteLink:
     )
 
     def __init__(self, config: RemoteLinkConfig, line_bytes: int) -> None:
-        if config.placement not in ("all", "range", "hash"):
-            raise ValueError(
-                f"unknown far-memory placement {config.placement!r} "
-                f"(want all, range, or hash)")
-        if config.latency < 0:
-            raise ValueError(f"link latency must be >= 0, got "
-                             f"{config.latency}")
-        if config.gbps <= 0:
-            raise ValueError(f"link bandwidth must be positive, got "
-                             f"{config.gbps}")
-        if config.queue_depth < 1:
-            raise ValueError(f"link queue depth must be >= 1, got "
-                             f"{config.queue_depth}")
         self.config = config
         self.latency = int(config.latency)
         # Cycles one 64B payload occupies the serial link: bytes per CPU
@@ -75,8 +62,7 @@ class RemoteLink:
         self.congestion = bool(config.congestion)
         self._placement = config.placement
         self._far_base = int(config.far_base)
-        fraction = min(1.0, max(0.0, config.far_fraction))
-        self._threshold = int(fraction * _HASH_MOD)
+        self._threshold = int(config.far_fraction * _HASH_MOD)
         self._line_bytes = int(line_bytes)
         # Link state: next-free cycle of each direction's serial channel,
         # plus a ring of the last `queue_depth` return-delivery completion

@@ -8,7 +8,6 @@ from repro.sim.runner import (
 )
 from repro.sim.scale import run_dx100_multi
 from repro.sim.statsdump import dump_stats, format_stats, write_stats
-from repro.sim.specs import expand_sweep_tasks, parse_spec
 from repro.sim.sweep import (
     RunCache, SweepOutcome, SweepTask, main_sweep_tasks, run_sweep,
     task_grid,
@@ -28,10 +27,8 @@ __all__ = [
     "compare",
     "comparison_table",
     "dump_stats",
-    "expand_sweep_tasks",
     "format_stats",
     "main_sweep_tasks",
-    "parse_spec",
     "run_baseline",
     "run_corun",
     "run_dmp",

@@ -47,7 +47,8 @@ def comparison_table(results: dict[str, dict[str, RunResult]]) -> str:
         configs.remove("baseline")
         configs.insert(0, "baseline")
     lines = []
-    header = f"{'workload':10s}"
+    width = max([10, *map(len, results)])
+    header = f"{'workload':{width}s}"
     for c in configs:
         header += f" | {c:>8s} cyc {'BW':>5s} {'RBH':>5s}"
         if c != "baseline":
@@ -56,7 +57,7 @@ def comparison_table(results: dict[str, dict[str, RunResult]]) -> str:
     lines.append("-" * len(header))
     speedups: dict[str, list[float]] = {c: [] for c in configs}
     for name, runs in results.items():
-        row = f"{name:10s}"
+        row = f"{name:{width}s}"
         base = runs.get("baseline")
         for c in configs:
             group = CELL_WIDTH + (SPEEDUP_WIDTH if c != "baseline" else 0)

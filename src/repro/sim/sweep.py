@@ -22,15 +22,15 @@ Entry points:
 
 * :func:`run_sweep` — execute a list of :class:`SweepTask`;
 * :func:`task_grid` — the one builder of task configs, behind
-  ``python -m repro run``, the campaign spec DSL and
-  :func:`main_sweep_tasks` (the Figure 9-12 benchmark x configuration
-  grid ``benchmarks/mainsweep.py`` runs);
+  ``python -m repro run`` and :func:`main_sweep_tasks` (the Figure 9-12
+  benchmark x configuration grid ``benchmarks/mainsweep.py`` runs);
 * :func:`golden_snapshot` — the quick suite's golden snapshot, which
   :mod:`repro.sim.golden` pins in ``tests/golden/quick_suite.json``.
 """
 
 from __future__ import annotations
 
+import fnmatch
 import hashlib
 import itertools
 import json
@@ -127,6 +127,13 @@ class SweepTask:
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r} (want {MODES})")
+        if self.sample_every < 0:
+            raise ValueError(f"sample_every must be >= 0 (0 = off), got "
+                             f"{self.sample_every}")
+
+    def label(self) -> str:
+        """``IS/dx100 [quick]``: how progress and errors name the task."""
+        return f"{self.benchmark}/{self.mode} [{self.scale}]"
 
     def factory(self):
         registry = scale_registry(self.scale)
@@ -430,10 +437,6 @@ def _pool_context():
         "fork" if "fork" in methods else "spawn")
 
 
-def _label(task: SweepTask) -> str:
-    return f"{task.benchmark}/{task.mode} [{task.scale}]"
-
-
 def _execute(tasks: list[SweepTask], indices: list[int], jobs: int):
     """Yield ``(index, result, wall)`` for each of ``indices`` as it
     finishes: in order and in-process for one job, else in completion
@@ -462,7 +465,7 @@ def _execute(tasks: list[SweepTask], indices: list[int], jobs: int):
                 try:
                     yield future.result()
                 except BrokenProcessPool as exc:
-                    names = ", ".join(_label(tasks[i])
+                    names = ", ".join(tasks[i].label()
                                       for i in sorted(inflight.values()))
                     raise RuntimeError(
                         f"a sweep worker process died while running "
@@ -540,7 +543,8 @@ def task_grid(benchmarks: list[str] | None = None,
               sample_every: int = 0) -> list[SweepTask]:
     """Every (benchmark, mode, dram, tile, cores) point as a deduplicated
     :class:`SweepTask`, grouped by benchmark; ``benchmarks=None`` is the
-    whole registry of ``scale``.
+    whole registry of ``scale``, and a name may be an ``fnmatch`` glob
+    (``G*``), matched in registry order.
 
     This is the one place a task's :class:`SystemConfig` is built: the
     mode's preset at ``cores``, then the ``dram`` technology
@@ -553,12 +557,17 @@ def task_grid(benchmarks: list[str] | None = None,
     with a DX100, so baseline/dmp tasks collapse across the tile axis.
     """
     registry = scale_registry(scale)
-    names = list(registry) if benchmarks is None else list(benchmarks)
-    unknown = [n for n in names if n not in registry]
+    names: list[str] = []
+    unknown: list[str] = []
+    for pattern in registry if benchmarks is None else benchmarks:
+        hits = ([pattern] if pattern in registry else
+                [n for n in registry if fnmatch.fnmatchcase(n, pattern)])
+        names += hits
+        if not hits:
+            unknown.append(pattern)
     if unknown:
-        raise KeyError(f"unknown benchmarks: {', '.join(unknown)}"
-                       + ("" if scale == "main" else
-                          f" (at scale {scale}: {', '.join(registry)})"))
+        raise KeyError(f"unknown benchmarks: {', '.join(unknown)} "
+                       f"(at scale {scale}: {', '.join(registry)})")
     bad = [n for n in cores if n < 1]
     if bad:
         raise ValueError(f"cores must be >= 1, got {bad[0]}")

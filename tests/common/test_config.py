@@ -86,3 +86,12 @@ def test_zero_size_or_rate_rejected_naming_the_field(cls, field):
         cls(**{field: 0})
     with pytest.raises(ValueError, match=field):
         replace(cls(), **{field: 0})
+
+
+@pytest.mark.parametrize("policy", ["bogus", "Closed", ""])
+def test_unknown_page_policy_rejected_naming_the_field(policy):
+    """Any policy other than ``"closed"`` used to run silently as open-page
+    in both engines, so a typo returned the wrong model's cycles."""
+    with pytest.raises(ValueError, match=r"\bDRAMConfig\.page_policy\b"):
+        DRAMConfig(page_policy=policy)
+    assert DRAMConfig(page_policy="closed").page_policy == "closed"

@@ -34,10 +34,15 @@ def _link(**kwargs) -> RemoteLink:
     {"gbps": 0.0},
     {"gbps": -2.5},
     {"queue_depth": 0},
+    {"placement": "hash", "far_fraction": 2.0},
+    {"placement": "hash", "far_fraction": -0.1},
 ])
 def test_invalid_link_configs_rejected(kwargs):
-    with pytest.raises(ValueError):
-        _link(**kwargs)
+    """Checked where the config is built, naming the field; an out-of-range
+    ``far_fraction`` used to be clamped silently (2.0 meant "all far")."""
+    field = list(kwargs)[-1]
+    with pytest.raises(ValueError, match=rf"\bRemoteLinkConfig\.{field}\b"):
+        RemoteLinkConfig(enabled=True, **kwargs)
 
 
 # -------------------------------------------------------------- placement

@@ -39,6 +39,12 @@ def _mutate(value):
     raise TypeError(f"unhandled leaf type {type(value)!r}")
 
 
+#: Leaves whose values are checked at construction: a mangled value would
+#: raise, so they take a different valid value instead.
+_VALID_ALTERNATIVES = {"page_policy": "closed", "placement": "hash",
+                       "far_fraction": 0.5}
+
+
 def _leaf_paths(obj, prefix=()):
     """Every (path, value) of a nested-dataclass tree, leaves only."""
     out = []
@@ -56,7 +62,10 @@ def _with_mutation(obj, path):
     """Rebuild a frozen config tree with the leaf at ``path`` mutated."""
     name, rest = path[0], path[1:]
     value = getattr(obj, name)
-    new = _with_mutation(value, rest) if rest else _mutate(value)
+    if rest:
+        new = _with_mutation(value, rest)
+    else:
+        new = _VALID_ALTERNATIVES.get(name, _mutate(value))
     return dataclasses.replace(obj, **{name: new})
 
 

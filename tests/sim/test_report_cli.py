@@ -78,6 +78,21 @@ def test_cli_run_quick(capsys, tmp_path, run_cache):
     assert csv_path.exists()
 
 
+def test_cli_run_table_keeps_every_grid_point(capsys, run_cache):
+    """Several DRAM presets, core counts or tile sizes give one table row or
+    DX100 column each, instead of the last point overwriting the rest."""
+    code = main(["run", "IS", "--quick", "--configs", "baseline", "dx100",
+                 "--dram", "ddr4", "cxl", "--cores", "2", "4",
+                 "--tile", "1024", "2048", "--jobs", "1"])
+    assert code == 0
+    out = capsys.readouterr().out
+    rows = [line.split(" |")[0].strip() for line in out.splitlines()
+            if line.startswith("IS")]
+    assert rows == ["IS ddr4 2c", "IS ddr4 4c", "IS cxl 2c", "IS cxl 4c"]
+    assert "dx1024 cyc" in out and "dx2048 cyc" in out
+    assert "12 runs" in out
+
+
 def test_cli_run_rejects_unknown(capsys, run_cache):
     assert main(["run", "NOPE", "--quick"]) == 2
     assert main(["run", "--quick"]) == 2

@@ -10,10 +10,12 @@ from dataclasses import asdict, replace
 import pytest
 
 from repro.common import SystemConfig
+from repro.common.config import DRAM_PRESETS, DRAMConfig, ddr5_6400
 from repro.sim import run_baseline, run_dx100
 from repro.sim.sweep import (
     RunCache, SweepTask, diff_golden, execute_task, golden_snapshot,
-    main_sweep_tasks, model_version, run_sweep, workload_fingerprint,
+    main_sweep_tasks, model_version, run_sweep, task_grid,
+    workload_fingerprint,
 )
 from repro.workloads import QUICK_BENCHMARKS
 
@@ -164,6 +166,136 @@ def test_unknown_benchmark_and_mode_are_rejected():
     odd = SweepTask("IS", "baseline", "huge", SystemConfig.baseline_scaled())
     with pytest.raises(KeyError, match="unknown scale"):
         odd.factory()
+
+
+def test_negative_sample_every_is_rejected(capsys):
+    """A negative period used to run under its own cache key with no
+    timeline attached: no samples and no error."""
+    from repro.__main__ import main
+
+    with pytest.raises(ValueError, match="sample_every"):
+        SweepTask("IS", "baseline", "quick", SystemConfig.baseline_scaled(),
+                  sample_every=-1)
+    assert main(["run", "IS", "--quick", "--sample-every", "-1"]) == 2
+    assert "sample_every must be >= 0" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------- the task grid
+
+def _dry_run(argv, capsys) -> list[str]:
+    from repro.__main__ import main
+
+    assert main(["run", *argv, "--dry-run"]) == 0
+    return capsys.readouterr().out.splitlines()
+
+
+def _listing(tasks) -> list[str]:
+    return [f"{len(tasks)} task(s):"] + [
+        f"  {t.label():<28s} {t.key()[:12]}" for t in tasks]
+
+
+_ALL = ["--configs", "baseline", "dmp", "dx100"]
+
+
+@pytest.mark.parametrize("argv, grid", [
+    pytest.param(
+        ["IS", "CG", *_ALL, "--dram", "ddr4", "ddr5",
+         "--tile", "4096", "8192", "16384", "32768", "65536"],
+        dict(benchmarks=["IS", "CG"], drams=("ddr4", "ddr5"),
+             tiles=(4096, 8192, 16384, 32768, 65536)),
+        id="benchmarks=IS,CG dram=ddr4,ddr5 tile=4k:64k"),
+    pytest.param(["--all", "--quick", *_ALL], dict(scale="quick"),
+                 id="scale=quick"),
+    pytest.param(["G*", *_ALL],
+                 dict(benchmarks=["GZZ", "GZZI", "GZP", "GZPI"]),
+                 id="benchmarks=G*"),
+    pytest.param(["IS", "CG", *_ALL], dict(benchmarks=["IS", "CG"]),
+                 id="benchmarks=IS,CG"),
+    pytest.param(
+        ["IS", "CG", "--quick", *_ALL, "--dram", "ddr4", "cxl"],
+        dict(benchmarks=["IS", "CG"], scale="quick", drams=("ddr4", "cxl")),
+        id="benchmarks=IS,CG dram=ddr4,cxl scale=quick"),
+    pytest.param(
+        ["IS", "--quick", "--configs", "baseline", "dx100", "--dram", "cxl"],
+        dict(benchmarks=["IS"], modes=("baseline", "dx100"), scale="quick",
+             drams=("cxl",)),
+        id="benchmarks=IS modes=baseline,dx100 dram=cxl scale=quick"),
+])
+def test_former_campaign_specs_are_run_argv(argv, grid, capsys):
+    """Each campaign spec EXPERIMENTS.md, the Makefile and CI once used
+    (the test id) has a ``run`` equivalent: the same tasks under the same
+    cache keys as the ``task_grid`` call the spec expanded to."""
+    assert _dry_run(argv, capsys) == _listing(task_grid(**grid))
+
+
+def test_tile_axis_only_replicates_dx100_tasks():
+    """baseline/dmp have no DX100 config, so the tile axis collapses for
+    them instead of producing duplicate cache keys."""
+    tasks = task_grid(["IS"], scale="quick", tiles=(4096, 8192, 16384))
+    by_mode: dict[str, int] = {}
+    for t in tasks:
+        by_mode[t.mode] = by_mode.get(t.mode, 0) + 1
+    assert by_mode == {"baseline": 1, "dmp": 1, "dx100": 3}
+    assert {t.config.dx100.tile_elems for t in tasks
+            if t.mode == "dx100"} == {4096, 8192, 16384}
+
+
+def test_dram_axis_selects_presets():
+    tasks = task_grid(["IS"], ("baseline",), "quick", drams=("ddr4", "ddr5"))
+    assert {t.config.dram.timing.tCK for t in tasks} == \
+        {DRAMConfig().timing.tCK, ddr5_6400().timing.tCK}
+
+
+def test_dram_cxl_expands_with_the_remote_link_enabled():
+    tasks = task_grid(["IS"], ("baseline", "dx100"), "quick",
+                      drams=("cxl",))
+    assert len(tasks) == 2
+    assert all(t.config.dram.remote.enabled for t in tasks)
+
+
+def test_unknown_dram_error_enumerates_the_registry(capsys):
+    """``run --dram`` takes its choices from the preset registry, so the
+    usage error names every preset, cxl included."""
+    from repro.__main__ import main
+
+    with pytest.raises(SystemExit) as exit_:
+        main(["run", "IS", "--quick", "--dram", "ddr4", "hbm"])
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert all(repr(name) in err for name in DRAM_PRESETS)
+
+
+def test_benchmark_globs_match_the_registry_in_order(capsys):
+    tasks = task_grid(["G*"], ("baseline",), "quick")
+    assert [t.benchmark for t in tasks] == ["GZZ", "GZZI", "GZP", "GZPI"]
+    with pytest.raises(KeyError, match=r"NOPE\*.*IS, CG, BFS"):
+        task_grid(["NOPE*"])
+    from repro.__main__ import main
+    assert main(["run", "NOPE*", "--quick"]) == 2
+    assert "unknown benchmarks: NOPE*" in capsys.readouterr().err
+
+
+def test_overlapping_names_and_globs_schedule_each_task_once():
+    tasks = task_grid(["GZZ", "G*", "GZ?"], ("baseline",), "quick")
+    assert [t.benchmark for t in tasks] == ["GZZ", "GZZI", "GZP", "GZPI"]
+
+
+def test_full_scale_is_a_scale_value(capsys):
+    """``--scale full`` selects the paper-sized registry: IS, CG, XRAGE."""
+    tasks = task_grid(None, ("dx100",), "full")
+    assert [(t.benchmark, t.scale) for t in tasks] == \
+        [("IS", "full"), ("CG", "full"), ("XRAGE", "full")]
+    assert _dry_run(["--all", "--scale", "full"], capsys) == _listing(tasks)
+    with pytest.raises(KeyError, match="XRAGE"):
+        task_grid(["BFS"], scale="full")
+
+
+def test_campaign_is_not_a_subcommand(capsys):
+    from repro.__main__ import main
+
+    with pytest.raises(SystemExit) as exit_:
+        main(["campaign", "scale=quick"])
+    assert exit_.value.code == 2
 
 
 # ------------------------------------------------------------ golden diffs
