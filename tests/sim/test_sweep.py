@@ -10,7 +10,7 @@ from dataclasses import asdict, replace
 import pytest
 
 from repro.common import SystemConfig
-from repro.common.config import DRAM_PRESETS, DRAMConfig, ddr5_6400
+from repro.common.config import DRAMConfig, ddr5_6400
 from repro.sim import run_baseline, run_dx100
 from repro.sim.sweep import (
     RunCache, SweepTask, diff_golden, execute_task, golden_snapshot,
@@ -251,18 +251,6 @@ def test_dram_cxl_expands_with_the_remote_link_enabled():
                       drams=("cxl",))
     assert len(tasks) == 2
     assert all(t.config.dram.remote.enabled for t in tasks)
-
-
-def test_unknown_dram_error_enumerates_the_registry(capsys):
-    """``run --dram`` takes its choices from the preset registry, so the
-    usage error names every preset, cxl included."""
-    from repro.__main__ import main
-
-    with pytest.raises(SystemExit) as exit_:
-        main(["run", "IS", "--quick", "--dram", "ddr4", "hbm"])
-    assert exit_.value.code == 2
-    err = capsys.readouterr().err
-    assert all(repr(name) in err for name in DRAM_PRESETS)
 
 
 def test_benchmark_globs_match_the_registry_in_order(capsys):
