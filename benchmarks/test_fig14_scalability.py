@@ -10,7 +10,6 @@ import pytest
 
 from repro.common import SystemConfig, geomean
 from repro.sim import run_baseline, run_dx100
-from repro.sim.scale import run_dx100_multi
 from repro.workloads import GZZ, IntegerSort, PageRank
 
 from mainsweep import record
@@ -42,8 +41,8 @@ def _sweep():
            for n, f in BIG.items()}
     out["8c/1x"] = geomean([base8[n].cycles / dx8[n].cycles for n in BIG])
 
-    dx8x2 = {n: run_dx100_multi(f(), cores=8, instances=2)
-             for n, f in BIG.items()}
+    dx8x2 = {n: run_dx100(f(), SystemConfig.dx100_scaled(8, instances=2),
+                          warm=False) for n, f in BIG.items()}
     out["8c/2x"] = geomean([base8[n].cycles / dx8x2[n].cycles for n in BIG])
     out["transfers"] = sum(r.extra["ownership_transfers"]
                            for r in dx8x2.values())

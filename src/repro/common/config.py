@@ -349,12 +349,22 @@ class SystemConfig:
     #: bitwise-identical metrics and DRAM command streams.
     frontend: str = "batched"
 
+    def __post_init__(self) -> None:
+        _require_positive(self, ("dx100_instances",))
+
+    def with_dram(self, dram: DRAMConfig) -> "SystemConfig":
+        """This system on ``dram``, its channels doubled above 4 cores (the
+        paper's scale-up from 4 cores / 2 channels to 8 cores / 4)."""
+        if self.cores > 4:
+            dram = replace(dram, channels=2 * dram.channels)
+        return replace(self, dram=dram)
+
     @staticmethod
     def baseline(cores: int = 4) -> "SystemConfig":
-        cfg = SystemConfig(name="baseline", cores=cores)
+        cfg = SystemConfig(cores=cores).with_dram(DRAMConfig())
         if cores > 4:
-            cfg = replace(cfg, dram=replace(cfg.dram, channels=4),
-                          llc=replace(cfg.llc, size_bytes=20 * 1024 * 1024))
+            cfg = replace(cfg, llc=replace(cfg.llc,
+                                           size_bytes=20 * 1024 * 1024))
         return cfg
 
     @staticmethod
@@ -368,7 +378,7 @@ class SystemConfig:
         )
         return replace(
             base,
-            name="dx100",
+            name="dx100" if instances == 1 else f"dx100x{instances}",
             llc=small_llc,
             dx100=DX100Config(tile_elems=tile_elems),
             dx100_instances=instances,
@@ -400,7 +410,7 @@ class SystemConfig:
         cfg = SystemConfig.baseline_scaled(cores)
         llc_bytes = cfg.llc.size_bytes - 256 * 1024 * instances
         return replace(
-            cfg, name="dx100",
+            cfg, name="dx100" if instances == 1 else f"dx100x{instances}",
             llc=replace(cfg.llc, size_bytes=llc_bytes, ways=16),
             dx100=DX100Config(tile_elems=tile_elems),
             dx100_instances=instances,

@@ -133,7 +133,6 @@ class DRAMRequest:
     addr: int
     is_write: bool
     arrival: int
-    meta: object = None
     # Owning channel, stamped at system enqueue (-1 = not yet routed);
     # lets completion find its controller without re-decoding the address.
     channel: int = -1

@@ -120,7 +120,7 @@ class MemoryController:
                      far: bool = False, tenant: int = -1) -> None:
         """Accept one request given as bare fields (a DX100 writeback),
         re-mapping the line as :meth:`enqueue_decoded` does."""
-        req = DRAMRequest(addr, is_write, arrival, None, self.channel, tenant)
+        req = DRAMRequest(addr, is_write, arrival, self.channel, tenant)
         req.far = far
         self.enqueue_coord(req, self.mapper.map(addr))
 
@@ -135,8 +135,7 @@ class MemoryController:
         far = [False] * len(lines) if far is None else far.tolist()
         for addr, arrival, is_far in zip(lines.tolist(), arrivals.tolist(),
                                          far):
-            req = DRAMRequest(addr, False, arrival, None, self.channel,
-                              tenant)
+            req = DRAMRequest(addr, False, arrival, self.channel, tenant)
             req.far = is_far
             self.enqueue_coord(req, self.mapper.map(addr))
             self._tickets.append(req)

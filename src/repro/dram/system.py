@@ -87,7 +87,7 @@ class DRAMSystem:
         return ctrl
 
     def access(self, addr: int, is_write: bool, arrival: int,
-               meta: object = None, decoded: tuple | None = None,
+               decoded: tuple | None = None,
                tenant: int = -1) -> DRAMRequest:
         """Convenience: enqueue a line request and return its record.
 
@@ -97,7 +97,7 @@ class DRAMSystem:
         ``tenant`` tags the request for per-tenant accounting (-1 =
         untagged); the tag never changes how the request is scheduled.
         """
-        req = DRAMRequest(addr, is_write, arrival, meta, -1, tenant)
+        req = DRAMRequest(addr, is_write, arrival, -1, tenant)
         remote = self.remote
         if remote is not None and remote.is_far(addr):
             req.far = True

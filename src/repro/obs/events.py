@@ -111,9 +111,9 @@ class EventBus:
             mshr.obs = self
         for core in system.multicore.cores:
             core.obs = self
-        if system.dx100 is not None:
-            system.dx100.obs = self
-            system.dx100.indirect.obs = self
+        for dx in system.dx100s:
+            dx.obs = self
+            dx.indirect.obs = self
 
     # -------------------------------------------------------------- publish
 

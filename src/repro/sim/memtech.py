@@ -86,7 +86,7 @@ def run_memtech(benchmark: str = "IS", cores: int = 2,
         for mode in _MODES:
             builder = (SystemConfig.dx100_scaled if mode == "dx100"
                        else SystemConfig.baseline_scaled)
-            config = replace(builder(cores), dram=dram)
+            config = builder(cores).with_dram(dram)
             if frontend is not None:
                 config = replace(config, frontend=frontend)
             wl = QUICK_BENCHMARKS[benchmark]()

@@ -1,14 +1,18 @@
 """Experiment runner: execute a workload under each system configuration.
 
-Three run modes mirror the paper's evaluation:
+Two runners cover the paper's three run modes:
 
-* ``run_baseline``  — the legacy multicore code (Table 3 baseline);
-* ``run_dmp``       — baseline plus the DMP indirect prefetcher;
-* ``run_dx100``     — the offloaded code: the DX100 program interleaved
+* ``run_baseline`` — the legacy multicore code (Table 3 baseline), or,
+  with a DMP config, the baseline plus the DMP indirect prefetcher;
+* ``run_dx100``    — the offloaded code: the DX100 program interleaved
   with residual core work, synchronized through scratchpad ready bits.
+  With ``SystemConfig.dx100_instances > 1`` the schedule's chunk groups
+  are dealt over the instances (core multiplexing, Section 6.6), which
+  take write ownership of shared arrays through the region protocol.
 
-DX100 runs also *validate*: the host-memory state after the program must
-match the workload's NumPy reference.
+DX100 runs also *validate*: the host-memory state after the program, and
+every gathered tile a workload registered, must match the workload's
+NumPy reference.
 """
 
 from __future__ import annotations
@@ -18,7 +22,8 @@ import gc
 
 from repro.common.config import SystemConfig
 from repro.dx100.api import RegWrite, WaitTiles
-from repro.dx100.isa import Instr
+from repro.dx100.coherency import RegionCoherence
+from repro.dx100.isa import Instr, Opcode
 from repro.sim.metrics import RunResult, collect
 from repro.sim.system import SimSystem
 from repro.workloads.base import CoreWork, Workload
@@ -93,11 +98,6 @@ def run_baseline(workload: Workload, config: SystemConfig | None = None,
                    instructions, extra)
 
 
-def run_dmp(workload: Workload, cores: int = 4,
-            warm: bool = True) -> RunResult:
-    return run_baseline(workload, SystemConfig.dmp_system(cores), warm)
-
-
 def software_pipeline(schedule: list) -> list:
     """Reorder a schedule for double buffering: each chunk's instructions
     dispatch *before* the previous chunk's residual core work, so the
@@ -123,6 +123,20 @@ def software_pipeline(schedule: list) -> list:
     return out
 
 
+def _split_groups(schedule: list) -> list[list]:
+    """Split a schedule into chunk groups at WaitTiles(+CoreWork) edges."""
+    groups: list[list] = []
+    current: list = []
+    for item in schedule:
+        current.append(item)
+        if isinstance(item, (WaitTiles, CoreWork)):
+            groups.append(current)
+            current = []
+    if current:
+        groups.append(current)
+    return groups
+
+
 @gc_paused
 def run_dx100(workload: Workload, config: SystemConfig | None = None,
               warm: bool = True, validate: bool = True,
@@ -130,6 +144,15 @@ def run_dx100(workload: Workload, config: SystemConfig | None = None,
               obs=None, tenant: int = -1) -> RunResult:
     """Run the offloaded code: DX100 schedule + residual core work,
     synchronized through scratchpad ready bits, then validate.
+
+    The schedule's chunk groups are dealt over the
+    ``config.dx100_instances`` accelerators in contiguous blocks
+    (OpenMP-static), each on its own timeline, so write ownership of an
+    array moves once, not every chunk.  Each memory write first takes its
+    region's write ownership (:class:`RegionCoherence`, free unless
+    another instance holds it).  Chunks on different instances finish out
+    of program order, legal only for the order-independent (load/RMW)
+    kernels the paper multiplexes.
 
     ``pipelined=True`` applies :func:`software_pipeline` (double
     buffering); the default keeps the workload's own ordering.
@@ -143,50 +166,69 @@ def run_dx100(workload: Workload, config: SystemConfig | None = None,
     system = SimSystem(config, mem_bytes=workload.mem_bytes, obs=obs)
     if tenant >= 0:
         system.set_tenant(tenant)
-    dx = system.dx100
-    workload.generate(system.hostmem)
+    accels = system.dx100s
+    hostmem = system.hostmem
+    workload.generate(hostmem)
     if warm and hasattr(workload, "warm_lines"):
         system.warm(workload.warm_lines())
+    regions = RegionCoherence()
+    for name in hostmem._segments:
+        regions.register(hostmem.interval_of(name))
     # PTE transfer for all touched memory (Section 3.6).
-    dx.preload_pages(system.hostmem.base,
-                     system.hostmem.base + system.hostmem.size)
+    for dx in accels:
+        dx.preload_pages(hostmem.base, hostmem.base + hostmem.size)
 
     schedule = workload.dx100_schedule(config.dx100, config.cores)
     if pipelined:
         schedule = software_pipeline(schedule)
-    t = 0
+    groups = _split_groups(schedule)
+    times = [0] * len(accels)
+    records = []        # every instance's records, in program order
     issue_instrs = 0.0
-    for item in schedule:
-        if isinstance(item, RegWrite):
-            dx.write_register(item.reg, item.value)
-            t += 1
-            issue_instrs += 1
-        elif isinstance(item, Instr):
-            dx.dispatch(item, t)
-            t += ISSUE_INSTRS
-            issue_instrs += ISSUE_INSTRS
-        elif isinstance(item, WaitTiles):
-            resume = dx.wait(item.tiles, t)
-            spins = min((resume - t) // SPIN_PERIOD, SPIN_CAP)
-            issue_instrs += WAIT_BASE_INSTRS + spins
-            t = resume
-            for tile in item.tiles:
-                dx.mark_consumed(tile)
-        elif isinstance(item, CoreWork):
-            t = system.multicore.run(item.traces, at=t)
-        else:
-            raise TypeError(f"unknown schedule item {item!r}")
-    # The run ends when both the cores and the accelerator are done.
-    if dx.records:
-        t = max(t, max(r.finish for r in dx.records))
+    for g, group in enumerate(groups):
+        k = g * len(accels) // len(groups)
+        dx = accels[k]
+        t = times[k]
+        for item in group:
+            if isinstance(item, RegWrite):
+                dx.write_register(item.reg, item.value)
+                t += 1
+                issue_instrs += 1
+            elif isinstance(item, Instr):
+                if item.opcode in (Opcode.IST, Opcode.IRMW, Opcode.SST):
+                    t = regions.acquire(item.base, k, write=True, t=t)
+                records.append(dx.dispatch(item, t))
+                t += ISSUE_INSTRS
+                issue_instrs += ISSUE_INSTRS
+            elif isinstance(item, WaitTiles):
+                resume = dx.wait(item.tiles, t)
+                spins = min((resume - t) // SPIN_PERIOD, SPIN_CAP)
+                issue_instrs += WAIT_BASE_INSTRS + spins
+                t = resume
+                for tile in item.tiles:
+                    dx.mark_consumed(tile)
+            elif isinstance(item, CoreWork):
+                t = system.multicore.run(item.traces, at=t)
+            else:
+                raise TypeError(f"unknown schedule item {item!r}")
+        times[k] = t
+    # The run ends when both the cores and the accelerators are done.
+    t = max(times)
+    if records:
+        t = max(t, max(r.finish for r in records))
     instructions = (system.multicore.total_instructions() + issue_instrs
                     + workload.non_roi_instructions())
     if validate:
-        workload.validate_dx(dx, system.hostmem)
+        workload.validate_dx(records, hostmem)
     extra = {
-        "dx100_instructions": dx.stats.get("instructions"),
-        "coalescing": _mean_coalescing(dx),
+        "dx100_instructions": sum(dx.stats.get("instructions")
+                                  for dx in accels),
+        "coalescing": _mean_coalescing(records),
     }
+    if len(accels) > 1:
+        extra["instances"] = len(accels)
+        extra["ownership_transfers"] = regions.stats.get(
+            "ownership_transfers")
     if obs is not None:
         # Drain first (idempotent) so the digest sees the final counts.
         system.dram.drain()
@@ -195,23 +237,10 @@ def run_dx100(workload: Workload, config: SystemConfig | None = None,
                    extra)
 
 
-def _mean_coalescing(dx) -> float:
-    factors = [r.detail.coalescing for r in dx.records
+def _mean_coalescing(records) -> float:
+    factors = [r.detail.coalescing for r in records
                if r.detail is not None and hasattr(r.detail, "coalescing")]
     if not factors:
         return 1.0
     return sum(factors) / len(factors)
 
-
-def compare(workload_factory, cores: int = 4, warm: bool = True,
-            tile_elems: int = 16 * 1024) -> dict[str, RunResult]:
-    """Run one workload in all three configurations (fresh instances)."""
-    results = {}
-    results["baseline"] = run_baseline(workload_factory(),
-                                       SystemConfig.baseline(cores), warm)
-    results["dmp"] = run_baseline(workload_factory(),
-                                  SystemConfig.dmp_system(cores), warm)
-    results["dx100"] = run_dx100(
-        workload_factory(),
-        SystemConfig.dx100_system(cores, tile_elems=tile_elems), warm)
-    return results

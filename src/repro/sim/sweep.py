@@ -548,9 +548,11 @@ def task_grid(benchmarks: list[str] | None = None,
 
     This is the one place a task's :class:`SystemConfig` is built: the
     mode's preset at ``cores``, then the ``dram`` technology
-    (:data:`repro.common.config.DRAM_PRESETS`; ``None`` keeps the preset's
-    DDR4), the JEDEC ``audit``, the DRAM ``engine`` override (``"scalar"``
-    runs the per-request oracle), the DX100 ``tile`` size, and the
+    (:data:`repro.common.config.DRAM_PRESETS`, through
+    :meth:`SystemConfig.with_dram`, so above 4 cores its channels double
+    as the default DDR4's do; ``None`` keeps the preset's DDR4), the
+    JEDEC ``audit``, the DRAM ``engine`` override (``"scalar"`` runs the
+    per-request oracle), the DX100 ``tile`` size, and the
     simulation ``frontend`` override (``"scalar"`` replays the per-op
     cache/core oracle).  Each override is part of the cache key, so oracle
     runs never alias batched ones.  A tile point exists only for configs
@@ -576,7 +578,7 @@ def task_grid(benchmarks: list[str] | None = None,
             names, modes, drams, tiles, cores):
         config = CONFIG_BUILDERS[mode](n_cores)
         if dram is not None:
-            config = replace(config, dram=dram_preset(dram))
+            config = config.with_dram(dram_preset(dram))
         if audit:
             config = replace(config, dram=replace(config.dram, audit=True))
         if engine is not None:

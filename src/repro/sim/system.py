@@ -31,8 +31,12 @@ class SimSystem:
         self.hostmem = HostMemory(mem_bytes)
         self.multicore = (BatchedMulticore if batched
                           else Multicore)(config, self.hierarchy, self.dram)
-        self.dx100 = (DX100(config, self.hierarchy, self.dram, self.hostmem)
-                      if config.dx100 is not None else None)
+        # ``config.dx100_instances`` accelerators share the memory system;
+        # instance 0 is ``dx100``, the one every single-instance run uses.
+        instances = config.dx100_instances if config.dx100 is not None else 0
+        self.dx100s = [DX100(config, self.hierarchy, self.dram, self.hostmem,
+                             instance=i) for i in range(instances)]
+        self.dx100 = self.dx100s[0] if self.dx100s else None
         self.dmp = None
         if config.dmp:
             self.dmp = DMPEngine(self.hierarchy)
@@ -53,7 +57,7 @@ class SimSystem:
     def set_tenant(self, tenant: int, cores=None) -> None:
         """Tag this system's traffic with ``tenant`` (-1 = untagged).
 
-        Tags the DX100 instance (if any) and either all cores or the given
+        Tags every DX100 instance and either all cores or the given
         subset.  Tags only feed per-tenant accounting — scheduling is
         unchanged, so a ``tenant=0`` run matches an untagged run cycle for
         cycle.
@@ -61,8 +65,8 @@ class SimSystem:
         targets = range(self.config.cores) if cores is None else cores
         for core in targets:
             self.hierarchy.core_tenant[core] = tenant
-        if self.dx100 is not None:
-            self.dx100.set_tenant(tenant)
+        for dx in self.dx100s:
+            dx.set_tenant(tenant)
 
     def warm(self, lines) -> None:
         """Pre-load lines into every cache level (the all-hit scenario)."""

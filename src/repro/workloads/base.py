@@ -111,13 +111,14 @@ class Workload(ABC):
                     f"reference in {bad}/{len(expect)} elements"
                 )
 
-    def validate_dx(self, dx, mem: HostMemory) -> None:
+    def validate_dx(self, records, mem: HostMemory) -> None:
         """Full DX100-run validation: memory state plus any gathered tiles
         registered with :meth:`expect_gather` (for load-only kernels whose
-        results live in the scratchpad rather than memory)."""
+        results live in the scratchpad rather than memory).  ``records``
+        holds every instance's instruction records in program order."""
         self.validate(mem)
         for record_index, expect in getattr(self, "_gather_checks", []):
-            record = dx.records[record_index]
+            record = records[record_index]
             got = record.detail.values
             if not np.array_equal(np.asarray(got), np.asarray(expect)):
                 raise AssertionError(

@@ -77,6 +77,7 @@ def test_dmp_preset():
         "tile_elems", "num_tiles", "num_registers", "row_table_rows",
         "row_table_cols", "request_table", "alu_lanes", "tlb_entries",
         "fill_rate", "drain_rate", "stream_issue_rate")),
+    (SystemConfig, "dx100_instances"),
 ])
 def test_zero_size_or_rate_rejected_naming_the_field(cls, field):
     """A zero size or rate used to finish with nonsense cycles (a zero ROB

@@ -582,7 +582,7 @@ def _batch_run(cfg: DRAMConfig, program: list[tuple], columns: bool):
             tickets = system.access_lines(
                 fields["line"], arrivals, *(fields[name] for name in names))
         else:
-            reqs = [system.access(int(a), False, int(at), None, d)
+            reqs = [system.access(int(a), False, int(at), decoded=d)
                     for a, at, d in zip(addrs, arrivals, decoded)]
         for line_no, is_write, dt in traffic:
             core.append(system.access(line_no * line % span, is_write,
@@ -599,7 +599,7 @@ def _batch_run(cfg: DRAMConfig, program: list[tuple], columns: bool):
                                                 *d)
                 else:
                     arrival = system.access(int(addrs[j]), True, finish + 1,
-                                            None, d).arrival
+                                            decoded=d).arrival
                 wb_arrivals.append(arrival)
         if columns:
             system.release_lines()

@@ -202,14 +202,14 @@ def test_stream_load_records_hold_no_values():
     seen = {}
     validate_dx = wl.validate_dx
 
-    def capture(dx, mem):
-        seen["dx"] = dx
-        validate_dx(dx, mem)
+    def capture(records, mem):
+        seen["records"], seen["mem"] = records, mem
+        validate_dx(records, mem)
 
     wl.validate_dx = capture
     run_dx100(wl, SystemConfig.dx100_scaled(tile_elems=1 << 11),
               warm=False)
-    records = seen["dx"].records
+    records = seen["records"]
     slds = [r for r in records if r.instr.opcode is Opcode.SLD]
     assert slds and all(r.detail.values is None for r in slds)
     assert all(r.detail.finish == r.finish for r in slds)
@@ -218,4 +218,4 @@ def test_stream_load_records_hold_no_values():
     index, expect = wl._gather_checks[0]
     wl._gather_checks[0] = (index, expect + 1)
     with pytest.raises(AssertionError, match="gathered tile"):
-        validate_dx(seen["dx"], seen["dx"].hostmem)
+        validate_dx(records, seen["mem"])

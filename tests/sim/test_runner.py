@@ -3,7 +3,8 @@
 import pytest
 
 from repro.common import SystemConfig
-from repro.sim import SimSystem, compare, run_baseline, run_dmp, run_dx100
+from repro.sim import SimSystem, run_baseline, run_dx100
+from repro.sim.runner import _split_groups
 from repro.workloads import QUICK_BENCHMARKS, GatherFull, IntegerSort
 
 
@@ -39,16 +40,30 @@ def test_run_dx100_requires_dx_config():
 
 def test_dmp_run_issues_prefetches():
     wl = QUICK_BENCHMARKS["IS"]()
-    result = run_dmp(wl, warm=False)
+    result = run_baseline(wl, SystemConfig.dmp_system(), warm=False)
     assert result.config == "dmp"
     assert result.extra["dmp_prefetches"] > 0
 
 
 def test_compare_runs_all_three_configs():
-    results = compare(lambda: GatherFull(1024), tile_elems=1024)
-    assert set(results) == {"baseline", "dmp", "dx100"}
-    speedup = results["dx100"].speedup_over(results["baseline"])
-    assert speedup > 1.0
+    results = [run_baseline(GatherFull(1024), SystemConfig.baseline()),
+               run_baseline(GatherFull(1024), SystemConfig.dmp_system()),
+               run_dx100(GatherFull(1024),
+                         SystemConfig.dx100_system(tile_elems=1024))]
+    assert [r.config for r in results] == ["baseline", "dmp", "dx100"]
+    assert results[2].speedup_over(results[0]) > 1.0
+
+
+def test_split_groups_at_wait_boundaries():
+    from repro.dx100 import isa
+    from repro.common import DType
+    from repro.dx100.api import RegWrite, WaitTiles
+    i1 = isa.sld(DType.U32, 0, td=0, rs1=0, rs2=1, rs3=2)
+    schedule = [RegWrite(0, 0), i1, WaitTiles((0,)), RegWrite(1, 1), i1,
+                WaitTiles((0,))]
+    groups = _split_groups(schedule)
+    assert len(groups) == 2
+    assert all(isinstance(g[-1], WaitTiles) for g in groups)
 
 
 def test_speedup_over():

@@ -2,41 +2,73 @@
 
 import pytest
 
-from repro.sim.scale import _split_groups, run_dx100_multi
-from repro.workloads import IntegerSort
-from repro.dx100.api import RegWrite, WaitTiles
-from repro.dx100.isa import Instr
+from repro.common import DX100Config, SystemConfig
 from repro.dx100 import Scratchpad
-from repro.common import DX100Config
+from repro.sim import run_dx100, runner
+from repro.workloads import QUICK_BENCHMARKS, IntegerSort
+
+TWO = SystemConfig.dx100_scaled(8, instances=2, tile_elems=1 << 11)
 
 
-def test_split_groups_at_wait_boundaries():
-    from repro.dx100 import isa
-    from repro.common import DType
-    i1 = isa.sld(DType.U32, 0, td=0, rs1=0, rs2=1, rs3=2)
-    schedule = [RegWrite(0, 0), i1, WaitTiles((0,)), RegWrite(1, 1), i1,
-                WaitTiles((0,))]
-    groups = _split_groups(schedule)
-    assert len(groups) == 2
-    assert all(isinstance(g[-1], WaitTiles) for g in groups)
+@pytest.fixture
+def seen(monkeypatch):
+    """The system of each run, caught where ``run_dx100`` collects it."""
+    systems = []
+    collect = runner.collect
+
+    def catch(system, *args, **kwargs):
+        systems.append(system)
+        return collect(system, *args, **kwargs)
+
+    monkeypatch.setattr(runner, "collect", catch)
+    return systems
 
 
-def test_two_instances_validate_and_record_transfers():
-    result = run_dx100_multi(
-        IntegerSort(scale=1 << 13, bucket_space=1 << 19),
-        cores=8, instances=2, tile_elems=1 << 11)
+def test_two_instances_validate_and_record_transfers(seen):
+    result = run_dx100(IntegerSort(scale=1 << 13, bucket_space=1 << 19),
+                       TWO, warm=False)
     assert result.config == "dx100x2"
     assert result.extra["instances"] == 2
+    assert len(seen[0].dx100s) == 2
     # Both instances wrote the shared count array: SWMR transfers happened.
     assert result.extra["ownership_transfers"] >= 1
     assert result.cycles > 0
 
 
-def test_single_instance_multi_runner_matches_plain():
-    result = run_dx100_multi(
-        IntegerSort(scale=1 << 12, bucket_space=1 << 18),
-        cores=8, instances=1, tile_elems=1 << 11)
-    assert result.extra["ownership_transfers"] == 0
+def test_two_instances_count_spins_and_mark_consumed(seen, monkeypatch):
+    def run():
+        return run_dx100(IntegerSort(scale=1 << 13, bucket_space=1 << 19),
+                         TWO, warm=False)
+
+    spinning = run()
+    # Cores read every waited-on tile, on whichever instance gathered it.
+    assert all(dx.coherency.tracked_lines for dx in seen[0].dx100s)
+    monkeypatch.setattr(runner, "SPIN_CAP", 0)
+    silent = run()
+    assert silent.cycles == spinning.cycles
+    assert silent.instructions < spinning.instructions
+
+
+@pytest.mark.parametrize("check", [0, -1], ids=["first", "last"])
+def test_two_instance_cg_checks_every_gathered_tile(seen, check):
+    """CG's gathered tiles are its only check; the block rule puts the
+    first chunk on instance 0 and the last on instance 1, and a wrong
+    expected tile on either fails the run."""
+    run_dx100(QUICK_BENCHMARKS["CG"](), TWO, warm=False)
+    assert all(dx.records for dx in seen[0].dx100s)
+
+    wl = QUICK_BENCHMARKS["CG"]()
+    schedule = wl.dx100_schedule
+
+    def corrupted(config, cores):
+        items = schedule(config, cores)
+        index, expect = wl._gather_checks[check]
+        wl._gather_checks[check] = (index, expect + 1)
+        return items
+
+    wl.dx100_schedule = corrupted
+    with pytest.raises(AssertionError, match="gathered tile"):
+        run_dx100(wl, TWO, warm=False)
 
 
 def test_instance_scratchpads_do_not_overlap():

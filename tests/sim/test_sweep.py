@@ -10,10 +10,10 @@ from dataclasses import asdict, replace
 import pytest
 
 from repro.common import SystemConfig
-from repro.common.config import DRAMConfig, ddr5_6400
+from repro.common.config import DRAM_PRESETS, DRAMConfig, ddr5_6400
 from repro.sim import run_baseline, run_dx100
 from repro.sim.sweep import (
-    RunCache, SweepTask, diff_golden, execute_task, golden_snapshot,
+    MODES, RunCache, SweepTask, diff_golden, execute_task, golden_snapshot,
     main_sweep_tasks, model_version, run_sweep, task_grid,
     workload_fingerprint,
 )
@@ -244,6 +244,24 @@ def test_dram_axis_selects_presets():
     tasks = task_grid(["IS"], ("baseline",), "quick", drams=("ddr4", "ddr5"))
     assert {t.config.dram.timing.tCK for t in tasks} == \
         {DRAMConfig().timing.tCK, ddr5_6400().timing.tCK}
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_explicit_ddr4_is_the_default_dram_at_eight_cores(mode):
+    """``--dram ddr4`` names the default, so above 4 cores it keeps the
+    channel doubling and the task (cache key included) is unchanged."""
+    default, = task_grid(["IS"], (mode,), cores=(8,))
+    ddr4, = task_grid(["IS"], (mode,), cores=(8,), drams=("ddr4",))
+    assert ddr4 == default and ddr4.key() == default.key()
+    assert default.config.dram.channels == 4
+
+
+def test_dram_presets_double_their_channels_above_four_cores():
+    for dram in DRAM_PRESETS:
+        small, = task_grid(["IS"], ("dx100",), cores=(4,), drams=(dram,))
+        big, = task_grid(["IS"], ("dx100",), cores=(8,), drams=(dram,))
+        assert big.config.dram == replace(
+            small.config.dram, channels=2 * small.config.dram.channels)
 
 
 def test_dram_cxl_expands_with_the_remote_link_enabled():
