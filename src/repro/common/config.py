@@ -37,7 +37,6 @@ class CoreConfig:
     lq_size: int = 72
     sq_size: int = 56
     iq_size: int = 50
-    freq_ghz: float = CPU_GHZ
     # Atomic RMWs serialize per core: the next atomic issues only after the
     # previous one completes plus this fence/store-buffer-drain cost.
     # Calibrated so cached atomics run ~4-5x slower than plain RMWs (the

@@ -4,21 +4,21 @@
 :class:`~repro.dram.controller.MemoryController` that trades the scalar
 engine's per-request object dispatch for structure-of-arrays state:
 
-* **SoA request buffer** — a request's arrival / direction / row / dense
-  bank id live in parallel lists indexed by a monotone request id (rid),
-  with liveness in one ``bytearray``.
-* **Indexed FR-FCFS** — instead of rescanning the buffer per pick, the
-  engine keeps min-heaps of bare ``(arrival, rid)`` pairs: one over every
-  buffered request (the oldest, for the age cap and the no-hit fallback)
-  and one per (bank, row, direction).  The *hot* set holds the banks
-  whose open row has pending requests, updated on every ACT/PRE, so a
-  pick peeks at the hot banks' heap heads (usually zero or one).  The
-  pick is always the head of its (bank, row, direction) heap and is
-  popped there, and a row is deleted once both its heaps empty, so the
-  per-row index only ever holds buffered requests.  In the all-request
-  heap, requests taken out of arrival order leave dead nodes behind;
-  they are popped lazily when they surface and compacted away wholesale
-  once they outnumber live ones.  FCFS needs only the all-request heap.
+* **SoA request columns** — a request's arrival / direction / row /
+  dense bank id live in parallel lists indexed by a monotone request id
+  (rid).
+* **In-order FR-FCFS** — ``buffer`` is the scheduling window itself: a
+  list of ``(arrival, rid)`` pairs kept sorted.  Rids are assigned in
+  enqueue order and refill is FIFO, so this is the scalar scan's
+  first-minimum order, and the oldest request is ``buffer[0]``.  Per-bank
+  counts of buffered ``[reads, writes]`` by row, and the total of
+  buffered requests that hit their bank's open row, say in O(1) whether
+  a scan can find a row hit; refill, take, ACT and every row close keep
+  them current.  Without a hit (or past the age cap, or under FCFS) the
+  pick is ``buffer[0]``; with one, the pick is the first hit in the
+  scan order, preferring the bus's direction.  On DX100 traffic the
+  Row Table has already grouped the drain by row, so the pick is the
+  oldest request on almost every step.
 * **Dense bank state** — per-channel banks are numbered
   ``(rank * bankgroups + bankgroup) * banks_per_group + bank`` and kept in
   one flat list, killing the per-access dict hashing of flat-bank tuples.
@@ -48,8 +48,8 @@ the differential suite; select the oracle with ``DRAMConfig.engine =
 
 from __future__ import annotations
 
+from bisect import insort
 from collections import deque
-from heapq import heapify, heappop, heappush
 
 import numpy as np
 
@@ -77,21 +77,6 @@ class _SchedulerHandle:
 
     def __init__(self) -> None:
         self.obs = None
-
-
-class _BufferView:
-    """Sized view of the request buffer (``len(ctrl.buffer)`` compat)."""
-
-    __slots__ = ("_ctrl",)
-
-    def __init__(self, ctrl: "BatchedController") -> None:
-        self._ctrl = ctrl
-
-    def __len__(self) -> int:
-        return self._ctrl._buffered
-
-    def __bool__(self) -> bool:
-        return self._ctrl._buffered > 0
 
 
 class BatchedController:
@@ -151,22 +136,17 @@ class BatchedController:
         # The request's DRAMRequest when it entered as one (cleared on
         # retire), else None.
         self._req: list = []
-        self._alive = bytearray()
         # Set while a caller holds rids from enqueue_lines: storage is not
         # reclaimed until release().
         self._held = False
         self.input_queue: deque[int] = deque()
-        self._buffered = 0
-        self._dead = 0
-
-        # Inline FR-FCFS index over (arrival, rid) pairs.
-        self._any: list[tuple[int, int]] = []
-        # bank_id -> row -> (read_heap, write_heap); only rows with
-        # buffered requests, and every heap node is live.
-        self._groups: list[dict[int, tuple[list, list]]] = [
-            {} for _ in range(n_banks)]
-        # bank_id -> its open row's (non-empty) heap pair.
-        self._hot: dict[int, tuple[list, list]] = {}
+        # The scheduling window: (arrival, rid) pairs in pick order.
+        self.buffer: list[tuple[int, int]] = []
+        # bank_id -> row -> [buffered reads, buffered writes]; only rows
+        # with buffered requests.
+        self._rows: list[dict[int, list[int]]] = [{} for _ in range(n_banks)]
+        # Buffered [reads, writes] whose row is their bank's open row.
+        self._hits = [0, 0]
 
         self.time = 0
         self.stats = Stats()
@@ -232,7 +212,7 @@ class BatchedController:
         """Append one request to the columns.  ``req``, when given, is
         the object the service writes its results back to."""
         arr = self._arr
-        if (not self._buffered and not self.input_queue
+        if (not self.buffer and not self.input_queue
                 and len(arr) > _RESET_THRESHOLD and not self._held):
             self._reset_storage()
         self.input_queue.append(len(arr))
@@ -246,7 +226,6 @@ class BatchedController:
         self._tenant.append(tenant)
         self._finish.append(-1)
         self._req.append(req)
-        self._alive.append(0)
         counters = self.stats.counters
         counters["requests"] += 1
         counters["writes" if is_write else "reads"] += 1
@@ -259,7 +238,7 @@ class BatchedController:
         first rid (the run's rids are consecutive).  The rids stay valid
         for :meth:`finish_of` until :meth:`release`."""
         arr = self._arr
-        if (not self._buffered and not self.input_queue
+        if (not self.buffer and not self.input_queue
                 and len(arr) > _RESET_THRESHOLD and not self._held):
             self._reset_storage()
         self._held = True
@@ -276,7 +255,6 @@ class BatchedController:
         self._tenant.extend([tenant] * n)
         self._finish.extend([-1] * n)
         self._req.extend([None] * n)
-        self._alive.extend(bytes(n))
         self.input_queue.extend(range(first, first + n))
         counters = self.stats.counters
         counters["requests"] += n
@@ -303,8 +281,7 @@ class BatchedController:
         Rid relative order is preserved for all future requests, so the
         ``(arrival, rid)`` tie-break stays equivalent to the oracle's
         monotone ``seq`` (ties are only ever compared among co-buffered
-        requests).  The per-row index and the hot set are already empty
-        here.
+        requests).  The buffer and the row counts are already empty here.
         """
         del self._arr[:]
         del self._w[:]
@@ -315,19 +292,10 @@ class BatchedController:
         del self._tenant[:]
         del self._finish[:]
         del self._req[:]
-        self._alive = bytearray()
-        self._any = []
-        self._dead = 0
-
-    @property
-    def buffer(self) -> _BufferView:
-        # Built per access: a view held in an attribute would make a
-        # reference cycle, leaving the channel to the cyclic collector.
-        return _BufferView(self)
 
     def next_event(self) -> int | None:
         """Earliest cycle this channel has schedulable work, or None."""
-        if self._buffered:
+        if self.buffer:
             return self.time
         if self.input_queue:
             arrival = self._arr[self.input_queue[0]]
@@ -340,118 +308,86 @@ class BatchedController:
         """Move arrived requests into the scheduling window, oldest first."""
         queue = self.input_queue
         arr = self._arr
-        cap = self._buffer_cap
-        buffered = self._buffered
-        any_heap = self._any
-        alive = self._alive
-        if self._fcfs:
-            while queue and buffered < cap and arr[queue[0]] <= now:
-                rid = queue.popleft()
-                alive[rid] = 1
-                heappush(any_heap, (arr[rid], rid))
-                buffered += 1
-            self._buffered = buffered
-            return
-        groups = self._groups
-        hot = self._hot
+        buffer = self.buffer
+        room = self._buffer_cap - len(buffer)
         rows = self._row
         bids = self._bid
         writes = self._w
+        rows_by_bank = self._rows
+        hits = self._hits
         bank_list = self._bank_list
-        while queue and buffered < cap and arr[queue[0]] <= now:
+        while queue and room and arr[queue[0]] <= now:
             rid = queue.popleft()
-            alive[rid] = 1
-            node = (arr[rid], rid)
-            heappush(any_heap, node)
-            buffered += 1
+            arrival = arr[rid]
+            if buffer and arrival < buffer[-1][0]:
+                # Arrivals out of enqueue order (far lines, writebacks).
+                insort(buffer, (arrival, rid))
+            else:
+                buffer.append((arrival, rid))
+            room -= 1
             bid = bids[rid]
             row = rows[rid]
-            rows_map = groups[bid]
-            pair = rows_map.get(row)
-            if pair is None:
-                pair = rows_map[row] = ([], [])
-            heappush(pair[1] if writes[rid] else pair[0], node)
+            is_write = writes[rid]
+            counts = rows_by_bank[bid].get(row)
+            if counts is None:
+                counts = rows_by_bank[bid][row] = [0, 0]
+            counts[is_write] += 1
             if bank_list[bid].open_row == row:
-                hot[bid] = pair
-        self._buffered = buffered
+                hits[is_write] += 1
 
     def _note_occupancy(self, now: int) -> None:
         dt = now - self._last_occ_time
         if dt > 0:
-            self.stats.observe("occupancy", self._buffered, dt)
+            self.stats.observe("occupancy", len(self.buffer), dt)
             self._last_occ_time = now
 
     def _take(self, now: int) -> int:
         """Pick and remove the next rid (inline FR-FCFS / FCFS)."""
-        any_heap = self._any
-        alive = self._alive
-        if self._fcfs:
-            rid = heappop(any_heap)[1]
-            alive[rid] = 0
-            self._buffered -= 1
-            return rid
-        while not alive[any_heap[0][1]]:
-            heappop(any_heap)
-            self._dead -= 1
-        oldest = any_heap[0]
-        hot = self._hot
-        if now - oldest[0] > AGE_CAP:
-            rid = oldest[1]
-            obs = self.scheduler.obs
-            if obs is not None:
-                obs.starvation(now)
-        else:
-            best_dir = best_hit = None
-            last_was_write = self.bus.last_was_write
-            for read_heap, write_heap in hot.values():
-                if read_heap:
-                    head = read_heap[0]
-                    if best_hit is None or head < best_hit:
-                        best_hit = head
-                    if not last_was_write and (
-                            best_dir is None or head < best_dir):
-                        best_dir = head
-                if write_heap:
-                    head = write_heap[0]
-                    if best_hit is None or head < best_hit:
-                        best_hit = head
-                    if last_was_write and (
-                            best_dir is None or head < best_dir):
-                        best_dir = head
-            if best_dir is not None:
-                rid = best_dir[1]
-            elif best_hit is not None:
-                rid = best_hit[1]
-            else:
-                rid = oldest[1]
-        # Every rule picks the oldest live request of some (bank, row,
-        # direction) heap, so the pick is that heap's head: pop it there.
-        bid = self._bid[rid]
-        row = self._row[rid]
-        rows_map = self._groups[bid]
-        pair = rows_map[row]
-        read_heap, write_heap = pair
-        heappop(write_heap if self._w[rid] else read_heap)
-        if not read_heap and not write_heap:
+        buffer = self.buffer
+        hits = self._hits
+        bids = self._bid
+        rows = self._row
+        writes = self._w
+        bank_list = self._bank_list
+        i = 0
+        if not self._fcfs:
+            if now - buffer[0][0] > AGE_CAP:
+                obs = self.scheduler.obs
+                if obs is not None:
+                    obs.starvation(now)
+            elif hits[0] or hits[1]:
+                # The first row hit in scan order, in the bus's direction
+                # if any buffered hit goes that way.
+                want = self.bus.last_was_write
+                if hits[want]:
+                    for i, (_, rid) in enumerate(buffer):
+                        if (writes[rid] == want and
+                                bank_list[bids[rid]].open_row == rows[rid]):
+                            break
+                else:
+                    for i, (_, rid) in enumerate(buffer):
+                        if bank_list[bids[rid]].open_row == rows[rid]:
+                            break
+        rid = buffer.pop(i)[1]
+        bid = bids[rid]
+        row = rows[rid]
+        is_write = writes[rid]
+        rows_map = self._rows[bid]
+        counts = rows_map[row]
+        counts[is_write] -= 1
+        if not (counts[0] or counts[1]):
             del rows_map[row]
-            if hot.get(bid) is pair:
-                del hot[bid]
-        alive[rid] = 0
-        self._buffered -= 1
-        if rid == oldest[1]:
-            heappop(any_heap)
-        else:
-            self._dead += 1
-            if self._dead > 64 and self._dead > 2 * self._buffered:
-                self._compact()
+        if bank_list[bid].open_row == row:
+            hits[is_write] -= 1
         return rid
 
-    def _compact(self) -> None:
-        """Drop the all-request heap's dead nodes."""
-        alive = self._alive
-        self._any = [node for node in self._any if alive[node[1]]]
-        heapify(self._any)
-        self._dead = 0
+    def _close_row(self, bid: int, row: int) -> None:
+        """Take a closing row's buffered requests out of the hit counts."""
+        counts = self._rows[bid].get(row)
+        if counts is not None:
+            hits = self._hits
+            hits[0] -= counts[0]
+            hits[1] -= counts[1]
 
     # ------------------------------------------------------------- refresh
 
@@ -466,7 +402,6 @@ class BatchedController:
         timing = self.timing
         observers = self.command_observers
         counters = self.stats.counters
-        hot = self._hot
         bank_list = self._bank_list
         banks_per_rank = self._banks_per_rank
         for rank_id, rank in enumerate(self._rank_list):
@@ -482,7 +417,7 @@ class BatchedController:
                             t_pre = due
                         row = bank.open_row
                         bank.precharge(t_pre, timing)
-                        hot.pop(bid, None)
+                        self._close_row(bid, row)
                         if observers:
                             fb = self._fb[bid]
                             for obs in observers:
@@ -511,9 +446,10 @@ class BatchedController:
         arr = self._arr
         queue = self.input_queue
         now = self.time
-        if queue and self._buffered < self._buffer_cap and arr[queue[0]] <= now:
+        buffer = self.buffer
+        if queue and len(buffer) < self._buffer_cap and arr[queue[0]] <= now:
             self._refill(now)
-        if not self._buffered:
+        if not buffer:
             if not queue:
                 return None
             # Idle gap: skip ahead to the next arrival.
@@ -561,7 +497,7 @@ class BatchedController:
                 t = t_pre + self._tRP
                 if t > bank.act_ready:
                     bank.act_ready = t
-                self._hot.pop(bid, None)
+                self._close_row(bid, old_row)
                 if observers:
                     fb = self._fb[bid]
                     for obs in observers:
@@ -603,12 +539,11 @@ class BatchedController:
             times.append(t_act)
             if len(times) > 8:
                 del times[:-4]
-            if not self._fcfs:
-                pair = self._groups[bid].get(row)
-                if pair is not None:
-                    self._hot[bid] = pair
-                else:
-                    self._hot.pop(bid, None)
+            counts = self._rows[bid].get(row)
+            if counts is not None:
+                hits = self._hits
+                hits[0] += counts[0]
+                hits[1] += counts[1]
             if observers:
                 fb = self._fb[bid]
                 for obs in observers:
@@ -668,7 +603,7 @@ class BatchedController:
             t = t_pre + self._tRP
             if t > bank.act_ready:
                 bank.act_ready = t
-            self._hot.pop(bid, None)
+            self._close_row(bid, row)
             if observers:
                 fb = self._fb[bid]
                 for obs in observers:
@@ -678,7 +613,7 @@ class BatchedController:
         if dt > 0:
             # ``stats.observe("occupancy", ...)`` inlined: same float ops,
             # same accumulators.
-            stats._wsum["occupancy"] += self._buffered * dt
+            stats._wsum["occupancy"] += len(buffer) * dt
             stats._wweight["occupancy"] += dt
             self._last_occ_time = t_col
         if t_col > self.time:

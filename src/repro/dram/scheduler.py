@@ -9,9 +9,10 @@ Each policy is one linear scan over the request buffer: stateless apart
 from the starvation probe, and the readable specification of the pick
 order.  Ties on equal arrival go to the earlier buffer insertion (the
 first minimum the scan meets).  The production engine
-(:class:`~repro.dram.batched.BatchedController`) keeps its own heap index
-over the same order, and ``tests/dram/test_engine_differential.py`` checks
-the two agree command for command.
+(:class:`~repro.dram.batched.BatchedController`) keeps its buffer sorted
+in that order and scans it only when its row-hit counts say a hit is
+buffered; ``tests/dram/test_engine_differential.py`` checks the two agree
+command for command.
 """
 
 from __future__ import annotations

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import gc
+from dataclasses import replace
 
 from repro.common.config import SystemConfig
 from repro.dx100.api import RegWrite, WaitTiles
@@ -137,10 +138,19 @@ def _split_groups(schedule: list) -> list[list]:
     return groups
 
 
+def _rebase_spd(traces: list, window: tuple[int, int], offset: int) -> list:
+    """Copies of ``traces`` whose accesses to ``window`` (instance 0's
+    scratchpad, where schedules address tiles) move by ``offset`` into
+    the window of the instance that runs them."""
+    lo, hi = window
+    return [replace(trace, addr=[a + offset if lo <= a < hi else a
+                                 for a in trace.addr])
+            for trace in traces]
+
+
 @gc_paused
 def run_dx100(workload: Workload, config: SystemConfig | None = None,
-              warm: bool = True, validate: bool = True,
-              pipelined: bool = False,
+              warm: bool = True, pipelined: bool = False,
               obs=None, tenant: int = -1) -> RunResult:
     """Run the offloaded code: DX100 schedule + residual core work,
     synchronized through scratchpad ready bits, then validate.
@@ -152,7 +162,9 @@ def run_dx100(workload: Workload, config: SystemConfig | None = None,
     region's write ownership (:class:`RegionCoherence`, free unless
     another instance holds it).  Chunks on different instances finish out
     of program order, legal only for the order-independent (load/RMW)
-    kernels the paper multiplexes.
+    kernels the paper multiplexes.  Schedules address scratchpad tiles
+    in instance 0's window, so the core work of a group dealt to another
+    instance is rebased into that instance's window.
 
     ``pipelined=True`` applies :func:`software_pipeline` (double
     buffering); the default keeps the workload's own ordering.
@@ -208,7 +220,11 @@ def run_dx100(workload: Workload, config: SystemConfig | None = None,
                 for tile in item.tiles:
                     dx.mark_consumed(tile)
             elif isinstance(item, CoreWork):
-                t = system.multicore.run(item.traces, at=t)
+                traces = item.traces
+                if k:
+                    traces = _rebase_spd(traces, accels[0].spd.region(),
+                                         dx.spd.base - accels[0].spd.base)
+                t = system.multicore.run(traces, at=t)
             else:
                 raise TypeError(f"unknown schedule item {item!r}")
         times[k] = t
@@ -218,8 +234,7 @@ def run_dx100(workload: Workload, config: SystemConfig | None = None,
         t = max(t, max(r.finish for r in records))
     instructions = (system.multicore.total_instructions() + issue_instrs
                     + workload.non_roi_instructions())
-    if validate:
-        workload.validate_dx(records, hostmem)
+    workload.validate_dx(records, hostmem)
     extra = {
         "dx100_instructions": sum(dx.stats.get("instructions")
                                   for dx in accels),

@@ -11,7 +11,10 @@ layers:
   two ranks, DDR4 and DDR5) through both engines side by side;
 * deterministic programs pin the FR-FCFS corners random programs rarely
   reach: the age cap firing (with equal starvation counts on both
-  engines) and equal-arrival ties, where the earlier insertion wins;
+  engines), equal-arrival ties, where the earlier insertion wins, and
+  each site that moves the batched engine's row-hit counts (ACT,
+  conflict PRE, closed-page auto-precharge, REF) with hits buffered in
+  both directions;
 * seeded long-run tests cross several tREFI refresh intervals and check
   the refresh machinery (REF/PRE emission, tRFC blocking) agrees command
   for command, plus system-level equivalence through
@@ -173,9 +176,52 @@ def _tie_program(cfg: DRAMConfig) -> list[tuple]:
             for i in range(240)]
 
 
+def _act_program(cfg: DRAMConfig) -> list[tuple]:
+    """Bursts that open row ``r`` in four banks and then queue reads and
+    writes to row ``r + 1`` behind it: the ACT that opens ``r + 1`` turns
+    the rest of its bank's burst into buffered hits in both directions,
+    which FR-FCFS must promote past older conflicts in other banks."""
+    program = []
+    for burst in range(6):
+        row = 2 * burst
+        program += [(_line(cfg, bank, row, 0), False, 300 if bank == 0 else 0)
+                    for bank in range(4)]
+        program += [(_line(cfg, bank, row + 1, column), column % 2 == 0, 0)
+                    for column in range(1, 7) for bank in range(4)]
+    return program
+
+
+def _conflict_pre_program(cfg: DRAMConfig) -> list[tuple]:
+    """The age-cap program with every fourth hit a write: the cap forces
+    the row-9 conflict past buffered read and write hits to open row 1,
+    so its PRE closes a row that still has hits in both directions."""
+    return ([(_line(cfg, 0, 1, 0), False, 0),
+             (_line(cfg, 0, 9, 0), False, 1)]
+            + [(_line(cfg, 0, 1, i % 64), i % 4 == 0, 14)
+               for i in range(1, AGE_CAP // 6)])
+
+
+def _refresh_program(cfg: DRAMConfig) -> list[tuple]:
+    """Three bursts of reads and writes to one row in each of four banks,
+    each arriving just before a tREFI point: the REF lands inside the
+    burst and closes rows with buffered hits in both directions."""
+    program = []
+    for burst in range(3):
+        gap = cfg.timing.tREFI - 100 if burst == 0 else cfg.timing.tREFI
+        program += [(_line(cfg, i % 4, 3 + burst, i), i % 3 == 0,
+                     gap if i == 0 else 0) for i in range(28)]
+    return program
+
+
 _TINY = _CONFIGS["ddr4-tiny-buffer"]
+_OPEN = _CONFIGS["ddr4-open"]
+_CLOSED = _CONFIGS["ddr4-closed"]
 _DETERMINISTIC = {
     "age-cap": (_TINY, _age_cap_program(_TINY)),
+    "act-opens-buffered-hits": (_OPEN, _act_program(_OPEN)),
+    "conflict-pre-closes-buffered-hits": (_TINY, _conflict_pre_program(_TINY)),
+    "closed-page-auto-precharge": (_CLOSED, _tie_program(_CLOSED)),
+    "ref-inside-a-burst": (_OPEN, _refresh_program(_OPEN)),
     "equal-arrival-ties": (_CONFIGS["ddr4-open"],
                            _tie_program(_CONFIGS["ddr4-open"])),
     "equal-arrival-ties-fcfs": (_CONFIGS["ddr4-fcfs"],
@@ -187,7 +233,7 @@ _DETERMINISTIC = {
 def test_batched_matches_scalar_deterministic(name):
     cfg, program = _DETERMINISTIC[name]
     starvations = _assert_equivalent(cfg, program)
-    if name == "age-cap":
+    if name in ("age-cap", "conflict-pre-closes-buffered-hits"):
         assert starvations > 0, "program must trip the age cap"
 
 
@@ -308,29 +354,41 @@ def test_incremental_service_interleaves_identically():
     assert slog == blog
 
 
-def test_row_index_holds_only_buffered_requests():
-    """Between quiescent points (where storage is reset) the batched
-    engine's per-row FR-FCFS index must not grow: every (bank, row) entry
-    holds at least one buffered request, and every heap node is live."""
+@pytest.mark.parametrize("name", ["ddr4-open", "ddr4-fcfs"])
+def test_row_counts_match_the_buffer(name):
+    """After every pick the batched engine's FR-FCFS state is its buffer:
+    ``buffer`` is in ``(arrival, rid)`` order within the request-buffer
+    bound, ``_rows`` holds exactly the buffered requests' (bank, row,
+    direction) counts with no empty rows, and ``_hits`` equals a recount
+    against each bank's open row; both are empty whenever the buffer is."""
     import random
     rng = random.Random(11)
-    cfg = DRAMConfig(channels=1)
+    cfg = _CONFIGS[name]
     ctrl = BatchedController(0, cfg, AddressMapper(cfg))
     program = [(rng.randrange(1 << 24), rng.random() < 0.4,
                 rng.randrange(12)) for _ in range(6000)]
     for req in _requests(cfg, program)[0]:
         ctrl.enqueue(req)      # all queued up front: never quiescent
-    serviced = 0
+    serviced = with_hits = 0
     while ctrl.service_one() is not None:
         serviced += 1
-        rows = sum(len(rows_map) for rows_map in ctrl._groups)
-        assert rows <= len(ctrl.buffer), serviced
-        for rows_map in ctrl._groups:
-            for read_heap, write_heap in rows_map.values():
-                assert read_heap or write_heap
-                assert all(ctrl._alive[rid]
-                           for _, rid in read_heap + write_heap)
+        buffer = ctrl.buffer
+        assert buffer == sorted(buffer), serviced
+        assert len(buffer) <= cfg.request_buffer
+        rows: list[dict] = [{} for _ in ctrl._rows]
+        hits = [0, 0]
+        for _, rid in buffer:
+            bid, row, is_write = ctrl._bid[rid], ctrl._row[rid], ctrl._w[rid]
+            rows[bid].setdefault(row, [0, 0])[is_write] += 1
+            if ctrl._bank_list[bid].open_row == row:
+                hits[is_write] += 1
+        assert ctrl._rows == rows, serviced
+        assert ctrl._hits == hits, serviced
+        if not buffer:
+            assert not any(ctrl._rows) and ctrl._hits == [0, 0]
+        with_hits += hits != [0, 0]
     assert serviced == len(program)
+    assert with_hits > 0, "program must buffer row hits"
 
 
 def test_dram_system_engine_knob_is_bitwise_equivalent():

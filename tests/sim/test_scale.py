@@ -6,6 +6,7 @@ from repro.common import DX100Config, SystemConfig
 from repro.dx100 import Scratchpad
 from repro.sim import run_dx100, runner
 from repro.workloads import QUICK_BENCHMARKS, IntegerSort
+from repro.workloads.base import PC_SPD, CoreWork
 
 TWO = SystemConfig.dx100_scaled(8, instances=2, tile_elems=1 << 11)
 
@@ -69,6 +70,51 @@ def test_two_instance_cg_checks_every_gathered_tile(seen, check):
     wl.dx100_schedule = corrupted
     with pytest.raises(AssertionError, match="gathered tile"):
         run_dx100(wl, TWO, warm=False)
+
+
+def test_core_work_reads_the_scratchpad_of_its_instance(monkeypatch):
+    """Schedules address tiles in instance 0's scratchpad window.  The
+    core work of each CG group dealt to instance 1 must load from
+    instance 1's window, and that of instance 0's groups stays put."""
+    loads: list[int] = []
+    systems = []
+    build = runner.SimSystem
+
+    def observed(*args, **kwargs):
+        system = build(*args, **kwargs)
+        system.hierarchy.observers.append(
+            lambda core, addr, pc, tag, t:
+            pc == PC_SPD and loads.append(addr))
+        systems.append(system)
+        return system
+
+    monkeypatch.setattr(runner, "SimSystem", observed)
+    wl = QUICK_BENCHMARKS["CG"]()
+    schedule = wl.dx100_schedule
+    groups: list[list] = []
+
+    def recorded(config, cores):
+        items = schedule(config, cores)
+        groups.extend(runner._split_groups(items))
+        return items
+
+    wl.dx100_schedule = recorded
+    run_dx100(wl, TWO, warm=False)
+    bases = [dx.spd.base for dx in systems[0].dx100s]
+    pos = 0
+    moved = 0
+    for g, group in enumerate(groups):
+        offset = bases[g * len(bases) // len(groups)] - bases[0]
+        want = sorted(addr + offset
+                      for item in group if isinstance(item, CoreWork)
+                      for trace in item.traces
+                      for addr, pc in zip(trace.addr, trace.pc)
+                      if pc == PC_SPD)
+        assert sorted(loads[pos:pos + len(want)]) == want, g
+        pos += len(want)
+        moved += len(want) if offset else 0
+    assert pos == len(loads)
+    assert 0 < moved < len(loads), "chunks must land on both instances"
 
 
 def test_instance_scratchpads_do_not_overlap():
