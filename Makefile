@@ -60,14 +60,13 @@ timeline:
 	$(RUN_REPRO) timeline $(TIMELINE_ARGS)
 
 # The CI trace smoke check: record Chrome traces for two quick benchmarks
-# under two configurations and validate that every file is
+# under two configurations; `timeline --trace` fails unless each file is
 # Perfetto-loadable.
 trace-smoke:
 	for b in IS PR; do for m in baseline dx100; do \
 		$(RUN_REPRO) timeline $$b --quick --mode $$m \
 			--trace results/trace-$$b-$$m.json > /dev/null || exit 1; \
 	done; done
-	PYTHONPATH=src $(PYTHON) -m repro.obs.validate results/trace-*.json
 
 # Figure benches consume the same sweep executor via benchmarks/mainsweep.py,
 # so they inherit the worker pool and the run cache (REPRO_JOBS,

@@ -43,7 +43,8 @@ def _parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("list", help="list available benchmarks")
+    sub.add_parser("list", help="list available benchmarks").set_defaults(
+        func=cmd_list)
 
     run = sub.add_parser(
         "run",
@@ -114,7 +115,7 @@ def _parser() -> argparse.ArgumentParser:
     run.add_argument("--prune-cache", action="store_true",
                      help="first delete cache entries from older model "
                           "versions")
-    run.set_defaults(scale="main")
+    run.set_defaults(scale="main", func=cmd_run)
 
     timeline = sub.add_parser(
         "timeline",
@@ -139,7 +140,10 @@ def _parser() -> argparse.ArgumentParser:
     timeline.add_argument("--width", type=int, default=72,
                           help="sparkline width in characters (default: 72)")
     timeline.add_argument("--trace", metavar="PATH",
-                          help="also write the Chrome trace-event JSON")
+                          help="also write the Chrome trace-event JSON, "
+                               "then check it and exit 1 if it is "
+                               "malformed")
+    timeline.set_defaults(func=cmd_timeline)
 
     serve = sub.add_parser(
         "serve",
@@ -165,8 +169,7 @@ def _parser() -> argparse.ArgumentParser:
     serve.add_argument("--engine", choices=["batched", "scalar"],
                        default="batched",
                        help="DRAM engine (scalar = the oracle replay)")
-    serve.add_argument("--no-check", action="store_true",
-                       help="skip the per-tile QoS invariant checks")
+    serve.set_defaults(func=cmd_serve)
 
     golden = sub.add_parser(
         "golden",
@@ -186,12 +189,14 @@ def _parser() -> argparse.ArgumentParser:
                         default=None,
                         help="force the cache/core front end (scalar = the "
                              "oracle replay; the tenancy suite has none)")
+    golden.set_defaults(func=cmd_golden)
 
-    sub.add_parser("area", help="print the Table 4 area/power breakdown")
+    sub.add_parser("area", help="print the Table 4 area/power breakdown"
+                   ).set_defaults(func=cmd_area)
     return parser
 
 
-def cmd_list() -> int:
+def cmd_list(args) -> int:
     print(f"{'name':8s} {'suite':10s} pattern")
     for name, factory in MAIN_BENCHMARKS.items():
         wl = QUICK_BENCHMARKS[name]()
@@ -372,9 +377,17 @@ def cmd_timeline(args) -> int:
     if args.trace:
         from pathlib import Path
         from repro.obs.trace import write_chrome_trace
+        from repro.obs.validate import validate_file
         path = Path(args.trace)
         write_chrome_trace(obs, path)
         print(f"\ntrace written to {path}")
+        problems = validate_file(path)
+        if problems:
+            print(f"{path}: INVALID ({len(problems)} problem(s))",
+                  file=sys.stderr)
+            for p in problems[:20]:
+                print(f"  {p}", file=sys.stderr)
+            return 1
     return 0
 
 
@@ -390,13 +403,12 @@ def cmd_serve(args) -> int:
                          tile_lines=args.tile_lines, seed=args.seed,
                          aggressor=args.aggressor)
     config = replace(DRAMConfig(), engine=args.engine)
-    report = serve_run(specs, config=config, borrow=not args.no_borrow,
-                       check=not args.no_check)
+    report = serve_run(specs, config=config, borrow=not args.no_borrow)
     print(report.render())
     return 0
 
 
-def cmd_area() -> int:
+def cmd_area(args) -> int:
     """Print the Table 4 area/power breakdown."""
     report = area_power()
     print(f"{'module':<16s} {'area mm2':>9s} {'power mW':>9s}")
@@ -412,19 +424,7 @@ def cmd_area() -> int:
 def main(argv=None) -> int:
     """CLI entry point; returns the process exit code."""
     args = _parser().parse_args(argv)
-    if args.command == "list":
-        return cmd_list()
-    if args.command == "run":
-        return cmd_run(args)
-    if args.command == "timeline":
-        return cmd_timeline(args)
-    if args.command == "serve":
-        return cmd_serve(args)
-    if args.command == "golden":
-        return cmd_golden(args)
-    if args.command == "area":
-        return cmd_area()
-    return 2
+    return args.func(args)
 
 
 if __name__ == "__main__":

@@ -41,8 +41,9 @@ class BatchedHierarchy(MemoryHierarchy):
 
     Every method here must stay equivalent to the scalar walk it replaces;
     comments mark the scalar method each block mirrors.  The engine owns
-    its hoisted state (latencies, counter keys, set geometry) and its
-    ``_stall_for_mshr``; the scalar classes it shares are listed in
+    its hoisted state (latencies, counter keys, set geometry), its
+    ``_stall_for_mshr`` and its one tag-install helper ``_fill_set``; the
+    scalar classes it shares are listed in
     docs/MODEL.md ("Two front-ends, one walk").
     """
 
@@ -113,6 +114,25 @@ class BatchedHierarchy(MemoryHierarchy):
             del entries[oldest.line_addr]
             self._counters[mshr.name + "_stalls"] += 1.0
         return t
+
+    def _fill_set(self, cset, li: int, dirty: bool, ways: int,
+                  writeback: bool = False) -> None:
+        """``Cache.insert`` of line index ``li``, which the caller's probe
+        found missing from ``cset``: evict the LRU line if the set is full,
+        then install.  ``writeback`` (the LLC, as the scalar ``_fill(...,
+        to_dram=True)``) writes a dirty victim back to memory, bandwidth
+        only."""
+        if len(cset) >= ways:
+            victim, vdirty = cset.popitem(last=False)
+            counters = self._counters
+            counters["evictions"] += 1
+            if vdirty:
+                counters["dirty_evictions"] += 1
+                if writeback:
+                    self.dram.access(victim << self._line_shift,
+                                     is_write=True,
+                                     arrival=max(0, self._now_hint()))
+        cset[li] = dirty
 
     # ------------------------------------------------------------ demand walk
 
@@ -223,15 +243,9 @@ class BatchedHierarchy(MemoryHierarchy):
                         counters["llc_accesses"] += 1
                         result = self._access_llc(line, is_write, t_llc,
                                                   tenant=tenant)
-                        # l2.insert(line, is_write) inlined: the probe
-                        # above missed and nothing between it and this
-                        # fill touches the L2 tag store.
-                        if len(cset2) >= l2_ways:
-                            _, vdirty = cset2.popitem(last=False)
-                            counters["evictions"] += 1
-                            if vdirty:
-                                counters["dirty_evictions"] += 1
-                        cset2[li] = is_write
+                        # The probe above missed and nothing between it
+                        # and this fill touches the L2 tag store.
+                        self._fill_set(cset2, li, is_write, l2_ways)
                         rc = result[2]
                         if rc >= 0:
                             l2_entry.ready = rc
@@ -274,15 +288,10 @@ class BatchedHierarchy(MemoryHierarchy):
                                             last_line = pf_line
                                     counters["prefetches_issued"] += issued
 
-                # back in _access_line: fill L1, publish the entry.
-                # l1.insert(line, is_write) inlined: the L1 probe missed
-                # and the L2-level prefetcher only fills L2/LLC.
-                if len(cset) >= l1_ways:
-                    _, vdirty = cset.popitem(last=False)
-                    counters["evictions"] += 1
-                    if vdirty:
-                        counters["dirty_evictions"] += 1
-                cset[li] = is_write
+                # back in _access_line: fill L1, publish the entry.  The
+                # L1 probe missed and the L2-level prefetcher only fills
+                # L2/LLC.
+                self._fill_set(cset, li, is_write, l1_ways)
                 rc = result[2]
                 if rc >= 0:
                     l1_entry.ready = rc
@@ -380,7 +389,6 @@ class BatchedHierarchy(MemoryHierarchy):
                 return (_LLC, t, ready if ready > floor else floor,
                         None, 0)
             return (_DRAM, t, -1, entry.request, llc_latency)
-        llc = self.llc
         li = line >> self._line_shift
         cset = self._llc_sets[li % self._llc_nsets]
         if li in cset:
@@ -396,7 +404,7 @@ class BatchedHierarchy(MemoryHierarchy):
             spd_latency = self._spd_latency(line)
             if spd_latency is not None:
                 counters["spd_fills"] += 1
-                llc.insert(line, is_write)
+                self._fill_set(cset, li, is_write, self._llc_ways)
                 return (_SPD, t, t + llc_latency + spd_latency, None, 0)
         if len(entries) >= mshr.capacity:
             t = self._stall_for_mshr(mshr, t)
@@ -410,17 +418,7 @@ class BatchedHierarchy(MemoryHierarchy):
                                arrival=t + llc_latency,
                                decoded=decoded, tenant=tenant)
         entry.request = req
-        # llc.insert(line, is_write) inlined (the probe above missed);
-        # dirty victims write back to memory (bandwidth only).
-        if len(cset) >= self._llc_ways:
-            victim_line, vdirty = cset.popitem(last=False)
-            counters["evictions"] += 1
-            if vdirty:
-                counters["dirty_evictions"] += 1
-                self.dram.access(victim_line << self._line_shift,
-                                 is_write=True,
-                                 arrival=max(0, self._now_hint()))
-        cset[li] = is_write
+        self._fill_set(cset, li, is_write, self._llc_ways, writeback=True)
         return (_DRAM, t, -1, req, llc_latency)
 
     def llc_access(self, addr: int, is_write: bool, t: int,
@@ -448,38 +446,17 @@ class BatchedHierarchy(MemoryHierarchy):
             if li in cset1:
                 counters["prefetch_redundant"] += 1.0
                 return
-            # l1.insert(line, False) inlined on the missing-line path.
-            if len(cset1) >= l1_ways:
-                _, vdirty = cset1.popitem(last=False)
-                counters["evictions"] += 1
-                if vdirty:
-                    counters["dirty_evictions"] += 1
-            cset1[li] = False
+            self._fill_set(cset1, li, False, l1_ways)
         cset2 = l2_sets[li % l2_nsets]
         if li in cset2:
             if from_level >= 2:
                 counters["prefetch_redundant"] += 1.0
             return
-        # l2.insert(line, False) inlined on the missing-line path.
-        if len(cset2) >= l2_ways:
-            _, vdirty = cset2.popitem(last=False)
-            counters["evictions"] += 1
-            if vdirty:
-                counters["dirty_evictions"] += 1
-        cset2[li] = False
+        self._fill_set(cset2, li, False, l2_ways)
         cset = self._llc_sets[li % self._llc_nsets]
         if li in cset:
             return
-        # llc.insert(line, False) inlined; dirty victims write back.
-        if len(cset) >= self._llc_ways:
-            victim_line, vdirty = cset.popitem(last=False)
-            counters["evictions"] += 1
-            if vdirty:
-                counters["dirty_evictions"] += 1
-                self.dram.access(victim_line << self._line_shift,
-                                 is_write=True,
-                                 arrival=max(0, self._now_hint()))
-        cset[li] = False
+        self._fill_set(cset, li, False, self._llc_ways, writeback=True)
         if self._spd_latency(line) is None:
             self.dram.access(line, is_write=False, arrival=t)
             counters["prefetch_dram"] += 1.0
@@ -519,18 +496,9 @@ class BatchedHierarchy(MemoryHierarchy):
         entry.prefetch = True
         entry.request = self.dram.access(line, is_write=False,
                                          arrival=t + self._llc_latency)
-        # Tag installed now (pollution); dirty victims write back, as in the
-        # scalar ``_fill(..., to_dram=True)`` — ``llc.insert`` inlined on
-        # the missing-line path.
-        if len(cset) >= self._llc_ways:
-            victim_line, vdirty = cset.popitem(last=False)
-            counters["evictions"] += 1
-            if vdirty:
-                counters["dirty_evictions"] += 1
-                self.dram.access(victim_line << self._line_shift,
-                                 is_write=True,
-                                 arrival=max(0, self._now_hint()))
-        cset[li] = False
+        # Tag installed now (pollution), as in the scalar
+        # ``_fill(..., to_dram=True)``.
+        self._fill_set(cset, li, False, self._llc_ways, writeback=True)
         counters["dmp_prefetch_issued"] += 1.0
 
     # --------------------------------------------------------------- snooping

@@ -230,62 +230,35 @@ class BatchedCoreModel(CoreModel):
                         fetch_time = float(done)
                     self._drain_iq(fetch_time)
                     iq_used = self._iq_used
-            if is_load:
-                while window and lq_used >= lq_size:
-                    counters["lq_stalls"] += 1
-                    # ---- _retire_oldest(forced=True), inlined ----
-                    flight = window.popleft()
-                    done = flight.done
-                    if done < 0:
-                        request = flight.request
-                        if request.finish < 0:
-                            dram_complete(request)
-                        done = request.finish + flight.ret_lat
-                        flight.done = done
-                    op_complete[flight.index] = done
-                    rob_used -= flight.instrs
-                    if flight.in_iq:
-                        iq_used -= flight.iq_instrs
-                        flight.in_iq = False
-                    if flight.is_load:
-                        lq_used -= 1
-                    else:
-                        sq_used -= 1
-                    if done > finish:
-                        finish = done
-                    if done > fetch_time:
-                        if obs is not None:
-                            obs.core_span(core_id, "rob-blocked", fetch_time,
-                                          done)
-                        fetch_time = float(done)
-            else:
-                while window and sq_used >= sq_size:
-                    counters["sq_stalls"] += 1
-                    # ---- _retire_oldest(forced=True), inlined ----
-                    flight = window.popleft()
-                    done = flight.done
-                    if done < 0:
-                        request = flight.request
-                        if request.finish < 0:
-                            dram_complete(request)
-                        done = request.finish + flight.ret_lat
-                        flight.done = done
-                    op_complete[flight.index] = done
-                    rob_used -= flight.instrs
-                    if flight.in_iq:
-                        iq_used -= flight.iq_instrs
-                        flight.in_iq = False
-                    if flight.is_load:
-                        lq_used -= 1
-                    else:
-                        sq_used -= 1
-                    if done > finish:
-                        finish = done
-                    if done > fetch_time:
-                        if obs is not None:
-                            obs.core_span(core_id, "rob-blocked", fetch_time,
-                                          done)
-                        fetch_time = float(done)
+            stall_key = "lq_stalls" if is_load else "sq_stalls"
+            while window and (lq_used >= lq_size if is_load
+                              else sq_used >= sq_size):
+                counters[stall_key] += 1
+                # ---- _retire_oldest(forced=True), inlined ----
+                flight = window.popleft()
+                done = flight.done
+                if done < 0:
+                    request = flight.request
+                    if request.finish < 0:
+                        dram_complete(request)
+                    done = request.finish + flight.ret_lat
+                    flight.done = done
+                op_complete[flight.index] = done
+                rob_used -= flight.instrs
+                if flight.in_iq:
+                    iq_used -= flight.iq_instrs
+                    flight.in_iq = False
+                if flight.is_load:
+                    lq_used -= 1
+                else:
+                    sq_used -= 1
+                if done > finish:
+                    finish = done
+                if done > fetch_time:
+                    if obs is not None:
+                        obs.core_span(core_id, "rob-blocked", fetch_time,
+                                      done)
+                    fetch_time = float(done)
             if fetch_time > dispatch:
                 dispatch = fetch_time
 

@@ -67,15 +67,7 @@ class TraceBuilder:
     """
 
     def __init__(self) -> None:
-        self._trace = trace = Trace()
-        self._kind = trace.kind
-        self._addr = trace.addr
-        self._size = trace.size
-        self._deps = trace.deps
-        self._extra = trace.extra
-        self._atomic = trace.atomic
-        self._pc = trace.pc
-        self._tag = trace.tag
+        self._trace = Trace()
         self._pending_extra = 0
 
     def compute(self, n: int) -> None:
@@ -83,73 +75,40 @@ class TraceBuilder:
             raise ValueError("instruction count must be non-negative")
         self._pending_extra += n
 
-    # ``load``/``store``/``rmw`` each inline the emit body: workloads call
-    # them once per dynamic memory op, so trace construction pays one
-    # function call per op instead of two.
-
     def load(self, addr: int, size: int = 8, deps: tuple[int, ...] = (),
              extra: int = 0, pc: int = 0, tag: int = -1) -> int:
-        kinds = self._kind
-        n = len(kinds)
-        if deps:
-            for d in deps:
-                if not 0 <= d < n:
-                    raise ValueError(f"dependence on unknown op {d}")
-        if self._pending_extra:
-            extra += self._pending_extra
-            self._pending_extra = 0
-        kinds.append(AccessType.LOAD)
-        self._addr.append(addr)
-        self._size.append(size)
-        self._deps.append(deps)
-        self._extra.append(extra)
-        self._atomic.append(False)
-        self._pc.append(pc)
-        self._tag.append(tag)
-        return n
+        return self._emit(AccessType.LOAD, addr, size, deps, extra, False,
+                          pc, tag)
 
     def store(self, addr: int, size: int = 8, deps: tuple[int, ...] = (),
               extra: int = 0, atomic: bool = False, pc: int = 0,
               tag: int = -1) -> int:
-        kinds = self._kind
-        n = len(kinds)
-        if deps:
-            for d in deps:
-                if not 0 <= d < n:
-                    raise ValueError(f"dependence on unknown op {d}")
-        if self._pending_extra:
-            extra += self._pending_extra
-            self._pending_extra = 0
-        kinds.append(AccessType.STORE)
-        self._addr.append(addr)
-        self._size.append(size)
-        self._deps.append(deps)
-        self._extra.append(extra)
-        self._atomic.append(atomic)
-        self._pc.append(pc)
-        self._tag.append(tag)
-        return n
+        return self._emit(AccessType.STORE, addr, size, deps, extra, atomic,
+                          pc, tag)
 
     def rmw(self, addr: int, size: int = 8, deps: tuple[int, ...] = (),
             extra: int = 0, atomic: bool = False, pc: int = 0,
             tag: int = -1) -> int:
-        kinds = self._kind
-        n = len(kinds)
-        if deps:
-            for d in deps:
-                if not 0 <= d < n:
-                    raise ValueError(f"dependence on unknown op {d}")
-        if self._pending_extra:
-            extra += self._pending_extra
-            self._pending_extra = 0
-        kinds.append(AccessType.RMW)
-        self._addr.append(addr)
-        self._size.append(size)
-        self._deps.append(deps)
-        self._extra.append(extra)
-        self._atomic.append(atomic)
-        self._pc.append(pc)
-        self._tag.append(tag)
+        return self._emit(AccessType.RMW, addr, size, deps, extra, atomic,
+                          pc, tag)
+
+    def _emit(self, kind: AccessType, addr: int, size: int,
+              deps: tuple[int, ...], extra: int, atomic: bool, pc: int,
+              tag: int) -> int:
+        trace = self._trace
+        n = len(trace.kind)
+        for d in deps:
+            if not 0 <= d < n:
+                raise ValueError(f"dependence on unknown op {d}")
+        trace.kind.append(kind)
+        trace.addr.append(addr)
+        trace.size.append(size)
+        trace.deps.append(deps)
+        trace.extra.append(extra + self._pending_extra)
+        trace.atomic.append(atomic)
+        trace.pc.append(pc)
+        trace.tag.append(tag)
+        self._pending_extra = 0
         return n
 
     def finish(self) -> Trace:

@@ -41,8 +41,12 @@ The accelerator half of the ``SystemConfig.frontend = "batched"`` split:
   ``tests/dx100/test_indirect_differential`` pairs the two units tile by
   tile, including mid-fill drains.
 
-Both units share the scalar classes' functional (numpy) execution; the
-differential suites assert identical timings, stats, and DRAM streams.
+Both units run the same argument checks, element selection, Word
+Modifier memory update and counters: the module-level helpers
+:func:`~repro.dx100.indirect_unit.select_elements`,
+:func:`~repro.dx100.indirect_unit.apply_words` and
+:func:`~repro.dx100.indirect_unit.count_instruction`.  The differential
+suites assert identical timings, stats, and DRAM streams.
 """
 
 from __future__ import annotations
@@ -53,9 +57,9 @@ from itertools import repeat
 import numpy as np
 
 from repro.common.types import AluOp, DType
-from repro.dx100.alu import RMW_UFUNCS
 from repro.dx100.indirect_unit import (RESPONSE_LATENCY, IndirectResult,
-                                       IndirectUnit)
+                                       IndirectUnit, apply_words,
+                                       count_instruction, select_elements)
 from repro.dx100.stream_unit import StreamUnit
 
 
@@ -84,23 +88,8 @@ class BatchedIndirectUnit(IndirectUnit):
                 op: AluOp | None = None,
                 index_avail: tuple[int, float] | None = None,
                 tile: int = -1) -> IndirectResult:
-        if kind not in ("ld", "st", "rmw"):
-            raise ValueError(f"unknown indirect kind {kind!r}")
-        if kind == "rmw" and (op is None or not op.is_commutative_associative):
-            raise ValueError("IRMW needs a commutative+associative op")
-
-        indices = np.asarray(indices, dtype=np.int64)
-        n_tile = len(indices)
-        iters = np.arange(n_tile, dtype=np.int64)
-        if cond is not None:
-            if len(cond) < n_tile:
-                raise ValueError("condition tile shorter than index tile")
-            keep = np.asarray(cond[:n_tile]) != 0
-            iters = iters[keep]
-            sel_idx = indices[keep]
-        else:
-            sel_idx = indices
-        addrs = base + sel_idx * dtype.nbytes
+        n_tile, iters, addrs = select_elements(kind, base, dtype, indices,
+                                               cond, op)
         n = int(iters.size)
 
         t = t_start + (self.tlb.translate_tile(addrs) if addrs.size else 0)
@@ -206,24 +195,9 @@ class BatchedIndirectUnit(IndirectUnit):
                 self.obs.tile_phase(tile, "writeback", wb_lo, wb_hi,
                                     lines=wb_lines)
 
-        # ------------------------------------------------------ functional
-        values = None
-        if kind == "ld":
-            values = np.zeros(n_tile, dtype=dtype.numpy_name)
-            if addrs.size:
-                values[iters] = self.hostmem.read_words(addrs, dtype)
-        elif kind == "st":
-            if addrs.size:
-                src = np.asarray(src_values)[iters]
-                self.hostmem.write_words(addrs, src, dtype)
-        else:  # rmw
-            if addrs.size:
-                src = np.asarray(src_values)[iters]
-                self.hostmem.rmw_words(addrs, src, dtype, RMW_UFUNCS[op])
-
-        self.stats.add(f"i{kind}_elements", n)
-        self.stats.add(f"i{kind}_lines", unique)
-        self.stats.add("indirect_drains", drains)
+        values = apply_words(self.hostmem, kind, dtype, op, n_tile, iters,
+                             addrs, src_values)
+        count_instruction(self.stats, kind, n, unique, drains)
         return IndirectResult(values=values, finish=finish,
                               elements=n, unique_lines=unique,
                               drains=drains, start=t, busy_until=fill_end)

@@ -24,8 +24,8 @@ import numpy as np
 
 from repro.common.config import DX100Config
 from repro.common.stats import Stats
-from repro.common.types import AluOp, DType
-from repro.cache.hierarchy import MemoryHierarchy
+from repro.common.types import AluOp, DType, HitLevel
+from repro.cache.hierarchy import AccessResult, MemoryHierarchy
 from repro.dram.system import DRAMSystem
 from repro.dx100.alu import RMW_UFUNCS
 from repro.dx100.hostmem import HostMemory
@@ -57,6 +57,61 @@ class IndirectResult:
         """Approximate elements-per-cycle delivery rate (for consumers that
         overlap with this instruction through the finish bits)."""
         return self.elements / max(1, self.finish - self.start)
+
+
+def select_elements(kind: str, base: int, dtype: DType,
+                    indices: np.ndarray, cond: np.ndarray | None,
+                    op: AluOp | None) -> tuple[int, np.ndarray, np.ndarray]:
+    """Check one indirect instruction's arguments and select its active
+    elements.
+
+    Returns ``(n_tile, iters, addrs)``: the index tile's length, the tile
+    positions whose condition is set (all of them without ``cond``), and
+    those elements' word addresses.
+    """
+    if kind not in ("ld", "st", "rmw"):
+        raise ValueError(f"unknown indirect kind {kind!r}")
+    if kind == "rmw" and (op is None or not op.is_commutative_associative):
+        raise ValueError("IRMW needs a commutative+associative op")
+    indices = np.asarray(indices, dtype=np.int64)
+    n_tile = len(indices)
+    iters = np.arange(n_tile, dtype=np.int64)
+    if cond is not None:
+        if len(cond) < n_tile:
+            raise ValueError("condition tile shorter than index tile")
+        keep = np.asarray(cond[:n_tile]) != 0
+        iters = iters[keep]
+        indices = indices[keep]
+    return n_tile, iters, base + indices * dtype.nbytes
+
+
+def apply_words(hostmem: HostMemory, kind: str, dtype: DType,
+                op: AluOp | None, n_tile: int, iters: np.ndarray,
+                addrs: np.ndarray, src_values: np.ndarray | None
+                ) -> np.ndarray | None:
+    """The Word Modifier's effect on memory: gather the selected words
+    (ILD; returns the tile, zero where the condition is clear), insert
+    the matching source words (IST), or apply ``op`` to them (IRMW)."""
+    if kind == "ld":
+        values = np.zeros(n_tile, dtype=dtype.numpy_name)
+        if addrs.size:
+            values[iters] = hostmem.read_words(addrs, dtype)
+        return values
+    if addrs.size:
+        src = np.asarray(src_values)[iters]
+        if kind == "st":
+            hostmem.write_words(addrs, src, dtype)
+        else:
+            hostmem.rmw_words(addrs, src, dtype, RMW_UFUNCS[op])
+    return None
+
+
+def count_instruction(stats: Stats, kind: str, elements: int, lines: int,
+                      drains: int) -> None:
+    """Add one indirect instruction's element, line and drain counts."""
+    stats.add(f"i{kind}_elements", elements)
+    stats.add(f"i{kind}_lines", lines)
+    stats.add("indirect_drains", drains)
 
 
 class IndirectUnit:
@@ -97,31 +152,15 @@ class IndirectUnit:
         observability layer's tile lifecycle spans (the destination tile
         for ILD, the index tile for IST/IRMW; -1 = unlabelled).
         """
-        if kind not in ("ld", "st", "rmw"):
-            raise ValueError(f"unknown indirect kind {kind!r}")
-        if kind == "rmw" and (op is None or not op.is_commutative_associative):
-            raise ValueError("IRMW needs a commutative+associative op")
-
-        indices = np.asarray(indices, dtype=np.int64)
-        n_tile = len(indices)
-        iters = np.arange(n_tile, dtype=np.int64)
-        if cond is not None:
-            if len(cond) < n_tile:
-                raise ValueError("condition tile shorter than index tile")
-            keep = np.asarray(cond[:n_tile]) != 0
-            iters = iters[keep]
-            sel_idx = indices[keep]
-        else:
-            sel_idx = indices
-        addrs = base + sel_idx * dtype.nbytes
-
+        n_tile, iters, addrs = select_elements(kind, base, dtype, indices,
+                                               cond, op)
         t = t_start + (self.tlb.translate_tile(addrs) if addrs.size else 0)
 
         row_table = RowTable(self.config.row_table_rows,
                              self.config.row_table_cols)
         word_table = WordTable(max(n_tile, 1))
         drains = 0
-        pending_reqs: list[tuple[PendingLine, object]] = []
+        pending_reqs: list[tuple[PendingLine, AccessResult]] = []
 
         fill_rate = self.config.fill_rate
         avail_t0, avail_rate = index_avail if index_avail else (t, float("inf"))
@@ -185,25 +224,10 @@ class IndirectUnit:
                 self.obs.tile_phase(tile, "writeback", wb_lo, wb_hi,
                                     lines=wb_lines)
 
-        # ------------------------------------------------------ functional
-        values = None
-        if kind == "ld":
-            values = np.zeros(n_tile, dtype=dtype.numpy_name)
-            if addrs.size:
-                values[iters] = self.hostmem.read_words(addrs, dtype)
-        elif kind == "st":
-            if addrs.size:
-                src = np.asarray(src_values)[iters]
-                self.hostmem.write_words(addrs, src, dtype)
-        else:  # rmw
-            if addrs.size:
-                src = np.asarray(src_values)[iters]
-                self.hostmem.rmw_words(addrs, src, dtype, RMW_UFUNCS[op])
-
+        values = apply_words(self.hostmem, kind, dtype, op, n_tile, iters,
+                             addrs, src_values)
         unique = row_table.unique_lines
-        self.stats.add(f"i{kind}_elements", iters.size)
-        self.stats.add(f"i{kind}_lines", unique)
-        self.stats.add("indirect_drains", drains)
+        count_instruction(self.stats, kind, int(iters.size), unique, drains)
         return IndirectResult(values=values, finish=finish,
                               elements=int(iters.size), unique_lines=unique,
                               drains=drains, start=t,
@@ -212,7 +236,7 @@ class IndirectUnit:
     # ---------------------------------------------------------------- drain
 
     def _drain(self, row_table: RowTable, t: int, kind: str,
-               tile: int = -1) -> list[tuple[PendingLine, object]]:
+               tile: int = -1) -> list[tuple[PendingLine, AccessResult]]:
         """Request stage: issue drained lines in interleaved order."""
         obs = self.obs
         occupancy = row_table.occupancy if obs is not None else 0
@@ -232,7 +256,8 @@ class IndirectUnit:
                 req = self.dram.access(pline.line_addr, is_write=False,
                                        arrival=arrival, decoded=decoded,
                                        tenant=self.tenant)
-                access = _DirectAccess(req)
+                access = AccessResult(HitLevel.DRAM, issue=arrival,
+                                      request=req)
             out.append((pline, access))
         remote = self.dram.remote
         if remote is not None and out:
@@ -250,15 +275,3 @@ class IndirectUnit:
             obs.rt_fill(t, occupancy, len(out))
         return out
 
-
-class _DirectAccess:
-    """Adapter giving DRAM-direct requests the AccessResult resolve API."""
-
-    def __init__(self, request) -> None:
-        self.request = request
-        self.complete = -1
-
-    def resolve(self, dram: DRAMSystem) -> int:
-        if self.complete < 0:
-            self.complete = dram.complete(self.request)
-        return self.complete

@@ -26,7 +26,7 @@ Three pieces, all off by default and near-zero-overhead when off:
   Perfetto): one process per DRAM channel with a track per bank showing
   row-open spans, per-core tracks, DX100 tile-phase spans, and counter
   tracks from the sampled timeline.  :mod:`~repro.obs.validate` checks an
-  emitted file is well-formed (CI's trace smoke job).
+  emitted file is well-formed (``timeline --trace`` runs it).
 
 Wired as ``python -m repro timeline <B> --trace out.json`` (the ASCII
 timeline, plus the Chrome trace when ``--trace`` is given) and ``python

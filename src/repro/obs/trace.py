@@ -24,8 +24,8 @@ Track layout (one Perfetto process group per hardware entity):
   instruction spans, plus a Row Table fill counter.
 
 Events are emitted sorted by (pid, tid, ts) so every track's timestamps
-are monotonic — the property :mod:`repro.obs.validate` (and the CI trace
-smoke job) checks.
+are monotonic — the property :mod:`repro.obs.validate` checks when
+``timeline --trace`` writes a file.
 """
 
 from __future__ import annotations

@@ -1,8 +1,8 @@
 """Well-formedness checker for emitted Chrome trace-event JSON.
 
-The CI trace smoke job runs the quick suite with ``--trace`` and then
-``python -m repro.obs.validate results/trace-*.json`` to assert the files
-load in Perfetto-compatible form:
+``python -m repro timeline ... --trace PATH`` checks the file it writes
+with :func:`validate_file` and exits 1 unless it loads in
+Perfetto-compatible form:
 
 * top level is an object with a non-empty ``traceEvents`` list;
 * every event is an object carrying ``ph``, ``pid``, ``tid``, ``name``;
@@ -15,7 +15,6 @@ load in Perfetto-compatible form:
 from __future__ import annotations
 
 import json
-import sys
 from pathlib import Path
 
 REQUIRED_KEYS = ("ph", "pid", "tid", "name")
@@ -83,27 +82,3 @@ def validate_file(path: str | Path) -> list[str]:
         return [f"unreadable: {exc}"]
     return validate_trace(payload)
 
-
-def main(argv: list[str] | None = None) -> int:
-    """CLI: validate each given trace file; exit 1 on any problem."""
-    argv = sys.argv[1:] if argv is None else argv
-    if not argv:
-        print("usage: python -m repro.obs.validate TRACE.json [...]",
-              file=sys.stderr)
-        return 2
-    failed = 0
-    for arg in argv:
-        problems = validate_file(arg)
-        if problems:
-            failed += 1
-            print(f"{arg}: INVALID ({len(problems)} problem(s))")
-            for p in problems[:20]:
-                print(f"  {p}")
-        else:
-            events = json.loads(Path(arg).read_text())["traceEvents"]
-            print(f"{arg}: ok ({len(events)} events)")
-    return 1 if failed else 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

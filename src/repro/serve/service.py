@@ -42,6 +42,8 @@ from repro.serve.tenant import TenantSpec, jain_index, make_tenants, percentile
 
 #: Fixed word-modifier-style latency added to every tile's completion.
 TILE_EPILOGUE = 16
+#: Tiles in flight, over all tenants, before the oldest is completed.
+PIPELINE_DEPTH = 2
 
 
 @dataclass
@@ -172,20 +174,16 @@ def serve_run(specs: list[TenantSpec],
               config: DRAMConfig | None = None,
               rows_per_slice: int = 64,
               cols_per_row: int = 8,
-              row_quota: int | None = None,
-              buffer_quota: int | None = None,
               borrow: bool = True,
-              pipeline_depth: int = 2,
-              tag_requests: bool = True,
-              check: bool = True) -> ServeReport:
+              tag_requests: bool = True) -> ServeReport:
     """Run every tenant's tile stream to completion; returns the report.
 
-    ``row_quota`` / ``buffer_quota`` default to an even split of the
-    physical capacity (``rows_per_slice`` BCAM units per bank slice; the
-    per-channel request buffers summed) across tenants.
-    ``tag_requests=False`` issues the identical schedule with untagged
-    requests — the degeneracy-test control.  ``check=True`` re-verifies
-    every QoS invariant at each tile completion.
+    Each tenant's Row Table and request-buffer quotas are an even split of
+    the physical capacity (``rows_per_slice`` BCAM units per bank slice;
+    the per-channel request buffers summed), and at most
+    ``PIPELINE_DEPTH`` tiles are in flight.  ``tag_requests=False`` issues
+    the identical schedule with untagged requests — the degeneracy-test
+    control.  Every QoS invariant is re-verified at each tile completion.
     """
     if not specs:
         raise ValueError("serve_run needs at least one tenant")
@@ -198,13 +196,12 @@ def serve_run(specs: list[TenantSpec],
     _attach_starvation_probes(dram, bus)
 
     n = len(specs)
-    rq = row_quota if row_quota is not None else max(1, rows_per_slice // n)
+    rq = max(1, rows_per_slice // n)
     part = PartitionedRowTable({t: rq for t in ids},
                                rows_per_slice=rows_per_slice,
                                cols_per_row=cols_per_row, borrow=borrow)
     buffer_capacity = config.request_buffer * config.channels
-    bq = (buffer_quota if buffer_quota is not None
-          else max(1, buffer_capacity // n))
+    bq = max(1, buffer_capacity // n)
     ledger = BufferLedger({t: bq for t in ids}, capacity=buffer_capacity,
                           borrow=borrow)
     admission = AdmissionController(specs)
@@ -250,10 +247,9 @@ def serve_run(specs: list[TenantSpec],
     def flush(tenant: int, cursor: int,
               entries: list[_Issued]) -> int:
         """Drain the tenant's Row Table slice and issue lines to DRAM."""
-        if check:
-            # Verify at peak occupancy — after a drain the tables are
-            # empty and a quota violation would be invisible.
-            check_partition(part)
+        # Verify at peak occupancy — after a drain the tables are empty
+        # and a quota violation would be invisible.
+        check_partition(part)
         tag = tenant if tag_requests else -1
         for pline in part.drain(tenant):
             while not ledger.try_acquire(tenant):
@@ -311,10 +307,9 @@ def serve_run(specs: list[TenantSpec],
         lines_done[tenant] += len(tile_rec.entries)
         if finish > last_completion[tenant]:
             last_completion[tenant] = finish
-        if check:
-            check_buckets(admission)
-            check_partition(part)
-            ledger.check()
+        check_buckets(admission)
+        check_partition(part)
+        ledger.check()
         submit(tenant, finish)
         return finish
 
@@ -345,7 +340,7 @@ def serve_run(specs: list[TenantSpec],
         inflight.append(_InflightTile(tenant=tenant, index=k,
                                       submit=submit_cycle, admit=admit,
                                       entries=entries))
-        while len(inflight) > pipeline_depth:
+        while len(inflight) > PIPELINE_DEPTH:
             complete_tile(inflight.popleft())
 
     dram.drain()

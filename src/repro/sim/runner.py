@@ -125,12 +125,17 @@ def software_pipeline(schedule: list) -> list:
 
 
 def _split_groups(schedule: list) -> list[list]:
-    """Split a schedule into chunk groups at WaitTiles(+CoreWork) edges."""
+    """Split a schedule into chunk groups, one per chunk: a group ends at
+    a CoreWork, or at a WaitTiles that no CoreWork follows.  A chunk's
+    core work thus runs on the instance that waited for its tiles, after
+    the wait."""
     groups: list[list] = []
     current: list = []
-    for item in schedule:
+    for item, after in zip(schedule, [*schedule[1:], None]):
         current.append(item)
-        if isinstance(item, (WaitTiles, CoreWork)):
+        if isinstance(item, CoreWork) or (
+                isinstance(item, WaitTiles)
+                and not isinstance(after, (WaitTiles, CoreWork))):
             groups.append(current)
             current = []
     if current:

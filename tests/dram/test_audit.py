@@ -74,9 +74,11 @@ def test_dram_system_audit_off_by_default():
 
 
 def test_sim_system_audit_passthrough():
+    from dataclasses import replace
     from repro.common import SystemConfig
     from repro.sim.system import SimSystem
-    system = SimSystem(SystemConfig.baseline_scaled(), audit=True)
+    config = SystemConfig.baseline_scaled()
+    system = SimSystem(replace(config, dram=replace(config.dram, audit=True)))
     assert system.dram.auditor is not None
 
 

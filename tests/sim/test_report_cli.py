@@ -163,6 +163,30 @@ def test_cli_timeline_with_trace(capsys, tmp_path):
     assert validate_file(trace_path) == []
 
 
+def test_cli_timeline_fails_on_a_malformed_trace(capsys, tmp_path,
+                                                 monkeypatch):
+    """``timeline --trace`` checks the file it wrote: a writer that emits
+    an event without ``ts`` makes the command exit 1 and name it."""
+    import json
+
+    from repro.obs import trace
+
+    def malformed(bus, path):
+        payload = trace.chrome_trace(bus)
+        payload["traceEvents"].append(
+            {"ph": "X", "pid": 0, "tid": 0, "name": "broken", "dur": 1})
+        path.write_text(json.dumps(payload))
+        return path
+
+    monkeypatch.setattr(trace, "write_chrome_trace", malformed)
+    trace_path = tmp_path / "trace.json"
+    code = main(["timeline", "XRAGE", "--quick", "--mode", "baseline",
+                 "--trace", str(trace_path), "--sample-every", "500"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "INVALID (1 problem(s))" in err and "'broken'" in err
+
+
 def test_cli_timeline_rejects_bad_args(capsys):
     assert main(["timeline", "NOPE", "--quick"]) == 2
     assert main(["timeline", "XRAGE", "--quick", "--sample-every", "0"]) == 2

@@ -117,6 +117,44 @@ def test_core_work_reads_the_scratchpad_of_its_instance(monkeypatch):
     assert 0 < moved < len(loads), "chunks must land on both instances"
 
 
+@pytest.mark.parametrize("name, config", [
+    ("CG", TWO), ("GZZ", SystemConfig.dx100_scaled(8, instances=2))],
+    ids=["CG", "GZZ"])
+def test_core_work_starts_after_its_chunk_wait(monkeypatch, name, config):
+    """Chunks are dealt whole: each CoreWork runs on the instance whose
+    WaitTiles comes before it in the schedule, and starts no earlier than
+    that wait resumes."""
+    events: list[tuple[str, int]] = []
+    build = runner.SimSystem
+
+    def observed(*args, **kwargs):
+        system = build(*args, **kwargs)
+        for dx in system.dx100s:
+            def wait(tiles, t, _wait=dx.wait):
+                resume = _wait(tiles, t)
+                events.append(("wait", resume))
+                return resume
+            dx.wait = wait
+        run = system.multicore.run
+
+        def run_at(traces, at=0):
+            events.append(("core", at))
+            return run(traces, at=at)
+        system.multicore.run = run_at
+        return system
+
+    monkeypatch.setattr(runner, "SimSystem", observed)
+    run_dx100(QUICK_BENCHMARKS[name](), config, warm=False)
+    starts = []
+    resume = None
+    for what, t in events:
+        if what == "wait":
+            resume = t
+        else:
+            starts.append((t, resume))
+    assert starts and all(at >= resume for at, resume in starts), starts
+
+
 def test_instance_scratchpads_do_not_overlap():
     cfg = DX100Config(tile_elems=1 << 11)
     base0 = Scratchpad.instance_base(0, cfg)
