@@ -172,7 +172,9 @@ def run_dx100(workload: Workload, config: SystemConfig | None = None,
     instance is rebased into that instance's window.
 
     ``pipelined=True`` applies :func:`software_pipeline` (double
-    buffering); the default keeps the workload's own ordering.
+    buffering) to each instance's block of chunks, so every wait runs on
+    the instance that dispatched its tiles; the default keeps the
+    workload's own ordering.
     ``obs`` is an optional :class:`repro.obs.events.EventBus`; its summary
     lands in ``RunResult.extra`` (never in the golden metric fields).
     ``tenant`` (>= 0) tags every DRAM request for per-tenant accounting
@@ -195,18 +197,19 @@ def run_dx100(workload: Workload, config: SystemConfig | None = None,
     for dx in accels:
         dx.preload_pages(hostmem.base, hostmem.base + hostmem.size)
 
-    schedule = workload.dx100_schedule(config.dx100, config.cores)
-    if pipelined:
-        schedule = software_pipeline(schedule)
-    groups = _split_groups(schedule)
+    groups = _split_groups(workload.dx100_schedule(config.dx100,
+                                                   config.cores))
+    blocks: list[list] = [[] for _ in accels]
+    for g, group in enumerate(groups):
+        blocks[g * len(accels) // len(groups)].extend(group)
     times = [0] * len(accels)
     records = []        # every instance's records, in program order
     issue_instrs = 0.0
-    for g, group in enumerate(groups):
-        k = g * len(accels) // len(groups)
-        dx = accels[k]
-        t = times[k]
-        for item in group:
+    for k, (dx, block) in enumerate(zip(accels, blocks)):
+        if pipelined:
+            block = software_pipeline(block)
+        t = 0
+        for item in block:
             if isinstance(item, RegWrite):
                 dx.write_register(item.reg, item.value)
                 t += 1

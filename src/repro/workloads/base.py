@@ -10,7 +10,7 @@ Each paper benchmark provides three views of the same kernel:
   interleaved with the residual core work (:class:`CoreWork` items), tiled
   and double-buffered;
 * ``expected``        — the NumPy reference the DX100 run's memory state is
-  validated against.
+  validated against, whole or (at paper scale) one slice at a time.
 
 Scales are reduced relative to the paper (Python request-level simulation),
 with access-pattern statistics preserved; see DESIGN.md.
@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -48,6 +49,16 @@ PC_EXTRA = 6
 # element, DX100 residual near zero; Section 6.1) and the 3.6x geomean
 # instruction reduction of Figure 11(a).
 BASE_ADDR_CALC = 8     # address arithmetic + loop overhead per element
+
+#: Elements :meth:`Workload.validate` compares per step.  A slice
+#: reference is the largest array a check holds, so validating a
+#: paper-scale array (XRAGE's 2^24-element ``A``) costs a few MB, not a
+#: second copy of the array.
+VALIDATE_SLICE = 1 << 20
+
+#: An array's expected contents: the whole array, or a function of
+#: ``(lo, hi)`` that returns the contents of ``[lo, hi)``.
+Reference = np.ndarray | Callable[[int, int], np.ndarray]
 
 
 class Workload(ABC):
@@ -84,8 +95,10 @@ class Workload(ABC):
         """DX100 program items + CoreWork for the offloaded code."""
 
     @abstractmethod
-    def expected(self) -> dict[str, np.ndarray]:
-        """Final expected contents of mutated arrays (or packed outputs)."""
+    def expected(self) -> dict[str, Reference]:
+        """Final expected contents of mutated arrays (or packed outputs).
+        Workloads with paper-scale arrays give slice functions, built
+        from their own inputs (:func:`last_writer`, :func:`key_counts`)."""
 
     def dmp_streams(self) -> dict[int, np.ndarray]:
         """pc -> unconditional indirect target addresses, for the DMP run."""
@@ -101,14 +114,33 @@ class Workload(ABC):
     # -------------------------------------------------------------- utility
 
     def validate(self, mem: HostMemory) -> None:
-        """Assert the post-run memory matches the NumPy reference."""
+        """Assert the post-run memory matches the NumPy reference, every
+        element of every checked array, one :data:`VALIDATE_SLICE` at a
+        time."""
         for name, expect in self.expected().items():
             got = mem.view(name)
-            if not np.array_equal(got, expect):
-                bad = int(np.count_nonzero(got != expect))
+            if callable(expect):
+                part = expect
+            elif len(expect) == len(got):
+                part = lambda lo, hi, whole=expect: whole[lo:hi]
+            else:
+                raise AssertionError(
+                    f"{self.name}: array {name!r} has {len(got)} elements, "
+                    f"the reference {len(expect)}")
+            bad = 0
+            for lo in range(0, len(got), VALIDATE_SLICE):
+                hi = min(lo + VALIDATE_SLICE, len(got))
+                want = part(lo, hi)
+                if want.shape != (hi - lo,):
+                    raise AssertionError(
+                        f"{self.name}: reference slice [{lo}, {hi}) of "
+                        f"{name!r} has shape {want.shape}")
+                bad += int(np.count_nonzero(got[lo:hi] != want))
+                del want    # before the next slice's reference is built
+            if bad:
                 raise AssertionError(
                     f"{self.name}: array {name!r} diverges from the "
-                    f"reference in {bad}/{len(expect)} elements"
+                    f"reference in {bad}/{len(got)} elements"
                 )
 
     def validate_dx(self, records, mem: HostMemory) -> None:
@@ -135,6 +167,42 @@ class Workload(ABC):
 
     def _remember(self, mem: HostMemory) -> None:
         self.mem = mem
+
+
+def _keys_in(keys: np.ndarray, lo: int,
+             hi: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """``(positions, keys - lo)`` of the keys in ``[lo, hi)``, in program
+    order.  ``keys`` is scanned an eighth of a slice at a time, so one
+    step's temporaries stay under a slice of int64 together."""
+    step = VALIDATE_SLICE // 8
+    for start in range(0, len(keys), step):
+        part = keys[start:start + step]
+        pos = np.flatnonzero((part >= lo) & (part < hi))
+        yield start + pos, part[pos] - lo
+
+
+def last_writer(indices: np.ndarray,
+                values: np.ndarray) -> Callable[[int, int], np.ndarray]:
+    """The slice reference of a zeroed array after ``A[indices[i]] =
+    values[i]`` for every ``i`` in order: the last writer wins."""
+    def part(lo: int, hi: int) -> np.ndarray:
+        out = np.zeros(hi - lo, dtype=values.dtype)
+        for pos, at in _keys_in(indices, lo, hi):
+            out[at] = values[pos]
+        return out
+    return part
+
+
+def key_counts(keys: np.ndarray,
+               dtype) -> Callable[[int, int], np.ndarray]:
+    """The slice reference of ``count[keys[i]] += 1`` over a zeroed
+    ``dtype`` array."""
+    def part(lo: int, hi: int) -> np.ndarray:
+        out = np.zeros(hi - lo, dtype=dtype)
+        for _, at in _keys_in(keys, lo, hi):
+            np.add.at(out, at, 1)
+        return out
+    return part
 
 
 def expand_ranges(lo: np.ndarray,

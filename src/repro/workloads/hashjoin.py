@@ -21,7 +21,7 @@ from repro.dx100.api import ProgramBuilder
 from repro.dx100.hostmem import HostMemory
 from repro.workloads.base import (
     BASE_ADDR_CALC, PC_EXTRA, PC_INDEX, PC_INDIRECT, PC_OUTPUT, PC_VALUE,
-    Workload, chunk_bounds,
+    Reference, Workload, chunk_bounds, key_counts, last_writer,
 )
 
 RADIX_SHIFT = 9
@@ -99,11 +99,9 @@ class RadixJoinHistogram(Workload):
             items += pb.build()
         return items
 
-    def expected(self) -> dict[str, np.ndarray]:
-        hist = np.bincount(self.radix, minlength=self.partitions)
-        table = np.zeros(self.table_space, dtype=np.int64)
-        table[self.offsets[self.radix]] = self.tuples  # last writer wins
-        return {"hist": hist.astype(np.int64), "A": table}
+    def expected(self) -> dict[str, Reference]:
+        return {"hist": key_counts(self.radix, np.int64),
+                "A": last_writer(self.offsets[self.radix], self.tuples)}
 
     def dmp_streams(self) -> dict[int, np.ndarray]:
         return {PC_INDIRECT:

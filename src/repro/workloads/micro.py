@@ -20,7 +20,7 @@ from repro.dx100.api import ProgramBuilder
 from repro.dx100.hostmem import HostMemory
 from repro.workloads.base import (
     BASE_ADDR_CALC, PC_INDEX, PC_INDIRECT, PC_OUTPUT, PC_SPD, PC_VALUE,
-    CoreWork, Workload, chunk_bounds,
+    CoreWork, Reference, Workload, chunk_bounds, last_writer,
 )
 
 
@@ -240,10 +240,8 @@ class Scatter(Workload):
             pb.free_tile(t_c)
         return items
 
-    def expected(self) -> dict[str, np.ndarray]:
-        result = np.zeros(self.scale, dtype=np.int64)
-        result[self.b] = self.c
-        return {"A": result}
+    def expected(self) -> dict[str, Reference]:
+        return {"A": last_writer(self.b, self.c)}
 
     def dmp_streams(self) -> dict[int, np.ndarray]:
         return {PC_INDIRECT: self.a_base + 8 * self.b}

@@ -21,8 +21,8 @@ from repro.dx100.isa import Instr
 from repro.dx100.range_fuser import plan_range_chunks
 from repro.workloads.base import (
     BASE_ADDR_CALC, PC_EXTRA, PC_INDEX, PC_INDIRECT, PC_OUTPUT, PC_SPD,
-    PC_VALUE, CoreWork, Workload, chunk_bounds, expand_ranges,
-    nest_positions,
+    PC_VALUE, CoreWork, Reference, Workload, chunk_bounds, expand_ranges,
+    key_counts, nest_positions,
 )
 
 
@@ -48,8 +48,8 @@ class IntegerSort(Workload):
                                       self.scale).astype(np.int64)
         self.k_base = mem.place("K", self.keys)
         self.count_base = mem.alloc("count", self.bucket_space, DType.U32)
-        self.ones = np.ones(self.scale, dtype=np.uint32)
-        self.ones_base = mem.place("ones", self.ones)
+        self.ones_base = mem.alloc("ones", self.scale, DType.U32)
+        mem.view("ones")[:] = 1
 
     def baseline_traces(self, cores: int) -> list[Trace]:
         traces = []
@@ -76,9 +76,8 @@ class IntegerSort(Workload):
             items += pb.build()
         return items
 
-    def expected(self) -> dict[str, np.ndarray]:
-        return {"count": np.bincount(
-            self.keys, minlength=self.bucket_space).astype(np.uint32)}
+    def expected(self) -> dict[str, Reference]:
+        return {"count": key_counts(self.keys, np.uint32)}
 
     def dmp_streams(self) -> dict[int, np.ndarray]:
         return {PC_INDIRECT: self.count_base + 4 * self.keys}
@@ -171,7 +170,7 @@ class ConjugateGradient(Workload):
             items.append(CoreWork(traces=traces))
         return items
 
-    def expected(self) -> dict[str, np.ndarray]:
+    def expected(self) -> dict[str, Reference]:
         return {}  # validation is via the gathered tiles (expect_gather)
 
     def dmp_streams(self) -> dict[int, np.ndarray]:

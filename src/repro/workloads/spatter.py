@@ -18,7 +18,8 @@ from repro.core.trace import BulkEmitter, Trace, split_static
 from repro.dx100.api import ProgramBuilder
 from repro.dx100.hostmem import HostMemory
 from repro.workloads.base import (
-    BASE_ADDR_CALC, PC_INDEX, PC_INDIRECT, PC_VALUE, Workload, chunk_bounds,
+    BASE_ADDR_CALC, PC_INDEX, PC_INDIRECT, PC_VALUE, Reference, Workload,
+    chunk_bounds, last_writer,
 )
 
 
@@ -74,10 +75,8 @@ class SpatterXRAGE(Workload):
             items += pb.build()
         return items
 
-    def expected(self) -> dict[str, np.ndarray]:
-        out = np.zeros(self.region, dtype=np.int64)
-        out[self.indices] = self.values  # last writer wins, program order
-        return {"A": out}
+    def expected(self) -> dict[str, Reference]:
+        return {"A": last_writer(self.indices, self.values)}
 
     def dmp_streams(self) -> dict[int, np.ndarray]:
         return {PC_INDIRECT: self.a_base + 8 * self.indices}

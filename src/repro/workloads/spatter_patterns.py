@@ -31,8 +31,8 @@ from repro.core.trace import Trace, TraceBuilder, split_static
 from repro.dx100.api import ProgramBuilder
 from repro.dx100.hostmem import HostMemory
 from repro.workloads.base import (
-    BASE_ADDR_CALC, PC_INDEX, PC_INDIRECT, PC_OUTPUT, PC_VALUE,
-    Workload, chunk_bounds,
+    BASE_ADDR_CALC, PC_INDEX, PC_INDIRECT, PC_OUTPUT, PC_VALUE, Reference,
+    Workload, chunk_bounds, last_writer,
 )
 
 
@@ -147,12 +147,10 @@ class SpatterKernel(Workload):
 
     # ---------------------------------------------------------- validation
 
-    def expected(self) -> dict[str, np.ndarray]:
+    def expected(self) -> dict[str, Reference]:
         if self.kernel == "gather":
             return {"C": self.a[self.indices]}
-        out = np.zeros(self.span, dtype=np.int64)
-        out[self.indices] = self.values
-        return {"A": out}
+        return {"A": last_writer(self.indices, self.values)}
 
     def dmp_streams(self) -> dict[int, np.ndarray]:
         return {PC_INDIRECT: self.a_base + 8 * self.indices}

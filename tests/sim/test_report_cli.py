@@ -2,6 +2,10 @@
 
 import csv
 import io
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -190,3 +194,25 @@ def test_cli_timeline_fails_on_a_malformed_trace(capsys, tmp_path,
 def test_cli_timeline_rejects_bad_args(capsys):
     assert main(["timeline", "NOPE", "--quick"]) == 2
     assert main(["timeline", "XRAGE", "--quick", "--sample-every", "0"]) == 2
+
+
+@pytest.mark.parametrize("lines", [0, 1])
+def test_cli_exits_quietly_when_the_reader_closes_the_pipe(lines):
+    """``python -m repro list | head -1``: once the reader has closed the
+    pipe (before any line, or after the first), the CLI exits quietly:
+    1 if a write failed, 0 if every line was written before the close,
+    and nothing on stderr."""
+    src = pathlib.Path(__file__).resolve().parents[2] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONUNBUFFERED": "1"}
+    read, write = os.pipe()
+    if not lines:
+        os.close(read)
+    proc = subprocess.Popen([sys.executable, "-m", "repro", "list"],
+                            stdout=write, stderr=subprocess.PIPE, env=env)
+    os.close(write)
+    if lines:
+        with os.fdopen(read, "rb") as reader:
+            assert reader.readline().startswith(b"name")
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode in ((0, 1) if lines else (1,)), err
+    assert err == b""
