@@ -31,7 +31,7 @@ sweep:
 sweep-quick:
 	$(RUN_REPRO) $(GRID) --quick $(SWEEP_JOBS)
 
-# Golden harness: re-run every pinned suite (quick, memtech, tenancy)
+# Golden harness: re-run every pinned suite (quick, memtech)
 # and diff it bitwise against tests/golden/, or rewrite the files after an
 # intentional model change.  JOBS=N sizes the quick suite's worker pool.
 GOLDEN_JOBS = $(if $(JOBS),REPRO_JOBS=$(JOBS),)

@@ -103,29 +103,3 @@ def test_ablation_coalescing(benchmark):
     record("ablation_coalescing", lines)
     assert dense.extra["coalescing"] > 2 * sparse.extra["coalescing"]
     assert dense.dram_requests < sparse.dram_requests
-
-
-def test_ablation_double_buffering(benchmark):
-    """Software-pipelined schedules (gather tile k+1 while cores consume
-    tile k) vs. the serial per-chunk order."""
-    from repro.sim.runner import run_dx100 as _run
-    from repro.workloads import GZZ, ConjugateGradient
-
-    def measure():
-        out = {}
-        for name, factory in [("CG", lambda: ConjugateGradient(scale=1 << 11)),
-                              ("GZZ", lambda: GZZ(scale=1 << 16))]:
-            cfg = SystemConfig.dx100_scaled(tile_elems=4096)
-            serial = _run(factory(), cfg, warm=False)
-            piped = _run(factory(), cfg, warm=False, pipelined=True)
-            out[name] = (serial.cycles, piped.cycles)
-        return out
-
-    out = benchmark.pedantic(measure, rounds=1, iterations=1)
-    lines = [f"{'bench':5s} {'serial':>9s} {'pipelined':>10s} {'gain':>6s}"]
-    for name, (serial, piped) in out.items():
-        lines.append(f"{name:5s} {serial:9d} {piped:10d} "
-                     f"{serial / piped:5.2f}x")
-    record("ablation_double_buffering", lines)
-    for serial, piped in out.values():
-        assert piped <= serial * 1.02

@@ -9,9 +9,8 @@ Usage::
     python -m repro run 'G*' --dram ddr4 ddr5 --tile 4096 8192 --dry-run
     python -m repro timeline IS --quick       # ASCII observability timeline
     python -m repro timeline IS --quick --trace results/trace.json
-    python -m repro serve --tenants 2 --aggressor 1   # multi-tenant QoS
     python -m repro golden check              # every golden suite, bitwise
-    python -m repro golden update <suite>     # quick | memtech | tenancy
+    python -m repro golden update <suite>     # quick | memtech
     python -m repro area                      # Table 4
 
 ``run`` turns its flags into tasks (:func:`repro.sim.sweep.task_grid`)
@@ -28,7 +27,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
 
 from repro.common.config import DRAM_PRESETS
 from repro.dx100.area import area_power
@@ -146,35 +144,9 @@ def _parser() -> argparse.ArgumentParser:
                                "malformed")
     timeline.set_defaults(func=cmd_timeline)
 
-    serve = sub.add_parser(
-        "serve",
-        help="run the multi-tenant QoS serving layer: N closed-loop "
-             "tenant streams over one shared DRAM system, with token-"
-             "bucket admission, fair scheduling, and partitioned Row "
-             "Table / request buffers; prints per-tenant p50/p99 latency, "
-             "throughput, and the Jain fairness index",
-    )
-    serve.add_argument("--tenants", type=int, default=2,
-                       help="concurrent tenant streams (default: 2)")
-    serve.add_argument("--tiles", type=int, default=4,
-                       help="tiles per tenant (default: 4)")
-    serve.add_argument("--tile-lines", type=int, default=96,
-                       help="lines per tile (default: 96)")
-    serve.add_argument("--seed", type=int, default=0)
-    serve.add_argument("--aggressor", type=int, default=-1, metavar="T",
-                       help="mark tenant index T as an interference "
-                            "generator (4x token refill; -1 = none)")
-    serve.add_argument("--no-borrow", action="store_true",
-                       help="disable work-conserving borrow (hard "
-                            "partitioning only)")
-    serve.add_argument("--engine", choices=["batched", "scalar"],
-                       default="batched",
-                       help="DRAM engine (scalar = the oracle replay)")
-    serve.set_defaults(func=cmd_serve)
-
     golden = sub.add_parser(
         "golden",
-        help="re-run the golden-pinned suites (quick, memtech, tenancy) and "
+        help="re-run the golden-pinned suites (quick, memtech) and "
              "diff them bitwise against tests/golden/ (check) or rewrite "
              "the files after an intentional model change (update); never "
              "touches the run cache",
@@ -189,7 +161,7 @@ def _parser() -> argparse.ArgumentParser:
     golden.add_argument("--frontend", choices=["batched", "scalar"],
                         default=None,
                         help="force the cache/core front end (scalar = the "
-                             "oracle replay; the tenancy suite has none)")
+                             "oracle replay; must match the goldens bitwise)")
     golden.set_defaults(func=cmd_golden)
 
     sub.add_parser("area", help="print the Table 4 area/power breakdown"
@@ -389,23 +361,6 @@ def cmd_timeline(args) -> int:
             for p in problems[:20]:
                 print(f"  {p}", file=sys.stderr)
             return 1
-    return 0
-
-
-def cmd_serve(args) -> int:
-    """Run the multi-tenant serving layer."""
-    from repro.common.config import DRAMConfig
-    from repro.serve import make_tenants, serve_run
-
-    if args.tenants < 1:
-        print("--tenants must be >= 1", file=sys.stderr)
-        return 2
-    specs = make_tenants(args.tenants, tiles=args.tiles,
-                         tile_lines=args.tile_lines, seed=args.seed,
-                         aggressor=args.aggressor)
-    config = replace(DRAMConfig(), engine=args.engine)
-    report = serve_run(specs, config=config, borrow=not args.no_borrow)
-    print(report.render())
     return 0
 
 

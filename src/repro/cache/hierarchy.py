@@ -82,9 +82,9 @@ class MemoryHierarchy:
         # Demand-access observers (the DMP engine registers one).
         self.observers: list = []
         # Owning tenant per core (-1 = untagged).  Consulted on every demand
-        # access so the serving layer (:mod:`repro.serve`) and the tenant
-        # co-run path can attribute DRAM traffic without touching the core
-        # model; tags never change scheduling.
+        # access so the tenant co-run path (:mod:`repro.sim.corun`) can
+        # attribute DRAM traffic without touching the core model; tags
+        # never change scheduling.
         self.core_tenant: list[int] = [-1] * config.cores
         # Observability bus (:class:`repro.obs.events.EventBus`); None when
         # observability is off.

@@ -28,6 +28,14 @@ def _require_positive(config, names: tuple[str, ...]) -> None:
                              f"got {value}")
 
 
+def _require_choice(config, name: str, choices: tuple[str, ...]) -> None:
+    """Raise ``ValueError`` unless ``config.name`` is one of ``choices``."""
+    value = getattr(config, name)
+    if value not in choices:
+        raise ValueError(f"{type(config).__name__}.{name} is {value!r}; "
+                         f"expected one of {', '.join(choices)}")
+
+
 @dataclass(frozen=True)
 class CoreConfig:
     """An out-of-order core modelled after Skylake (Table 3)."""
@@ -141,9 +149,7 @@ class RemoteLinkConfig:
 
     def __post_init__(self) -> None:
         _require_positive(self, ("queue_depth",))
-        if self.placement not in ("all", "range", "hash"):
-            raise ValueError(f"RemoteLinkConfig.placement must be all, "
-                             f"range or hash, got {self.placement!r}")
+        _require_choice(self, "placement", ("all", "range", "hash"))
         if self.latency < 0:
             raise ValueError(f"RemoteLinkConfig.latency must be >= 0, got "
                              f"{self.latency}")
@@ -204,9 +210,9 @@ class DRAMConfig:
 
     def __post_init__(self) -> None:
         _require_positive(self, ("request_buffer",))
-        if self.page_policy not in ("open", "closed"):
-            raise ValueError(f"DRAMConfig.page_policy must be open or "
-                             f"closed, got {self.page_policy!r}")
+        _require_choice(self, "scheduler", ("frfcfs", "fcfs"))
+        _require_choice(self, "page_policy", ("open", "closed"))
+        _require_choice(self, "engine", ("batched", "scalar"))
 
 
 def ddr5_6400() -> "DRAMConfig":
@@ -350,6 +356,7 @@ class SystemConfig:
 
     def __post_init__(self) -> None:
         _require_positive(self, ("dx100_instances",))
+        _require_choice(self, "frontend", ("batched", "scalar"))
 
     def with_dram(self, dram: DRAMConfig) -> "SystemConfig":
         """This system on ``dram``, its channels doubled above 4 cores (the

@@ -138,8 +138,8 @@ class DRAMRequest:
     channel: int = -1
     # Submitting tenant (-1 = untagged).  The tag never influences
     # scheduling — both engines treat tagged and untagged requests
-    # identically — it only feeds per-tenant accounting in the serving
-    # layer (:mod:`repro.serve`) and the controllers' tenant counters.
+    # identically — it only feeds the controllers' tenant counters, which
+    # the co-run path (:mod:`repro.sim.corun`) reads.
     tenant: int = -1
     # Results, filled by the controller.
     start: int = -1

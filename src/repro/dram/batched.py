@@ -58,7 +58,7 @@ from repro.common.stats import Stats
 from repro.common.types import DRAMCoord, DRAMRequest
 from repro.dram.address import AddressMapper
 from repro.dram.bank import BankState, ChannelBusState, RankState
-from repro.dram.scheduler import AGE_CAP, check_scheduler
+from repro.dram.scheduler import AGE_CAP
 
 #: Reclaim SoA storage once the retired tail exceeds this many slots (only
 #: at quiescent points, where no rid can still be referenced).
@@ -89,7 +89,6 @@ class BatchedController:
 
     def __init__(self, channel: int, config: DRAMConfig,
                  mapper: AddressMapper) -> None:
-        check_scheduler(config.scheduler)
         self.channel = channel
         self.config = config
         self.timing = config.timing

@@ -349,7 +349,7 @@ class MemoryController:
         counters["bytes"] += self._line_bytes
         tenant = req.tenant
         if tenant >= 0:
-            # Per-tenant accounting (serving layer).  Tags never alter the
+            # Per-tenant accounting (co-run).  Tags never alter the
             # schedule above, only these counters.
             counters[f"tenant{tenant}_serviced"] += 1
             counters[f"tenant{tenant}_bytes"] += self._line_bytes

@@ -95,14 +95,7 @@ SCHEDULERS: dict[str, type[FRFCFS | FCFS]] = {"frfcfs": FRFCFS,
                                                "fcfs": FCFS}
 
 
-def check_scheduler(name: str) -> None:
-    """Raise ``ValueError`` unless ``name`` is a known policy."""
-    if name not in SCHEDULERS:
-        raise ValueError(f"unknown scheduler {name!r}; "
-                         f"expected one of {', '.join(SCHEDULERS)}")
-
-
 def make_scheduler(name: str) -> FRFCFS | FCFS:
-    """Build a scheduler by policy name (``frfcfs`` or ``fcfs``)."""
-    check_scheduler(name)
+    """Build a scheduler by policy name (``frfcfs`` or ``fcfs``;
+    ``DRAMConfig`` checks the name at construction)."""
     return SCHEDULERS[name]()

@@ -35,10 +35,7 @@ class DRAMSystem:
                  mapper: AddressMapper | None = None) -> None:
         self.config = config or DRAMConfig()
         self.mapper = mapper or AddressMapper(self.config)
-        engine = self.config.engine
-        if engine not in ("batched", "scalar"):
-            raise ValueError(f"unknown DRAM engine {engine!r}")
-        controller_cls = (BatchedController if engine == "batched"
+        controller_cls = (BatchedController if self.config.engine == "batched"
                           else MemoryController)
         self.controllers = [
             controller_cls(ch, self.config, self.mapper)

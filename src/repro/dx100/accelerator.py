@@ -98,9 +98,9 @@ class DX100:
     def set_tenant(self, tenant: int) -> None:
         """Tag every request this instance issues with ``tenant``.
 
-        The tag feeds per-tenant accounting in the controllers and the
-        serving layer only — it never changes how requests are scheduled,
-        so a tagged run and an untagged run produce identical timing.
+        The tag feeds per-tenant accounting in the controllers only — it
+        never changes how requests are scheduled, so a tagged run and an
+        untagged run produce identical timing.
         """
         self.tenant = tenant
         self.stream.tenant = tenant

@@ -45,8 +45,7 @@ class _Slice:
     #: maintained incrementally by :meth:`RowTable.insert`, whose capacity
     #: check reads this counter (rows only grow between drains, so it is
     #: exact); :meth:`entry_units` still recomputes from the rows so
-    #: external checkers (the serving layer's invariants) detect state
-    #: corrupted behind the API.
+    #: invariant checks detect state corrupted behind the API.
     units: int = 0
 
     def entry_units(self) -> int:
@@ -163,43 +162,6 @@ class RowTable:
     @property
     def occupancy(self) -> int:
         return sum(sl.entry_units() for sl in self._slices.values())
-
-    def slice_units(self, flat_bank: tuple[int, int, int, int]) -> int:
-        """BCAM entry units currently used by one slice (0 if untouched).
-
-        Public so external quota layers (:mod:`repro.serve`) can budget
-        per-tenant capacity without reaching into ``_slices``.
-        """
-        sl = self._slices.get(flat_bank)
-        return 0 if sl is None else sl.entry_units()
-
-    def entries(self):
-        """Iterate tracked lines as ``(flat_bank, row, line_addr, words)``.
-
-        Read-only view for external checkers (the serving layer's isolation
-        invariants walk every entry without touching slice internals).
-        """
-        for key, sl in self._slices.items():
-            for row, cols in sl.rows.items():
-                for rec in cols.values():
-                    yield key, row, rec.line_addr, rec.words
-
-    def insert_cost(self, coord: DRAMCoord, line_addr: int) -> int:
-        """BCAM entry units an insert of ``line_addr`` would consume.
-
-        0 — the line is already tracked (coalesce) or fits in its row's
-        current entry; 1 — a fresh BCAM entry would be allocated.  Pure
-        query: the table is not modified.
-        """
-        sl = self._slices.get(coord.flat_bank)
-        if sl is None:
-            return 1
-        cols = sl.rows.get(coord.row)
-        if cols is None:
-            return 1
-        if line_addr in cols:
-            return 0
-        return 1 if len(cols) % self.cols_per_row == 0 else 0
 
     def coalescing_factor(self) -> float:
         """Words inserted per unique line (>= 1)."""

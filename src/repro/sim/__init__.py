@@ -3,7 +3,7 @@
 from repro.sim.corun import CorunResult, NamespacedMemory, run_corun
 from repro.sim.metrics import RunResult, collect
 from repro.sim.report import bar_chart, comparison_table, to_csv
-from repro.sim.runner import run_baseline, run_dx100, software_pipeline
+from repro.sim.runner import run_baseline, run_dx100
 from repro.sim.statsdump import dump_stats, format_stats, write_stats
 from repro.sim.sweep import (
     RunCache, SweepOutcome, SweepTask, main_sweep_tasks, run_sweep,
@@ -29,7 +29,6 @@ __all__ = [
     "run_corun",
     "run_dx100",
     "run_sweep",
-    "software_pipeline",
     "task_grid",
     "to_csv",
     "write_stats",

@@ -1,16 +1,13 @@
 """One golden harness for every pinned result grid.
 
-Three named suites pin the numbers this repository reproduces:
+Two named suites pin the numbers this repository reproduces:
 
 ``quick``
     the quick benchmark suite under baseline/dmp/dx100 — DX100's
     Fig. 9-12 speedups (:func:`repro.sim.sweep.golden_snapshot`);
 ``memtech``
     quick IS on local DDR4, DDR5, all-far CXL and mixed placement — the
-    far-memory thesis (:func:`repro.sim.memtech.run_memtech`);
-``tenancy``
-    the serving layer's tenant-count x interference grid
-    (:func:`repro.serve.tenancy_scenarios`).
+    far-memory thesis (:func:`repro.sim.memtech.run_memtech`).
 
 Every golden file has one layout, ``{"_comment", "metrics"}``, and every
 suite is compared by one exact recursive :func:`diff`.  The command line::
@@ -18,7 +15,7 @@ suite is compared by one exact recursive :func:`diff`.  The command line::
     python -m repro golden check [suite ...] [--engine E] [--frontend F]
     python -m repro golden update [suite ...]
 
-re-runs the named suites (all three by default) and either diffs them
+re-runs the named suites (both by default) and either diffs them
 against their files (exit 1 on any mismatch) or rewrites the files after
 an intentional model change.  Neither reads nor writes the run cache, and
 ``check`` writes nothing at all.  The suites' runners are imported
@@ -60,13 +57,6 @@ def _run_memtech(engine: str | None, frontend: str | None) -> dict:
     return run_memtech(engine=engine, frontend=frontend)
 
 
-def _run_tenancy(engine: str | None, frontend: str | None) -> dict:
-    # The serving layer drives DRAM directly: there is no front end.
-    from repro.serve import tenancy_scenarios
-    return {name: report.golden_snapshot()
-            for name, report in tenancy_scenarios(engine=engine).items()}
-
-
 def _pin_comment(what: str, name: str) -> str:
     return (f"{what}  Regenerate with `python -m repro golden update "
             f"{name}` after an intentional model change.")
@@ -80,9 +70,6 @@ SUITES: dict[str, Suite] = {suite.name: suite for suite in (
         "Golden metrics for the memory-technology scenario grid (quick IS "
         "under baseline/dx100 on local DDR4, DDR5, all-far CXL, and mixed "
         "placement).", "memtech"), _run_memtech),
-    Suite("tenancy", GOLDEN_DIR / "tenancy_quick.json", _pin_comment(
-        "Golden per-tenant QoS metrics for the canonical tenancy scenarios "
-        "(repro.serve.tenancy_scenarios).", "tenancy"), _run_tenancy),
 )}
 
 

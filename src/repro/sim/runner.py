@@ -69,8 +69,7 @@ def run_baseline(workload: Workload, config: SystemConfig | None = None,
     summary lands in ``RunResult.extra`` (never in the golden metric
     fields).  ``tenant`` (>= 0) tags every DRAM request for per-tenant
     accounting; the tag never changes scheduling, so a tagged run's
-    metrics match the untagged ones exactly (the serving layer's
-    degeneracy guarantee).
+    metrics match the untagged ones exactly.
     """
     config = config or SystemConfig.baseline()
     system = SimSystem(config, mem_bytes=workload.mem_bytes, obs=obs)
@@ -97,31 +96,6 @@ def run_baseline(workload: Workload, config: SystemConfig | None = None,
         extra.update(obs.summary())
     return collect(system, workload.name, config.name, finish,
                    instructions, extra)
-
-
-def software_pipeline(schedule: list) -> list:
-    """Reorder a schedule for double buffering: each chunk's instructions
-    dispatch *before* the previous chunk's residual core work, so the
-    accelerator gathers tile k+1 while the cores consume tile k (the
-    overlap the paper's programming model encourages).  The scoreboard's
-    tile hazards keep the reordering safe."""
-    segments: list[list] = [[]]
-    for item in schedule:
-        segments[-1].append(item)
-        if isinstance(item, CoreWork):
-            segments.append([])
-    if not segments[-1]:
-        segments.pop()
-    out: list = []
-    pending_tail: list = []       # waits + core work deferred one segment
-    for segment in segments:
-        issue = [x for x in segment if isinstance(x, (Instr, RegWrite))]
-        tail = [x for x in segment if not isinstance(x, (Instr, RegWrite))]
-        out.extend(issue)
-        out.extend(pending_tail)
-        pending_tail = tail
-    out.extend(pending_tail)
-    return out
 
 
 def _split_groups(schedule: list) -> list[list]:
@@ -155,8 +129,7 @@ def _rebase_spd(traces: list, window: tuple[int, int], offset: int) -> list:
 
 @gc_paused
 def run_dx100(workload: Workload, config: SystemConfig | None = None,
-              warm: bool = True, pipelined: bool = False,
-              obs=None, tenant: int = -1) -> RunResult:
+              warm: bool = True, obs=None, tenant: int = -1) -> RunResult:
     """Run the offloaded code: DX100 schedule + residual core work,
     synchronized through scratchpad ready bits, then validate.
 
@@ -171,10 +144,6 @@ def run_dx100(workload: Workload, config: SystemConfig | None = None,
     in instance 0's window, so the core work of a group dealt to another
     instance is rebased into that instance's window.
 
-    ``pipelined=True`` applies :func:`software_pipeline` (double
-    buffering) to each instance's block of chunks, so every wait runs on
-    the instance that dispatched its tiles; the default keeps the
-    workload's own ordering.
     ``obs`` is an optional :class:`repro.obs.events.EventBus`; its summary
     lands in ``RunResult.extra`` (never in the golden metric fields).
     ``tenant`` (>= 0) tags every DRAM request for per-tenant accounting
@@ -206,8 +175,6 @@ def run_dx100(workload: Workload, config: SystemConfig | None = None,
     records = []        # every instance's records, in program order
     issue_instrs = 0.0
     for k, (dx, block) in enumerate(zip(accels, blocks)):
-        if pipelined:
-            block = software_pipeline(block)
         t = 0
         for item in block:
             if isinstance(item, RegWrite):

@@ -19,9 +19,6 @@ class SimSystem:
     def __init__(self, config: SystemConfig,
                  mem_bytes: int = 1 << 26,
                  obs=None) -> None:
-        if config.frontend not in ("batched", "scalar"):
-            raise ValueError(f"unknown frontend {config.frontend!r} "
-                             "(expected 'batched' or 'scalar')")
         batched = config.frontend == "batched"
         self.config = config
         self.dram = DRAMSystem(config.dram)

@@ -96,3 +96,19 @@ def test_unknown_page_policy_rejected_naming_the_field(policy):
     with pytest.raises(ValueError, match=r"\bDRAMConfig\.page_policy\b"):
         DRAMConfig(page_policy=policy)
     assert DRAMConfig(page_policy="closed").page_policy == "closed"
+
+
+@pytest.mark.parametrize("cls, field, bad", [
+    (DRAMConfig, "scheduler", "fifo"),
+    (DRAMConfig, "engine", "fast"),
+    (SystemConfig, "frontend", "x"),
+])
+def test_unknown_engine_or_policy_name_rejected_at_construction(cls, field,
+                                                                bad):
+    """Scheduler, engine and front-end names were once checked only when
+    a run built its controllers, so a bad name survived every config
+    step until then.  Construction and ``replace`` now refuse it."""
+    with pytest.raises(ValueError, match=rf"\b{cls.__name__}\.{field}\b"):
+        cls(**{field: bad})
+    with pytest.raises(ValueError, match=field):
+        replace(cls(), **{field: bad})

@@ -278,7 +278,7 @@ def test_batched_matches_scalar_with_tenant_tags(name, program):
 def test_tenant_tags_never_change_the_schedule():
     """The same program with and without tags produces byte-identical
     command streams and per-request timings — the degeneracy guarantee
-    the serving layer's golden tests rely on."""
+    the co-run extension relies on."""
     cfg = DRAMConfig(channels=1, request_buffer=8)
     base = _long_program(seed=23, n=250, max_gap=200)
     tagged_prog = [(ln, w, g, i % 3) for i, (ln, w, g) in enumerate(base)]

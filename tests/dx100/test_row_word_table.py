@@ -40,7 +40,6 @@ def test_column_width_is_per_table():
     assert rt.occupancy == 1
     RowTable(rows_per_slice=64, cols_per_row=2)
     assert rt.occupancy == 1
-    assert rt.slice_units(coord(row=1).flat_bank) == 1
 
 
 def test_capacity_rejects_when_slice_full():

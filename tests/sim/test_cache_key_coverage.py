@@ -42,7 +42,8 @@ def _mutate(value):
 #: Leaves whose values are checked at construction: a mangled value would
 #: raise, so they take a different valid value instead.
 _VALID_ALTERNATIVES = {"page_policy": "closed", "placement": "hash",
-                       "far_fraction": 0.5}
+                       "far_fraction": 0.5, "scheduler": "fcfs",
+                       "engine": "scalar", "frontend": "scalar"}
 
 
 def _leaf_paths(obj, prefix=()):

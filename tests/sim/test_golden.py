@@ -20,7 +20,6 @@ from repro.sim import golden
 LEAVES = {
     "quick": (("IS", "baseline", "cycles"), "IS/baseline.cycles"),
     "memtech": (("cxl", "dx100", "far_serviced"), "cxl/dx100.far_serviced"),
-    "tenancy": (("t2", "tenants", "1", "p99"), "t2/tenants/1.p99"),
 }
 
 
@@ -52,14 +51,14 @@ def test_one_tampered_leaf_is_one_problem_naming_its_path(name):
 
 
 def test_missing_and_extra_keys_are_each_reported():
-    pinned = golden.load("tenancy")
+    pinned = golden.load("memtech")
     missing = copy.deepcopy(pinned)
-    del missing["t4"]["tenants"]["3"]["p50"]
+    del missing["mixed"]["dx100"]["cycles"]
     assert golden.diff(missing, pinned) == [
-        "t4/tenants/3.p50: missing from this run"]
+        "mixed/dx100.cycles: missing from this run"]
     extra = copy.deepcopy(pinned)
-    extra["t8"] = {"jain": 1.0}
-    assert golden.diff(extra, pinned) == ["t8: not in the golden file"]
+    extra["hbm"] = {"dx100": {"cycles": 1}}
+    assert golden.diff(extra, pinned) == ["hbm: not in the golden file"]
 
 
 # ------------------------------------------------------------------- CLI
@@ -78,11 +77,11 @@ def test_unknown_suite_exits_2_and_lists_the_valid_names(capsys):
 
 def test_check_writes_no_file(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    assert main(["golden", "check", "tenancy"]) == 0
+    assert main(["golden", "check", "memtech"]) == 0
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("name", ["memtech", "tenancy"])
+@pytest.mark.parametrize("name", ["memtech"])
 def test_update_then_check_reproduces_the_committed_bytes(
         name, tmp_path, monkeypatch):
     committed = golden.SUITES[name].path.read_bytes()
@@ -95,17 +94,17 @@ def test_update_then_check_reproduces_the_committed_bytes(
 
 def test_check_exits_1_with_the_problem_list_on_a_tampered_file(
         tmp_path, monkeypatch, capsys):
-    pinned = golden.load("tenancy")
-    pinned["t1"]["total_cycles"] += 1
-    _redirect(monkeypatch, "tenancy", tmp_path / "golden.json")
-    golden.write("tenancy", pinned)
-    assert main(["golden", "check", "tenancy"]) == 1
+    pinned = golden.load("memtech")
+    pinned["local"]["baseline"]["cycles"] += 1
+    _redirect(monkeypatch, "memtech", tmp_path / "golden.json")
+    golden.write("memtech", pinned)
+    assert main(["golden", "check", "memtech"]) == 1
     err = capsys.readouterr().err
-    assert "t1.total_cycles: got" in err
+    assert "local/baseline.cycles: got" in err
 
 
 def test_check_fails_when_the_golden_file_is_missing(
         tmp_path, monkeypatch, capsys):
-    _redirect(monkeypatch, "tenancy", tmp_path / "absent.json")
-    assert main(["golden", "check", "tenancy"]) == 1
+    _redirect(monkeypatch, "memtech", tmp_path / "absent.json")
+    assert main(["golden", "check", "memtech"]) == 1
     assert "no golden file" in capsys.readouterr().err

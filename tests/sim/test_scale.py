@@ -1,7 +1,5 @@
 """Multi-instance DX100 runs (Section 6.6 core multiplexing)."""
 
-from collections import Counter
-
 import pytest
 
 from repro.common import DX100Config, SystemConfig
@@ -155,43 +153,6 @@ def test_core_work_starts_after_its_chunk_wait(monkeypatch, name, config):
         else:
             starts.append((t, resume))
     assert starts and all(at >= resume for at, resume in starts), starts
-
-
-def test_pipelined_waits_run_on_the_dispatching_instance(monkeypatch):
-    """Software pipelining moves chunk k+1's instructions ahead of chunk
-    k's WaitTiles.  With two instances, every wait must still run on the
-    instance that dispatched the tiles it waits for: ``DX100.wait`` reads
-    only its own scratchpad's ready bits."""
-    foreign: list[tuple[int, int]] = []
-    dispatched_on: set[int] = set()
-    build = runner.SimSystem
-
-    def observed(*args, **kwargs):
-        system = build(*args, **kwargs)
-        for k, dx in enumerate(system.dx100s):
-            # Dispatched writes of each tile that no wait has taken yet.
-            pending: Counter[int] = Counter()
-
-            def dispatch(instr, t, _dispatch=dx.dispatch, pending=pending,
-                         k=k):
-                dispatched_on.add(k)
-                pending.update(instr.dest_tiles())
-                return _dispatch(instr, t)
-
-            def wait(tiles, t, _wait=dx.wait, pending=pending, k=k):
-                for tile in tiles:
-                    if pending[tile]:
-                        pending[tile] -= 1
-                    else:
-                        foreign.append((k, tile))
-                return _wait(tiles, t)
-            dx.dispatch, dx.wait = dispatch, wait
-        return system
-
-    monkeypatch.setattr(runner, "SimSystem", observed)
-    run_dx100(QUICK_BENCHMARKS["CG"](), TWO, warm=False, pipelined=True)
-    assert foreign == []
-    assert dispatched_on == {0, 1}
 
 
 def test_instance_scratchpads_do_not_overlap():
