@@ -7,8 +7,6 @@ interference channel because the accelerator re-derives its own row-sorted
 order per tile regardless of what else is in the buffer.
 """
 
-import pytest
-
 from repro.common import SystemConfig
 from repro.sim import run_dx100
 from repro.sim.corun import run_corun
@@ -23,32 +21,25 @@ FACTORIES = [
 
 
 def _sweep():
-    config = SystemConfig.baseline_scaled()
-    corun = run_corun(FACTORIES, config, tenants=True)
-    legacy = run_corun(FACTORIES, config)
+    corun = run_corun(FACTORIES, SystemConfig.baseline_scaled())
     dx = [run_dx100(f(), SystemConfig.dx100_scaled(), warm=False)
           for f in FACTORIES]
-    return corun, legacy, dx
+    return corun, dx
 
 
 def test_corun_interference(benchmark):
-    corun, legacy, dx = benchmark.pedantic(_sweep, rounds=1, iterations=1)
+    corun, dx = benchmark.pedantic(_sweep, rounds=1, iterations=1)
     lines = [f"{'workload':8s} {'solo':>9s} {'co-run':>9s} "
-             f"{'slowdown':>9s} {'dx100':>9s} {'dram.serviced':>13s}"]
+             f"{'slowdown':>9s} {'dx100':>9s}"]
     for i, name in enumerate(corun.names):
         lines.append(
             f"{name:8s} {corun.solo_cycles[i]:9d} "
             f"{corun.corun_cycles[i]:9d} {corun.slowdown(i):8.2f}x "
-            f"{dx[i].cycles:9d} {corun.tenant_dram[i]['serviced']:13d}"
+            f"{dx[i].cycles:9d}"
         )
     record("corun_interference", lines)
-    # The tenant-tagged path reports exactly the legacy runner's numbers:
-    # tags feed per-workload DRAM attribution, never scheduling.
-    assert corun.solo_cycles == legacy.solo_cycles
-    assert corun.corun_cycles == legacy.corun_cycles
     # Both workloads suffer (or at best break even) when sharing the
     # memory system, and DX100 beats even the solo baselines.
     assert all(corun.slowdown(i) > 0.95 for i in range(2))
     for i in range(2):
-        assert dx[i].cycles < corun.corun_cycles[i]
-        assert corun.tenant_dram[i]["serviced"] > 0
+        assert dx[i].cycles < corun.solo_cycles[i]

@@ -151,7 +151,6 @@ class BatchedHierarchy(MemoryHierarchy):
         li = addr >> shift
         line = li << shift
         counters["l1_accesses"] += 1
-        tenant = self.core_tenant[core]
         lat1 = self._l1_latency
 
         # ---- L1 (mirrors _access_line) ----
@@ -241,8 +240,7 @@ class BatchedHierarchy(MemoryHierarchy):
                                                      mshr2.capacity)
                         t_llc = t_l2 + lat2
                         counters["llc_accesses"] += 1
-                        result = self._access_llc(line, is_write, t_llc,
-                                                  tenant=tenant)
+                        result = self._access_llc(line, is_write, t_llc)
                         # The probe above missed and nothing between it
                         # and this fill touches the L2 tag store.
                         self._fill_set(cset2, li, is_write, l2_ways)
@@ -344,8 +342,7 @@ class BatchedHierarchy(MemoryHierarchy):
     # -------------------------------------------------------------- LLC level
 
     def _access_llc(self, line: int, is_write: bool, t: int,
-                    decoded: tuple | None = None,
-                    tenant: int = -1) -> tuple:
+                    decoded: tuple | None = None) -> tuple:
         """Fused LLC level: MSHR adjudication + tag probe + miss path.
 
         Returns the same ``(level, issue, complete, request, return_latency)``
@@ -416,18 +413,17 @@ class BatchedHierarchy(MemoryHierarchy):
                                     mshr.capacity)
         req = self.dram.access(line, is_write=False,
                                arrival=t + llc_latency,
-                               decoded=decoded, tenant=tenant)
+                               decoded=decoded)
         entry.request = req
         self._fill_set(cset, li, is_write, self._llc_ways, writeback=True)
         return (_DRAM, t, -1, req, llc_latency)
 
     def llc_access(self, addr: int, is_write: bool, t: int,
-                   decoded: tuple | None = None,
-                   tenant: int = -1) -> AccessResult:
+                   decoded: tuple | None = None) -> AccessResult:
         shift = self._line_shift
         self.stats.counters["llc_accesses"] += 1
         level, issue, complete, request, ret_lat = self._access_llc(
-            (addr >> shift) << shift, is_write, t, decoded, tenant)
+            (addr >> shift) << shift, is_write, t, decoded)
         return AccessResult(level, issue, complete, request, ret_lat)
 
     # ------------------------------------------------------------- prefetches
@@ -527,8 +523,7 @@ class BatchedHierarchy(MemoryHierarchy):
     def access_lines(self, lines, is_write: bool, t_start: int,
                      window: int, rate: int,
                      avail: tuple[int, float] | None = None,
-                     elems_per_line: float = 1.0,
-                     tenant: int = -1) -> tuple[int, int]:
+                     elems_per_line: float = 1.0) -> tuple[int, int]:
         """Whole-tile stream issue: the scalar ``StreamUnit._issue_lines``
         loop fused with the LLC walk.
 
@@ -581,7 +576,7 @@ class BatchedHierarchy(MemoryHierarchy):
             counters["llc_accesses"] += 1
             _, _, complete, request, ret_lat = access_llc(
                 line, is_write, arrival,
-                (chans[j], ranks[j], bgs[j], banks[j], rows[j]), tenant)
+                (chans[j], ranks[j], bgs[j], banks[j], rows[j]))
             append([complete, request, ret_lat])
             t += 1
         first = last = -1

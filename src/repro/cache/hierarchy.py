@@ -81,11 +81,6 @@ class MemoryHierarchy:
         self._spd_regions: list[tuple[int, int, int]] = []  # (lo, hi, latency)
         # Demand-access observers (the DMP engine registers one).
         self.observers: list = []
-        # Owning tenant per core (-1 = untagged).  Consulted on every demand
-        # access so the tenant co-run path (:mod:`repro.sim.corun`) can
-        # attribute DRAM traffic without touching the core model; tags
-        # never change scheduling.
-        self.core_tenant: list[int] = [-1] * config.cores
         # Observability bus (:class:`repro.obs.events.EventBus`); None when
         # observability is off.
         self.obs: Any = None
@@ -132,8 +127,7 @@ class MemoryHierarchy:
         """A demand access from ``core`` at cycle ``t``."""
         line = self.llc.line_addr(addr)
         self.stats.add("l1_accesses")
-        result = self._access_line(core, line, is_write, t,
-                                   self.core_tenant[core])
+        result = self._access_line(core, line, is_write, t)
         prefetcher = self.l1_pf[core]
         if prefetch and prefetcher is not None:
             for pf_line in prefetcher.observe(pc, addr):
@@ -172,7 +166,7 @@ class MemoryHierarchy:
         self.stats.add("dmp_prefetch_issued")
 
     def _access_line(self, core: int, line: int, is_write: bool,
-                     t: int, tenant: int = -1) -> AccessResult:
+                     t: int) -> AccessResult:
         latency = self.config.l1.latency
         mshr = self.l1_mshr[core]
         pending = mshr.lookup(line)
@@ -187,13 +181,13 @@ class MemoryHierarchy:
         t = self._stall_for_mshr(mshr, t)
         entry = mshr.allocate(line, t)
         self.stats.add("l2_accesses")
-        result = self._access_l2(core, line, is_write, t + latency, tenant)
+        result = self._access_l2(core, line, is_write, t + latency)
         self._fill(l1, line, is_write)
         self._publish(entry, result)
         return result
 
     def _access_l2(self, core: int, line: int, is_write: bool,
-                   t: int, tenant: int = -1) -> AccessResult:
+                   t: int) -> AccessResult:
         latency = self.config.l2.latency
         mshr = self.l2_mshr[core]
         pending = mshr.lookup(line)
@@ -208,7 +202,7 @@ class MemoryHierarchy:
         t = self._stall_for_mshr(mshr, t)
         entry = mshr.allocate(line, t)
         self.stats.add("llc_accesses")
-        result = self._access_llc(line, is_write, t + latency, tenant=tenant)
+        result = self._access_llc(line, is_write, t + latency)
         self._fill(l2, line, is_write)
         self._publish(entry, result)
         prefetcher = self.l2_pf[core]
@@ -219,8 +213,7 @@ class MemoryHierarchy:
         return result
 
     def _access_llc(self, line: int, is_write: bool, t: int,
-                    decoded: tuple | None = None,
-                    tenant: int = -1) -> AccessResult:
+                    decoded: tuple | None = None) -> AccessResult:
         latency = self.config.llc.latency
         pending = self.llc_mshr.lookup(line, now=t)
         if pending is not None:
@@ -247,7 +240,7 @@ class MemoryHierarchy:
         entry = self.llc_mshr.allocate(line, t)
         entry.request = self.dram.access(line, is_write=False,
                                          arrival=t + latency,
-                                         decoded=decoded, tenant=tenant)
+                                         decoded=decoded)
         self._fill(self.llc, line, is_write, to_dram=True)
         return AccessResult(HitLevel.DRAM, issue=t, request=entry.request,
                             return_latency=latency)
@@ -312,8 +305,7 @@ class MemoryHierarchy:
     # --------------------------------------------------------------- DX100 side
 
     def llc_access(self, addr: int, is_write: bool, t: int,
-                   decoded: tuple | None = None,
-                   tenant: int = -1) -> AccessResult:
+                   decoded: tuple | None = None) -> AccessResult:
         """Direct LLC access (DX100's Cache Interface for streaming).
 
         ``decoded`` is an optional pre-decoded ``(channel, rank, bankgroup,
@@ -323,7 +315,7 @@ class MemoryHierarchy:
         """
         line = self.llc.line_addr(addr)
         self.stats.add("llc_accesses")
-        return self._access_llc(line, is_write, t, decoded, tenant)
+        return self._access_llc(line, is_write, t, decoded)
 
     def snoop(self, addr: int) -> bool:
         """Directory snoop: is the line cached anywhere? (DX100 H bit)."""

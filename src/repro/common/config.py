@@ -28,6 +28,16 @@ def _require_positive(config, names: tuple[str, ...]) -> None:
                              f"got {value}")
 
 
+def _require_power_of_two(config, names: tuple[str, ...]) -> None:
+    """Raise ``ValueError`` naming the first of ``names`` that is not a
+    power of two."""
+    for name in names:
+        value = getattr(config, name)
+        if value < 1 or value & (value - 1):
+            raise ValueError(f"{type(config).__name__}.{name} must be a "
+                             f"power of two, got {value}")
+
+
 def _require_choice(config, name: str, choices: tuple[str, ...]) -> None:
     """Raise ``ValueError`` unless ``config.name`` is one of ``choices``."""
     value = getattr(config, name)
@@ -132,8 +142,6 @@ class RemoteLinkConfig:
     ``placement`` selects which lines are far:
 
     * ``"all"`` — the whole pool is far (the headline ``cxl`` preset);
-    * ``"range"`` — far iff ``addr >= far_base`` (per-array placement:
-      workloads allocate arrays contiguously from the heap base);
     * ``"hash"`` — a deterministic per-line hash sends ``far_fraction``
       of lines far (interleaved local/far, no layout knowledge needed).
     """
@@ -142,14 +150,12 @@ class RemoteLinkConfig:
     latency: int = 400        # one-way propagation, CPU cycles (~125 ns)
     gbps: float = 32.0        # per-direction payload bandwidth (GB/s)
     queue_depth: int = 64     # in-flight line transfers on the return path
-    congestion: bool = False  # occupancy-proportional extra queueing delay
-    placement: str = "all"    # all | range | hash
-    far_base: int = 0         # placement="range": far iff addr >= far_base
+    placement: str = "all"    # all | hash
     far_fraction: float = 1.0  # placement="hash": fraction of lines far
 
     def __post_init__(self) -> None:
         _require_positive(self, ("queue_depth",))
-        _require_choice(self, "placement", ("all", "range", "hash"))
+        _require_choice(self, "placement", ("all", "hash"))
         if self.latency < 0:
             raise ValueError(f"RemoteLinkConfig.latency must be >= 0, got "
                              f"{self.latency}")
@@ -210,6 +216,10 @@ class DRAMConfig:
 
     def __post_init__(self) -> None:
         _require_positive(self, ("request_buffer",))
+        # The address mapper slices bit fields of these widths.
+        _require_power_of_two(self, ("channels", "ranks", "bankgroups",
+                                     "banks_per_group", "rows", "columns",
+                                     "line_bytes"))
         _require_choice(self, "scheduler", ("frfcfs", "fcfs"))
         _require_choice(self, "page_policy", ("open", "closed"))
         _require_choice(self, "engine", ("batched", "scalar"))

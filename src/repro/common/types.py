@@ -136,11 +136,6 @@ class DRAMRequest:
     # Owning channel, stamped at system enqueue (-1 = not yet routed);
     # lets completion find its controller without re-decoding the address.
     channel: int = -1
-    # Submitting tenant (-1 = untagged).  The tag never influences
-    # scheduling — both engines treat tagged and untagged requests
-    # identically — it only feeds the controllers' tenant counters, which
-    # the co-run path (:mod:`repro.sim.corun`) reads.
-    tenant: int = -1
     # Results, filled by the controller.
     start: int = -1
     finish: int = -1

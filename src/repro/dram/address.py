@@ -15,8 +15,6 @@ other layouts.
 
 from __future__ import annotations
 
-import math
-
 from repro.common.config import DRAMConfig
 from repro.common.types import DRAMCoord
 
@@ -138,7 +136,5 @@ class AddressMapper:
 
 
 def _log2(n: int) -> int:
-    bits = int(math.log2(n)) if n > 0 else 0
-    if n <= 0 or (1 << bits) != n:
-        raise ValueError(f"DRAM geometry values must be powers of two, got {n}")
-    return bits
+    # ``DRAMConfig`` checks at construction that ``n`` is a power of two.
+    return n.bit_length() - 1

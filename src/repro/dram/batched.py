@@ -55,7 +55,7 @@ import numpy as np
 
 from repro.common.config import DRAMConfig
 from repro.common.stats import Stats
-from repro.common.types import DRAMCoord, DRAMRequest
+from repro.common.types import DRAMRequest
 from repro.dram.address import AddressMapper
 from repro.dram.bank import BankState, ChannelBusState, RankState
 from repro.dram.scheduler import AGE_CAP
@@ -128,7 +128,6 @@ class BatchedController:
         self._bg: list[int] = []
         self._bid: list[int] = []       # dense bank id
         self._far = bytearray()         # crosses the far-memory link
-        self._tenant: list[int] = []
         # -1 until serviced; only requests that entered without an object
         # get their finish cycle here.
         self._finish: list[int] = []
@@ -180,34 +179,29 @@ class BatchedController:
     def enqueue(self, req: DRAMRequest) -> None:
         """Accept a request; decode via the (memoized) scalar map."""
         coord = self.mapper.map(req.addr)
-        self.enqueue_coord(req, coord)
-
-    def enqueue_coord(self, req: DRAMRequest, coord: DRAMCoord) -> None:
         if coord.channel != self.channel:
             raise ValueError(
                 f"request for channel {coord.channel} routed to {self.channel}"
             )
         self._push(req, req.arrival, req.is_write, coord.rank,
-                   coord.bankgroup, coord.bank, coord.row, req.far,
-                   req.tenant)
+                   coord.bankgroup, coord.bank, coord.row, req.far)
 
     def enqueue_decoded(self, req: DRAMRequest, rank: int, bankgroup: int,
                         bank: int, row: int) -> None:
         """Accept a request with pre-decoded coordinates (batch decode)."""
         self._push(req, req.arrival, req.is_write, rank, bankgroup, bank,
-                   row, req.far, req.tenant)
+                   row, req.far)
 
     def enqueue_line(self, addr: int, arrival: int, is_write: bool,
                      rank: int, bankgroup: int, bank: int, row: int,
-                     far: bool = False, tenant: int = -1) -> None:
+                     far: bool = False) -> None:
         """Accept one request given as bare fields (a DX100 writeback);
         no ``DRAMRequest`` is built."""
-        self._push(None, arrival, is_write, rank, bankgroup, bank, row, far,
-                   tenant)
+        self._push(None, arrival, is_write, rank, bankgroup, bank, row, far)
 
     def _push(self, req: DRAMRequest | None, arrival: int, is_write: bool,
-              rank: int, bankgroup: int, bank: int, row: int, far: bool,
-              tenant: int) -> None:
+              rank: int, bankgroup: int, bank: int, row: int,
+              far: bool) -> None:
         """Append one request to the columns.  ``req``, when given, is
         the object the service writes its results back to."""
         arr = self._arr
@@ -222,7 +216,6 @@ class BatchedController:
         self._bid.append((rank * self._bankgroups + bankgroup)
                          * self._banks_per_group + bank)
         self._far.append(far)
-        self._tenant.append(tenant)
         self._finish.append(-1)
         self._req.append(req)
         counters = self.stats.counters
@@ -232,7 +225,7 @@ class BatchedController:
     def enqueue_lines(self, lines: np.ndarray, arrivals: np.ndarray,
                       ranks: np.ndarray, bankgroups: np.ndarray,
                       banks: np.ndarray, rows: np.ndarray,
-                      far: np.ndarray | None, tenant: int) -> int:
+                      far: np.ndarray | None) -> int:
         """Accept a run of line reads as columns, in order; returns the
         first rid (the run's rids are consecutive).  The rids stay valid
         for :meth:`finish_of` until :meth:`release`."""
@@ -251,7 +244,6 @@ class BatchedController:
                           * self._banks_per_group + banks).tolist())
         self._far.extend(bytes(n) if far is None
                          else far.astype(np.uint8).tobytes())
-        self._tenant.extend([tenant] * n)
         self._finish.extend([-1] * n)
         self._req.extend([None] * n)
         self.input_queue.extend(range(first, first + n))
@@ -288,7 +280,6 @@ class BatchedController:
         del self._bg[:]
         del self._bid[:]
         del self._far[:]
-        del self._tenant[:]
         del self._finish[:]
         del self._req[:]
 
@@ -619,13 +610,6 @@ class BatchedController:
             self.time = t_col
         counters["serviced"] += 1
         counters["bytes"] += self._line_bytes
-        tenant = self._tenant[rid]
-        if tenant >= 0:
-            # Per-tenant accounting, mirroring the scalar oracle exactly.
-            counters[f"tenant{tenant}_serviced"] += 1
-            counters[f"tenant{tenant}_bytes"] += self._line_bytes
-            if row_hit:
-                counters[f"tenant{tenant}_row_hits"] += 1
         mins = stats.mins
         cur = mins.get("first_arrival")
         if cur is None or arrival < cur:

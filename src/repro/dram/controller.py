@@ -91,11 +91,7 @@ class MemoryController:
     def enqueue(self, req: DRAMRequest) -> None:
         """Accept a request; it becomes schedulable once ``time`` reaches its
         arrival and a buffer slot frees up."""
-        self.enqueue_coord(req, self.mapper.map(req.addr))
-
-    def enqueue_coord(self, req: DRAMRequest, coord: DRAMCoord) -> None:
-        """Accept a request whose address is already decoded (the system
-        routes on the decode, so the controller need not re-map)."""
+        coord = self.mapper.map(req.addr)
         if coord.channel != self.channel:
             raise ValueError(
                 f"request for channel {coord.channel} routed to {self.channel}"
@@ -113,19 +109,18 @@ class MemoryController:
         memoized map shares one ``DRAMCoord`` per line, so this is a dict
         hit — which keeps the oracle independent of callers' decode math.
         """
-        self.enqueue_coord(req, self.mapper.map(req.addr))
+        self.enqueue(req)
 
     def enqueue_line(self, addr: int, arrival: int, is_write: bool,
                      rank: int, bankgroup: int, bank: int, row: int,
-                     far: bool = False, tenant: int = -1) -> None:
+                     far: bool = False) -> None:
         """Accept one request given as bare fields (a DX100 writeback),
         re-mapping the line as :meth:`enqueue_decoded` does."""
-        req = DRAMRequest(addr, is_write, arrival, self.channel, tenant)
-        req.far = far
-        self.enqueue_coord(req, self.mapper.map(addr))
+        self.enqueue(DRAMRequest(addr, is_write, arrival, self.channel,
+                                 far=far))
 
     def enqueue_lines(self, lines, arrivals, ranks, bankgroups, banks, rows,
-                      far, tenant: int) -> int:
+                      far) -> int:
         """Accept a run of line reads given as columns, one request per
         line in order; returns the first ticket (the run's tickets are
         consecutive) for :meth:`finish_of`.  The decoded coordinates are
@@ -135,16 +130,15 @@ class MemoryController:
         far = [False] * len(lines) if far is None else far.tolist()
         for addr, arrival, is_far in zip(lines.tolist(), arrivals.tolist(),
                                          far):
-            req = DRAMRequest(addr, False, arrival, self.channel, tenant)
-            req.far = is_far
-            self.enqueue_coord(req, self.mapper.map(addr))
+            req = DRAMRequest(addr, False, arrival, self.channel, far=is_far)
+            self.enqueue(req)
             self._tickets.append(req)
         return first
 
-    def finish_of(self, ticket: int) -> int:
-        """Service this channel until the request behind ``ticket``
+    def finish_of(self, rid: int) -> int:
+        """Service this channel until the request behind ticket ``rid``
         finishes; returns its finish cycle."""
-        req = self._tickets[ticket]
+        req = self._tickets[rid]
         self.service_until_done(req)
         return req.finish
 
@@ -347,14 +341,6 @@ class MemoryController:
             self.time = t_col
         counters["serviced"] += 1
         counters["bytes"] += self._line_bytes
-        tenant = req.tenant
-        if tenant >= 0:
-            # Per-tenant accounting (co-run).  Tags never alter the
-            # schedule above, only these counters.
-            counters[f"tenant{tenant}_serviced"] += 1
-            counters[f"tenant{tenant}_bytes"] += self._line_bytes
-            if req.row_hit:
-                counters[f"tenant{tenant}_row_hits"] += 1
         stats = self.stats
         mins = stats.mins
         cur = mins.get("first_arrival")

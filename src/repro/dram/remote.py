@@ -45,8 +45,8 @@ class RemoteLink:
     """Latency/bandwidth/queue-depth model of one far-memory link."""
 
     __slots__ = (
-        "config", "latency", "data_cycles", "queue_depth", "congestion",
-        "_placement", "_far_base", "_threshold", "_line_bytes",
+        "config", "latency", "data_cycles", "queue_depth", "_all_far",
+        "_threshold", "_line_bytes",
         "_out_free", "_ret_free", "_ring", "_count", "stats", "obs",
     )
 
@@ -59,9 +59,7 @@ class RemoteLink:
             1, -(-int(line_bytes * CPU_GHZ * 1000)
                  // int(config.gbps * 1000)))
         self.queue_depth = int(config.queue_depth)
-        self.congestion = bool(config.congestion)
-        self._placement = config.placement
-        self._far_base = int(config.far_base)
+        self._all_far = config.placement == "all"
         self._threshold = int(config.far_fraction * _HASH_MOD)
         self._line_bytes = int(line_bytes)
         # Link state: next-free cycle of each direction's serial channel,
@@ -80,20 +78,14 @@ class RemoteLink:
 
     def is_far(self, addr: int) -> bool:
         """Whether ``addr`` lives in the far pool (deterministic)."""
-        placement = self._placement
-        if placement == "all":
+        if self._all_far:
             return True
-        if placement == "range":
-            return addr >= self._far_base
         return ((addr >> 6) * _HASH_MULT) % _HASH_MOD < self._threshold
 
     def far_mask(self, addrs: np.ndarray) -> np.ndarray:
         """:meth:`is_far` over an int64 address array."""
-        placement = self._placement
-        if placement == "all":
+        if self._all_far:
             return np.ones(len(addrs), dtype=bool)
-        if placement == "range":
-            return addrs >= self._far_base
         # The product wraps mod 2**64, which leaves it unchanged mod 2**32.
         keys = (addrs >> 6).astype(np.uint64) * np.uint64(_HASH_MULT)
         return keys % np.uint64(_HASH_MOD) < self._threshold
@@ -117,11 +109,10 @@ class RemoteLink:
         """Return traversal: the cycle the response lands at the requester.
 
         ``finish`` is the far-side DRAM completion.  The grant waits for
-        the return channel, for the ring slot ``queue_depth`` transfers
-        back (the read-return buffer bound), and — with the congestion
-        model on — an occupancy-proportional queueing term.  Reads
-        serialize the 64B payload; writes return a header-sized ack.
-        Called once per far request, at the engines' finish assignment.
+        the return channel and for the ring slot ``queue_depth`` transfers
+        back (the read-return buffer bound).  Reads serialize the 64B
+        payload; writes return a header-sized ack.  Called once per far
+        request, at the engines' finish assignment.
         """
         t = finish
         if self._ret_free > t:
@@ -130,14 +121,6 @@ class RemoteLink:
         prev = self._ring[slot]
         if prev > t:
             t = prev
-        if self.congestion:
-            # Each grant pays extra for standing occupancy: the number of
-            # return transfers still in flight, scaled by the payload time.
-            inflight = 0
-            for done in self._ring:
-                if done > t:
-                    inflight += 1
-            t += (inflight * self.data_cycles) // self.queue_depth
         busy = 1 if is_write else self.data_cycles
         self._ret_free = t + busy
         delivered = t + busy + self.latency

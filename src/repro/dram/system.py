@@ -68,10 +68,9 @@ class DRAMSystem:
         if self.auditor is not None:
             self.auditor.assert_clean()
 
-    def channel_of(self, addr: int) -> int:
-        return self.mapper.map(addr).channel
-
     def enqueue(self, req: DRAMRequest):
+        """Route an existing request to its channel (crossing the far
+        link first, as :meth:`access` does); returns that controller."""
         remote = self.remote
         if remote is not None and remote.is_far(req.addr):
             req.far = True
@@ -79,25 +78,18 @@ class DRAMSystem:
         coord = self.mapper.map(req.addr)
         req.channel = coord.channel
         ctrl = self.controllers[coord.channel]
-        ctrl.enqueue_coord(req, coord)
+        ctrl.enqueue_decoded(req, coord.rank, coord.bankgroup, coord.bank,
+                             coord.row)
         return ctrl
 
     def access(self, addr: int, is_write: bool, arrival: int,
-               decoded: tuple | None = None,
-               tenant: int = -1) -> DRAMRequest:
+               decoded: tuple | None = None) -> DRAMRequest:
         """Convenience: enqueue a line request and return its record.
 
         ``decoded`` is an optional pre-decoded ``(channel, rank, bankgroup,
         bank, row)`` tuple — callers that decoded a whole tile through
         :meth:`AddressMapper.map_arrays` pass it to skip the per-line map.
-        ``tenant`` tags the request for per-tenant accounting (-1 =
-        untagged); the tag never changes how the request is scheduled.
         """
-        req = DRAMRequest(addr, is_write, arrival, -1, tenant)
-        remote = self.remote
-        if remote is not None and remote.is_far(addr):
-            req.far = True
-            req.arrival = remote.inject(arrival, is_write)
         if decoded is None:
             # ``mapper.map`` with the memo-hit path inlined (one call per
             # demand miss; the cache hits far more often than it computes).
@@ -105,18 +97,24 @@ class DRAMSystem:
             coord = mapper._map_cache.get(addr >> mapper.offset_bits)
             if coord is None:
                 coord = mapper.map(addr)
-            req.channel = coord.channel
-            self.controllers[coord.channel].enqueue_coord(req, coord)
+            channel = coord.channel
+            rank, bankgroup = coord.rank, coord.bankgroup
+            bank, row = coord.bank, coord.row
         else:
-            req.channel = decoded[0]
-            self.controllers[decoded[0]].enqueue_decoded(
-                req, decoded[1], decoded[2], decoded[3], decoded[4])
+            channel, rank, bankgroup, bank, row = decoded
+        req = DRAMRequest(addr, is_write, arrival, channel)
+        remote = self.remote
+        if remote is not None and remote.is_far(addr):
+            req.far = True
+            req.arrival = remote.inject(arrival, is_write)
+        self.controllers[channel].enqueue_decoded(req, rank, bankgroup,
+                                                  bank, row)
         return req
 
     def access_lines(self, lines: np.ndarray, arrivals: np.ndarray,
                      channels: np.ndarray, ranks: np.ndarray,
                      bankgroups: np.ndarray, banks: np.ndarray,
-                     rows: np.ndarray, tenant: int = -1) -> list[int]:
+                     rows: np.ndarray) -> list[int]:
         """Enqueue a run of line reads given as aligned int64 columns (a
         DX100 drain, decoded by :meth:`AddressMapper.map_arrays`), with no
         per-line request object.
@@ -143,14 +141,12 @@ class DRAMSystem:
             if pos.size:
                 first = ctrl.enqueue_lines(
                     lines[pos], arrivals[pos], ranks[pos], bankgroups[pos],
-                    banks[pos], rows[pos], None if far is None else far[pos],
-                    tenant)
+                    banks[pos], rows[pos], None if far is None else far[pos])
                 tickets[pos] = np.arange(first, first + pos.size)
         return tickets.tolist()
 
     def write_line(self, addr: int, arrival: int, channel: int, rank: int,
-                   bankgroup: int, bank: int, row: int,
-                   tenant: int = -1) -> int:
+                   bankgroup: int, bank: int, row: int) -> int:
         """Enqueue one pre-decoded line write (a DX100 writeback) with no
         request object; returns its arrival after the far link, if any."""
         far = False
@@ -159,7 +155,7 @@ class DRAMSystem:
             far = True
             arrival = remote.inject(arrival, True)
         self.controllers[channel].enqueue_line(
-            addr, arrival, True, rank, bankgroup, bank, row, far, tenant)
+            addr, arrival, True, rank, bankgroup, bank, row, far)
         return arrival
 
     def release_lines(self) -> None:
@@ -171,10 +167,7 @@ class DRAMSystem:
         """Service the owning channel until ``req`` finishes; returns that
         cycle."""
         if req.finish < 0:
-            channel = req.channel
-            if channel < 0:
-                channel = self.channel_of(req.addr)
-            self.controllers[channel].service_until_done(req)
+            self.controllers[req.channel].service_until_done(req)
         return req.finish
 
     def drain(self) -> None:
@@ -220,19 +213,6 @@ class DRAMSystem:
         if self.remote is not None:
             stats.merge(self.remote.stats)
         return stats
-
-    def tenant_counters(self, tenant: int) -> dict[str, int]:
-        """Summed per-tenant counters across channels.
-
-        Returns ``{"serviced": ..., "bytes": ..., "row_hits": ...}`` for the
-        given tenant id (all zero if it issued no tagged traffic).
-        """
-        out = {"serviced": 0, "bytes": 0, "row_hits": 0}
-        for ctrl in self.controllers:
-            counters = ctrl.stats.counters
-            for key in out:
-                out[key] += int(counters.get(f"tenant{tenant}_{key}", 0))
-        return out
 
     def row_buffer_hit_rate(self) -> float:
         serviced = sum(c.stats.get("serviced") for c in self.controllers)

@@ -87,24 +87,11 @@ class DX100:
         self.fuser = RangeFuser()
         self.coherency = CoherencyAgent(hierarchy.line, stats=self.stats)
         self._unit_free = {"stream": 0, "indirect": 0, "alu": 0, "rng": 0}
-        # Owning tenant (-1 = untagged); see :meth:`set_tenant`.
-        self.tenant = -1
         # Observability bus; None (one branch per dispatch) when off.
         self.obs = None
         self.records: list[InstrRecord] = []
         lo, hi = self.spd.region()
         hierarchy.register_spd_region(lo, hi, self.config.spd_read_latency)
-
-    def set_tenant(self, tenant: int) -> None:
-        """Tag every request this instance issues with ``tenant``.
-
-        The tag feeds per-tenant accounting in the controllers only — it
-        never changes how requests are scheduled, so a tagged run and an
-        untagged run produce identical timing.
-        """
-        self.tenant = tenant
-        self.stream.tenant = tenant
-        self.indirect.tenant = tenant
 
     # ------------------------------------------------------------- core side
 

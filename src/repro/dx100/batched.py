@@ -75,8 +75,7 @@ class BatchedStreamUnit(StreamUnit):
             lines, is_write, t_start,
             window=self.config.request_table,
             rate=self.config.stream_issue_rate,
-            avail=avail, elems_per_line=elems_per_line,
-            tenant=self.tenant)
+            avail=avail, elems_per_line=elems_per_line)
 
 
 class BatchedIndirectUnit(IndirectUnit):
@@ -160,7 +159,6 @@ class BatchedIndirectUnit(IndirectUnit):
             channels = fields["channel"][pos].tolist()
             finish_of = [ctrl.finish_of for ctrl in dram.controllers]
             write_line = dram.write_line
-            tenant = self.tenant
             decoded = (zip(lines[pos].tolist(),
                            *(fields[name][pos].tolist() for name in
                              ("rank", "bankgroup", "bank", "row")))
@@ -175,8 +173,7 @@ class BatchedIndirectUnit(IndirectUnit):
                         # Write the modified line back through the DRAM
                         # interface.
                         arrival = write_line(coord[0], completion + 1,
-                                             channel, *coord[1:],
-                                             tenant=tenant)
+                                             channel, *coord[1:])
                         wb_lines += 1
                         if wb_lo < 0 or arrival < wb_lo:
                             wb_lo = arrival
@@ -222,7 +219,6 @@ class BatchedIndirectUnit(IndirectUnit):
         n = len(line_list)
         arrivals = t + np.arange(n, dtype=np.int64) // self.config.drain_rate
         dram = self.dram
-        tenant = self.tenant
         columns = [fields[name][pos] for name in
                    ("channel", "rank", "bankgroup", "bank", "row")]
         handles: list = []
@@ -231,11 +227,11 @@ class BatchedIndirectUnit(IndirectUnit):
             if run < j:
                 handles += dram.access_lines(
                     lines[run:j], arrivals[run:j],
-                    *(column[run:j] for column in columns), tenant=tenant)
+                    *(column[run:j] for column in columns))
             if j < n:
                 handles.append(self.hierarchy.llc_access(
                     line_list[j], is_write, int(arrivals[j]),
-                    tuple(int(column[j]) for column in columns), tenant))
+                    tuple(int(column[j]) for column in columns)))
             run = j + 1
         remote = dram.remote
         if remote is not None:

@@ -131,9 +131,6 @@ class IndirectUnit:
         self.obs = None
         self.mapper = dram.mapper
         self.line_bytes = hierarchy.line
-        # Owning tenant (-1 = untagged); stamped on every issued line for
-        # per-tenant accounting, never consulted by the schedulers.
-        self.tenant = -1
 
     # ----------------------------------------------------------------- fill
 
@@ -203,8 +200,7 @@ class IndirectUnit:
                 # Write the modified line back through the DRAM interface.
                 wr = self.dram.access(pline.line_addr, is_write=True,
                                       arrival=completion + 1,
-                                      decoded=pline.coord + (pline.row,),
-                                      tenant=self.tenant)
+                                      decoded=pline.coord + (pline.row,))
                 wb_lines += 1
                 if wb_lo < 0 or wr.arrival < wb_lo:
                     wb_lo = wr.arrival
@@ -250,12 +246,10 @@ class IndirectUnit:
             decoded = pline.coord + (pline.row,)
             if pline.h_bit:
                 access = self.hierarchy.llc_access(
-                    pline.line_addr, is_write, arrival, decoded=decoded,
-                    tenant=self.tenant)
+                    pline.line_addr, is_write, arrival, decoded=decoded)
             else:
                 req = self.dram.access(pline.line_addr, is_write=False,
-                                       arrival=arrival, decoded=decoded,
-                                       tenant=self.tenant)
+                                       arrival=arrival, decoded=decoded)
                 access = AccessResult(HitLevel.DRAM, issue=arrival,
                                       request=req)
             out.append((pline, access))

@@ -52,9 +52,6 @@ class StreamUnit:
         self.tlb = tlb
         self.stats = stats if stats is not None else Stats()
         self.line_bytes = hierarchy.line
-        # Owning tenant (-1 = untagged); stamped on every issued line for
-        # per-tenant accounting, never consulted by the schedulers.
-        self.tenant = -1
 
     # --------------------------------------------------------------- common
 
@@ -81,7 +78,7 @@ class StreamUnit:
                 arrival = max(arrival,
                               int(avail[0] + j * elems_per_line / avail[1]))
             results.append(self.hierarchy.llc_access(
-                line, is_write, arrival, tenant=self.tenant))
+                line, is_write, arrival))
             t += 1
         completions = [r.resolve(self.dram) for r in results]
         if not completions:

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from repro.common.config import SystemConfig
 from repro.dx100.hostmem import HostMemory
 from repro.sim.system import SimSystem
-from repro.workloads.base import Workload
 
 
 class NamespacedMemory:
@@ -45,34 +44,20 @@ class NamespacedMemory:
 
 @dataclass
 class CorunResult:
-    """Per-workload cycles when co-running vs. running solo.
-
-    ``tenant_dram`` (tenant-tagged co-runs only) holds each workload's
-    own DRAM traffic — ``{"serviced", "bytes", "row_hits"}`` — attributed
-    through the per-tenant request tags rather than inferred from totals.
-    """
+    """Per-workload cycles when co-running vs. running solo."""
 
     names: list[str]
     solo_cycles: list[int]
     corun_cycles: list[int]
     corun_finish: int
-    tenant_dram: list[dict] | None = None
 
     def slowdown(self, i: int) -> float:
         return self.corun_cycles[i] / self.solo_cycles[i]
 
 
-def run_corun(factories, config: SystemConfig | None = None,
-              tenants: bool = False) -> CorunResult:
+def run_corun(factories, config: SystemConfig | None = None) -> CorunResult:
     """Run each workload solo, then all of them concurrently on disjoint
-    core subsets of a single shared system.
-
-    ``tenants=True`` routes the co-run through the tenant-tagged path:
-    workload ``k``'s cores are tagged as tenant ``k``, so the result can
-    attribute DRAM traffic per workload (``tenant_dram``).  Tags never
-    change scheduling, so cycles and slowdowns are identical either way —
-    ``tests/sim/test_corun.py`` asserts exactly that.
-    """
+    core subsets of a single shared system."""
     config = config or SystemConfig.baseline_scaled()
     if len(factories) < 2:
         raise ValueError("co-running needs at least two workloads")
@@ -94,13 +79,9 @@ def run_corun(factories, config: SystemConfig | None = None,
     # Co-run: one system, all workloads at once.
     system = SimSystem(config)
     all_traces = [None] * config.cores
-    workloads: list[Workload] = []
     for k, factory in enumerate(factories):
         wl = factory()
         wl.generate(NamespacedMemory(system.hostmem, f"w{k}:"))
-        workloads.append(wl)
-        if tenants:
-            system.set_tenant(k, cores=range(k * per, (k + 1) * per))
         for j, trace in enumerate(wl.baseline_traces(per)):
             all_traces[k * per + j] = trace
     finish = system.multicore.run(all_traces)
@@ -108,11 +89,5 @@ def run_corun(factories, config: SystemConfig | None = None,
     for k in range(len(factories)):
         cores = system.multicore.cores[k * per:(k + 1) * per]
         per_wl.append(max(core._finish for core in cores))
-    tenant_dram = None
-    if tenants:
-        system.dram.drain()
-        tenant_dram = [system.dram.tenant_counters(k)
-                       for k in range(len(factories))]
     return CorunResult(names=names, solo_cycles=solo,
-                       corun_cycles=per_wl, corun_finish=finish,
-                       tenant_dram=tenant_dram)
+                       corun_cycles=per_wl, corun_finish=finish)

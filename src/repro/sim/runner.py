@@ -61,20 +61,15 @@ def gc_paused(run):
 
 @gc_paused
 def run_baseline(workload: Workload, config: SystemConfig | None = None,
-                 warm: bool = True,
-                 obs=None, tenant: int = -1) -> RunResult:
+                 warm: bool = True, obs=None) -> RunResult:
     """Run a workload's legacy multicore code (optionally with DMP).
 
     ``obs`` is an optional :class:`repro.obs.events.EventBus`; its
     summary lands in ``RunResult.extra`` (never in the golden metric
-    fields).  ``tenant`` (>= 0) tags every DRAM request for per-tenant
-    accounting; the tag never changes scheduling, so a tagged run's
-    metrics match the untagged ones exactly.
+    fields).
     """
     config = config or SystemConfig.baseline()
     system = SimSystem(config, mem_bytes=workload.mem_bytes, obs=obs)
-    if tenant >= 0:
-        system.set_tenant(tenant)
     workload.generate(system.hostmem)
     if warm and hasattr(workload, "warm_lines"):
         system.warm(workload.warm_lines())
@@ -129,7 +124,7 @@ def _rebase_spd(traces: list, window: tuple[int, int], offset: int) -> list:
 
 @gc_paused
 def run_dx100(workload: Workload, config: SystemConfig | None = None,
-              warm: bool = True, obs=None, tenant: int = -1) -> RunResult:
+              warm: bool = True, obs=None) -> RunResult:
     """Run the offloaded code: DX100 schedule + residual core work,
     synchronized through scratchpad ready bits, then validate.
 
@@ -145,15 +140,11 @@ def run_dx100(workload: Workload, config: SystemConfig | None = None,
     instance is rebased into that instance's window.
 
     ``obs`` is an optional :class:`repro.obs.events.EventBus`; its summary
-    lands in ``RunResult.extra`` (never in the golden metric fields).
-    ``tenant`` (>= 0) tags every DRAM request for per-tenant accounting
-    without altering scheduling (see :func:`run_baseline`)."""
+    lands in ``RunResult.extra`` (never in the golden metric fields)."""
     config = config or SystemConfig.dx100_system()
     if config.dx100 is None:
         raise ValueError("run_dx100 needs a DX100 configuration")
     system = SimSystem(config, mem_bytes=workload.mem_bytes, obs=obs)
-    if tenant >= 0:
-        system.set_tenant(tenant)
     accels = system.dx100s
     hostmem = system.hostmem
     workload.generate(hostmem)

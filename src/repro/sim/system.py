@@ -50,20 +50,6 @@ class SimSystem:
         if obs is not None:
             obs.attach(self)
 
-    def set_tenant(self, tenant: int, cores=None) -> None:
-        """Tag this system's traffic with ``tenant`` (-1 = untagged).
-
-        Tags every DX100 instance and either all cores or the given
-        subset.  Tags only feed per-tenant accounting — scheduling is
-        unchanged, so a ``tenant=0`` run matches an untagged run cycle for
-        cycle.
-        """
-        targets = range(self.config.cores) if cores is None else cores
-        for core in targets:
-            self.hierarchy.core_tenant[core] = tenant
-        for dx in self.dx100s:
-            dx.set_tenant(tenant)
-
     def warm(self, lines) -> None:
         """Pre-load lines into every cache level (the all-hit scenario)."""
         for addr in lines:

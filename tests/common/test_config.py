@@ -112,3 +112,18 @@ def test_unknown_engine_or_policy_name_rejected_at_construction(cls, field,
         cls(**{field: bad})
     with pytest.raises(ValueError, match=field):
         replace(cls(), **{field: bad})
+
+
+@pytest.mark.parametrize("field, bad", [
+    ("channels", 3), ("ranks", 0), ("bankgroups", 6),
+    ("banks_per_group", 5), ("rows", 3 << 14), ("columns", 96),
+    ("line_bytes", 48),
+])
+def test_dram_geometry_must_be_powers_of_two_naming_the_field(field, bad):
+    """``DRAMConfig(channels=3)`` used to construct and fail only when an
+    ``AddressMapper`` was built, with a message that named no field."""
+    with pytest.raises(ValueError,
+                       match=rf"\bDRAMConfig\.{field}\b.*power of two"):
+        DRAMConfig(**{field: bad})
+    with pytest.raises(ValueError, match=field):
+        replace(DRAMConfig(), **{field: bad})

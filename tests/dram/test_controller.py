@@ -1,9 +1,12 @@
 """Memory controller scheduling, reordering window, and statistics."""
 
+import inspect
+
 import pytest
 
 from repro.common import DRAMConfig, DRAMRequest
-from repro.dram import AddressMapper, DRAMSystem, MemoryController
+from repro.dram import AddressMapper, MemoryController
+from repro.dram.batched import BatchedController
 
 
 @pytest.fixture()
@@ -97,10 +100,27 @@ def test_service_until_done_and_errors(single_channel):
 def test_wrong_channel_rejected():
     cfg = DRAMConfig()  # 2 channels
     mapper = AddressMapper(cfg)
-    ctrl = MemoryController(0, cfg, mapper)
     ch1_addr = mapper.compose(channel=1, row=1)
-    with pytest.raises(ValueError):
-        ctrl.enqueue(DRAMRequest(ch1_addr, False, arrival=0))
+    for engine in (MemoryController, BatchedController):
+        ctrl = engine(0, cfg, mapper)
+        with pytest.raises(ValueError):
+            ctrl.enqueue(DRAMRequest(ch1_addr, False, arrival=0))
+
+
+def _public_methods(cls) -> dict[str, list[str]]:
+    return {name: list(inspect.signature(fn).parameters)
+            for name, fn in vars(cls).items()
+            if callable(fn) and not name.startswith("_")}
+
+
+def test_engines_expose_the_same_methods():
+    """The batched engine stands in for the scalar oracle wherever a
+    ``DRAMSystem`` holds a controller: the same public methods, each with
+    the same parameter names, and four ways in for a request."""
+    scalar = _public_methods(MemoryController)
+    assert scalar == _public_methods(BatchedController)
+    assert {name for name in scalar if name.startswith("enqueue")} == {
+        "enqueue", "enqueue_decoded", "enqueue_line", "enqueue_lines"}
 
 
 def test_occupancy_statistic_tracks_buffer(single_channel):

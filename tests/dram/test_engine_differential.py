@@ -70,28 +70,24 @@ def _starvations(ctrl) -> list[tuple]:
 
 
 def _requests(cfg: DRAMConfig, program: list[tuple]):
-    """Materialize the (line, is_write, gap[, tenant]) program twice —
-    controllers mutate their requests, so each engine needs its own
-    objects.  The optional fourth element is a tenant tag (-1 = untagged),
-    which must never change scheduling."""
+    """Materialize the (line, is_write, gap) program twice — controllers
+    mutate their requests, so each engine needs its own objects."""
     mapper = AddressMapper(cfg)
     line = cfg.line_bytes
     limit = cfg.capacity_bytes
-    out: list[tuple[int, bool, int, int]] = []
+    out: list[tuple[int, bool, int]] = []
     t = 0
-    for entry in program:
-        line_no, is_write, gap = entry[:3]
-        tenant = entry[3] if len(entry) > 3 else -1
+    for line_no, is_write, gap in program:
         addr = (line_no * line) % limit
         if mapper.map(addr).channel != 0:
             addr = (addr + line * cfg.channels) % limit
             if mapper.map(addr).channel != 0:   # pragma: no cover
                 continue
         t += gap
-        out.append((addr, is_write, t, tenant))
+        out.append((addr, is_write, t))
     return (
-        [DRAMRequest(a, w, arrival=t, tenant=tn) for a, w, t, tn in out],
-        [DRAMRequest(a, w, arrival=t, tenant=tn) for a, w, t, tn in out],
+        [DRAMRequest(a, w, arrival=t) for a, w, t in out],
+        [DRAMRequest(a, w, arrival=t) for a, w, t in out],
     )
 
 
@@ -235,72 +231,6 @@ def test_batched_matches_scalar_deterministic(name):
     starvations = _assert_equivalent(cfg, program)
     if name in ("age-cap", "conflict-pre-closes-buffered-hits"):
         assert starvations > 0, "program must trip the age cap"
-
-
-_tenant_program = st.lists(
-    st.tuples(
-        st.integers(0, 1 << 14),          # line number
-        st.booleans(),                    # write?
-        st.integers(0, 400),              # arrival gap
-        st.integers(-1, 3),               # tenant tag (-1 = untagged)
-    ),
-    min_size=1, max_size=120,
-)
-
-
-@pytest.mark.parametrize("name", ["ddr4-open", "ddr4-tiny-buffer"])
-@settings(max_examples=40, deadline=None)
-@given(program=_tenant_program)
-def test_batched_matches_scalar_with_tenant_tags(name, program):
-    """Tenant-tagged programs: the tag feeds per-tenant counters in both
-    engines but never the schedule, so the command streams stay identical
-    and the counter dicts (tenant ones included) agree exactly.  The
-    tiny-buffer config keeps the partitioned-buffer pressure path hot."""
-    cfg = _CONFIGS[name]
-    _assert_equivalent(cfg, program)
-    # Tagged counters must partition the totals: anything serviced for
-    # tenant t shows up in tenant{t}_* and in the global counters alike.
-    scalar, batched, _, _ = _pair(cfg)
-    reqs_s, reqs_b = _requests(cfg, program)
-    for rs, rb in zip(reqs_s, reqs_b):
-        scalar.enqueue(rs)
-        batched.enqueue(rb)
-    scalar.drain()
-    batched.drain()
-    for ctrl in (scalar, batched):
-        counters = ctrl.stats.counters
-        tagged = sum(v for k, v in counters.items()
-                     if k.startswith("tenant") and k.endswith("_serviced"))
-        untagged = sum(1 for r in reqs_s if r.tenant < 0)
-        assert tagged + untagged == counters["serviced"]
-
-
-def test_tenant_tags_never_change_the_schedule():
-    """The same program with and without tags produces byte-identical
-    command streams and per-request timings — the degeneracy guarantee
-    the co-run extension relies on."""
-    cfg = DRAMConfig(channels=1, request_buffer=8)
-    base = _long_program(seed=23, n=250, max_gap=200)
-    tagged_prog = [(ln, w, g, i % 3) for i, (ln, w, g) in enumerate(base)]
-    for make in (MemoryController,
-                 lambda c, cfg, m: BatchedController(c, cfg, m)):
-        logs = []
-        finishes = []
-        for prog in (base, tagged_prog):
-            mapper = AddressMapper(cfg)
-            ctrl = make(0, cfg, mapper)
-            log: list[tuple] = []
-            ctrl.command_observers.append(
-                lambda kind, cycle, bank, row, _l=log:
-                _l.append((kind, cycle, bank, row)))
-            reqs, _ = _requests(cfg, prog)
-            for r in reqs:
-                ctrl.enqueue(r)
-            ctrl.drain()
-            logs.append(log)
-            finishes.append([(r.start, r.finish, r.row_hit) for r in reqs])
-        assert logs[0] == logs[1]
-        assert finishes[0] == finishes[1]
 
 
 # ------------------------------------------------------ seeded long runs
@@ -462,9 +392,6 @@ _FAR_CONFIGS = {
     # the previous one, so the ring cursor dominates the timing.
     "cxl-tiny-queue": DRAMConfig(channels=1, remote=RemoteLinkConfig(
         enabled=True, queue_depth=1, gbps=4.0)),
-    # Occupancy-proportional congestion on top of the queue bound.
-    "cxl-congested": DRAMConfig(channels=1, remote=RemoteLinkConfig(
-        enabled=True, queue_depth=8, gbps=8.0, congestion=True)),
     # Two channels sharing ONE link: cross-channel service order feeds a
     # single return cursor (the sharing the per-controller harness above
     # cannot see).

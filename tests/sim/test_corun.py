@@ -26,35 +26,13 @@ def test_corun_reports_interference():
         lambda: IntegerSort(scale=1 << 13, bucket_space=1 << 19),
         lambda: SpatterXRAGE(scale=1 << 13, region=1 << 18),
     ]
-    result = run_corun(factories, SystemConfig.baseline_scaled(),
-                       tenants=True)
+    result = run_corun(factories, SystemConfig.baseline_scaled())
     assert result.names == ["IS", "XRAGE"]
     assert result.corun_finish >= max(result.corun_cycles) - 1
     # Sharing the memory system cannot make either workload faster; with
     # two indirect streams it typically slows both down.
     for i in range(2):
         assert result.slowdown(i) > 0.95
-    # The tenant tags attribute each workload's own DRAM traffic.
-    assert result.tenant_dram is not None
-    for counters in result.tenant_dram:
-        assert counters["serviced"] > 0
-        assert counters["bytes"] >= counters["serviced"] * 64
-
-
-def test_tenant_tagged_corun_matches_legacy_runner():
-    """Tags feed accounting only: the tenant-tagged co-run must report
-    exactly the cycles (hence slowdowns) of the legacy untagged runner."""
-    factories = [
-        lambda: IntegerSort(scale=1 << 13, bucket_space=1 << 19),
-        lambda: SpatterXRAGE(scale=1 << 13, region=1 << 18),
-    ]
-    config = SystemConfig.baseline_scaled()
-    legacy = run_corun(factories, config)
-    tagged = run_corun(factories, config, tenants=True)
-    assert legacy.tenant_dram is None
-    assert tagged.solo_cycles == legacy.solo_cycles
-    assert tagged.corun_cycles == legacy.corun_cycles
-    assert tagged.corun_finish == legacy.corun_finish
 
 
 def test_corun_validations():
