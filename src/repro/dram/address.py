@@ -45,42 +45,23 @@ class AddressMapper:
             self._fields.append((name, shift, widths[name]))
             shift += widths[name]
         self.total_bits = shift
-        # Decode plan specialized per field, shifted down to line-index
-        # space (addr >> offset_bits) so one key covers every byte offset
-        # within a line: (shift, mask) pairs in DRAMCoord argument order.
-        plan = {
-            name: (fshift - self.offset_bits, (1 << width) - 1)
-            for name, fshift, width in self._fields
-        }
-        self._decode = tuple(
-            plan[name] for name in
-            ("channel", "rank", "bankgroup", "bank", "row", "column")
-        )
-        # Line-index -> DRAMCoord memo.  Indirect workloads revisit the
-        # same lines heavily (indices repeat across tiles), so decodes hit
-        # this dict far more often than they compute.  Coordinates are
-        # immutable once built, so sharing one object per line is safe.
-        self._map_cache: dict[int, DRAMCoord] = {}
-        self._map_cache_cap = 1 << 17
+        plan = {name: (fshift, (1 << width) - 1)
+                for name, fshift, width in self._fields}
+        #: The decode plan on byte addresses: shift, mask, shift, mask, ...
+        #: for channel, rank, bankgroup, bank, row and column, in
+        #: DRAMCoord argument order.  ``DRAMSystem.access`` decodes from it
+        #: inline.
+        self.decode = tuple(
+            v for name in ("channel", "rank", "bankgroup", "bank", "row",
+                           "column")
+            for v in plan[name])
 
     def map(self, addr: int) -> DRAMCoord:
         """Decode a physical byte address into DRAM coordinates."""
-        key = addr >> self.offset_bits
-        coord = self._map_cache.get(key)
-        if coord is None:
-            if len(self._map_cache) >= self._map_cache_cap:
-                self._map_cache.clear()
-            d = self._decode
-            coord = DRAMCoord(
-                (key >> d[0][0]) & d[0][1],
-                (key >> d[1][0]) & d[1][1],
-                (key >> d[2][0]) & d[2][1],
-                (key >> d[3][0]) & d[3][1],
-                (key >> d[4][0]) & d[4][1],
-                (key >> d[5][0]) & d[5][1],
-            )
-            self._map_cache[key] = coord
-        return coord
+        cs, cm, ks, km, gs, gm, bs, bm, rs, rm, ls, lm = self.decode
+        return DRAMCoord((addr >> cs) & cm, (addr >> ks) & km,
+                         (addr >> gs) & gm, (addr >> bs) & bm,
+                         (addr >> rs) & rm, (addr >> ls) & lm)
 
     def unmap(self, coord: DRAMCoord) -> int:
         """Reconstruct the (line-aligned) physical address of a coordinate."""

@@ -91,15 +91,11 @@ class DRAMSystem:
         :meth:`AddressMapper.map_arrays` pass it to skip the per-line map.
         """
         if decoded is None:
-            # ``mapper.map`` with the memo-hit path inlined (one call per
-            # demand miss; the cache hits far more often than it computes).
-            mapper = self.mapper
-            coord = mapper._map_cache.get(addr >> mapper.offset_bits)
-            if coord is None:
-                coord = mapper.map(addr)
-            channel = coord.channel
-            rank, bankgroup = coord.rank, coord.bankgroup
-            bank, row = coord.bank, coord.row
+            # ``mapper.map`` inlined, without the column or the DRAMCoord.
+            cs, cm, ks, km, gs, gm, bs, bm, rs, rm, _, _ = self.mapper.decode
+            channel = (addr >> cs) & cm
+            rank, bankgroup = (addr >> ks) & km, (addr >> gs) & gm
+            bank, row = (addr >> bs) & bm, (addr >> rs) & rm
         else:
             channel, rank, bankgroup, bank, row = decoded
         req = DRAMRequest(addr, is_write, arrival, channel)

@@ -137,7 +137,9 @@ def run_dx100(workload: Workload, config: SystemConfig | None = None,
     of program order, legal only for the order-independent (load/RMW)
     kernels the paper multiplexes.  Schedules address scratchpad tiles
     in instance 0's window, so the core work of a group dealt to another
-    instance is rebased into that instance's window.
+    instance is rebased into that instance's window.  A chunk's core
+    traces are built when the run reaches its :class:`CoreWork` and
+    dropped once they have run.
 
     ``obs`` is an optional :class:`repro.obs.events.EventBus`; its summary
     lands in ``RunResult.extra`` (never in the golden metric fields)."""
@@ -186,11 +188,12 @@ def run_dx100(workload: Workload, config: SystemConfig | None = None,
                 for tile in item.tiles:
                     dx.mark_consumed(tile)
             elif isinstance(item, CoreWork):
-                traces = item.traces
+                traces = item.build()
                 if k:
                     traces = _rebase_spd(traces, accels[0].spd.region(),
                                          dx.spd.base - accels[0].spd.base)
                 t = system.multicore.run(traces, at=t)
+                del traces      # before the next chunk's are built
             else:
                 raise TypeError(f"unknown schedule item {item!r}")
         times[k] = t

@@ -51,26 +51,26 @@ class IntegerSortBucketed(Workload):
     def generate(self, mem: HostMemory) -> None:
         self._remember(mem)
         n = self.scale
-        self.keys = self.rng.integers(0, 1 << self.key_bits,
-                                      n).astype(np.int64)
-        self.bucket_of = self.keys >> BUCKET_SHIFT
+        keys = self.rng.integers(0, 1 << self.key_bits, n).astype(np.int64)
+        self.bucket_of = keys >> BUCKET_SHIFT
         counts = np.bincount(self.bucket_of, minlength=self.buckets)
-        self.offsets = np.zeros(self.buckets, dtype=np.int64)
-        self.offsets[1:] = np.cumsum(counts)[:-1]
+        offsets = np.zeros(self.buckets, dtype=np.int64)
+        offsets[1:] = np.cumsum(counts)[:-1]
         # rank_i = how many earlier keys share the bucket (stable order).
-        self.ranks = np.zeros(n, dtype=np.int64)
+        ranks = np.zeros(n, dtype=np.int64)
         seen: dict[int, int] = {}
         for i, b in enumerate(self.bucket_of.tolist()):
-            self.ranks[i] = seen.get(b, 0)
-            seen[b] = self.ranks[i] + 1
+            ranks[i] = seen.get(b, 0)
+            seen[b] = ranks[i] + 1
 
-        self.k_base = mem.place("K", self.keys)
+        self.k_base, self.keys = mem.place_input("K", keys)
         self.hist_base = mem.place(
             "hist", np.zeros(self.buckets, dtype=np.int64))
-        self.off_base = mem.place("offsets", self.offsets)
-        self.rank_base = mem.place("ranks", self.ranks)
+        self.off_base, self.offsets = mem.place_input("offsets", offsets)
+        self.rank_base, self.ranks = mem.place_input("ranks", ranks)
         self.out_base = mem.place("out", np.zeros(n, dtype=np.int64))
-        self.ones_base = mem.place("ones", np.ones(n, dtype=np.int64))
+        self.ones_base, _ = mem.place_input(
+            "ones", np.broadcast_to(np.int64(1), n))
 
     def baseline_traces(self, cores: int) -> list[Trace]:
         traces = []
@@ -147,15 +147,14 @@ class ConjugateGradientF64(Workload):
         rows = self.scale
         degrees = self.rng.integers(self.avg_nnz // 2,
                                     self.avg_nnz * 3 // 2 + 1, rows)
-        self.h = np.zeros(rows + 1, dtype=np.int64)
-        self.h[1:] = np.cumsum(degrees)
-        self.nnz = int(self.h[-1])
-        self.col = self.rng.integers(0, self.columns,
-                                     self.nnz).astype(np.int64)
-        self.x = self.rng.standard_normal(self.columns)
-        self.h_base = mem.place("H", self.h)
-        self.col_base = mem.place("col", self.col)
-        self.x_base = mem.place("x", self.x)
+        h = np.zeros(rows + 1, dtype=np.int64)
+        h[1:] = np.cumsum(degrees)
+        self.nnz = int(h[-1])
+        col = self.rng.integers(0, self.columns, self.nnz).astype(np.int64)
+        self.h_base, self.h = mem.place_input("H", h)
+        self.col_base, self.col = mem.place_input("col", col)
+        self.x_base, self.x = mem.place_input(
+            "x", self.rng.standard_normal(self.columns))
 
     def baseline_traces(self, cores: int) -> list[Trace]:
         traces = []
@@ -225,14 +224,15 @@ class ConnectedComponents(Workload):
     def generate(self, mem: HostMemory) -> None:
         from repro.workloads.gap import make_uniform_csr
         self._remember(mem)
-        self.h, self.adj = make_uniform_csr(self.nodes, self.degree,
-                                            self.rng)
-        self.labels0 = self.rng.permutation(self.nodes).astype(np.int64)
-        self.h_base = mem.place("H", self.h)
-        self.adj_base = mem.place("adj", self.adj)
-        self.src_label_base = mem.place("src_labels",
-                                        self.labels0[:self.nodes].copy())
-        self.label_base = mem.place("labels", self.labels0.copy())
+        h, adj = make_uniform_csr(self.nodes, self.degree, self.rng)
+        labels = self.rng.permutation(self.nodes).astype(np.int64)
+        self.h_base, self.h = mem.place_input("H", h)
+        self.adj_base, self.adj = mem.place_input("adj", adj)
+        # ``labels`` is updated in place; the unchanged ``src_labels``
+        # input is its pristine copy.
+        self.src_label_base, self.labels0 = mem.place_input("src_labels",
+                                                            labels)
+        self.label_base = mem.place("labels", labels)
 
     def baseline_traces(self, cores: int) -> list[Trace]:
         traces = []

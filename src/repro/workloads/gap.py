@@ -81,10 +81,9 @@ class _GraphWorkload(Workload):
         self.degree = degree
 
     def _make_graph(self, mem: HostMemory) -> None:
-        self.h, self.adj = make_uniform_csr(self.nodes, self.degree,
-                                            self.rng)
-        self.h_base = mem.place("H", self.h)
-        self.adj_base = mem.place("adj", self.adj)
+        h, adj = make_uniform_csr(self.nodes, self.degree, self.rng)
+        self.h_base, self.h = mem.place_input("H", h)
+        self.adj_base, self.adj = mem.place_input("adj", adj)
 
     def non_roi_instructions(self) -> float:
         # Graph kernels iterate edges, not nodes: frontier setup, graph
@@ -102,14 +101,13 @@ class BFS(_GraphWorkload):
     def generate(self, mem: HostMemory) -> None:
         self._remember(mem)
         self._make_graph(mem)
-        self.frontier = np.sort(self.rng.choice(
+        frontier = np.sort(self.rng.choice(
             self.nodes, size=self.scale, replace=False)).astype(np.int64)
-        self.k_base = mem.place("K", self.frontier)
+        self.k_base, self.frontier = mem.place_input("K", frontier)
         dist = np.full(self.nodes, INF, dtype=np.int64)
         visited = self.rng.random(self.nodes) < 0.5
         dist[visited] = self.rng.integers(0, 5, int(visited.sum()))
-        self.dist = dist
-        self.dist_base = mem.place("dist", dist)
+        self.dist_base, self.dist = mem.place_input("dist", dist)
         self.parent_base = mem.place(
             "parent", np.full(self.nodes, -1, dtype=np.int64))
 
@@ -167,6 +165,7 @@ class BFS(_GraphWorkload):
         return {}  # order-dependent: validated by validate() below
 
     def validate(self, mem: HostMemory) -> None:
+        super().validate(mem)   # the input check; expected() is empty
         parent = mem.view("parent")
         # Unvisited neighbours of frontier nodes must have gained a parent
         # that is a frontier node adjacent to them; others stay -1.
@@ -199,9 +198,8 @@ class PageRank(_GraphWorkload):
         self._remember(mem)
         self._make_graph(mem)
         # Integer (fixed-point) contributions keep reordered sums exact.
-        self.contrib = self.rng.integers(1, 1000,
-                                         self.nodes).astype(np.int64)
-        self.contrib_base = mem.place("contrib", self.contrib)
+        contrib = self.rng.integers(1, 1000, self.nodes).astype(np.int64)
+        self.contrib_base, self.contrib = mem.place_input("contrib", contrib)
         self.score_base = mem.place(
             "score_new", np.zeros(self.nodes, dtype=np.int64))
 
@@ -262,17 +260,18 @@ class BetweennessCentrality(_GraphWorkload):
     def generate(self, mem: HostMemory) -> None:
         self._remember(mem)
         self._make_graph(mem)
-        self.depth = self.rng.integers(0, 4, self.nodes).astype(np.int64)
+        depth = self.rng.integers(0, 4, self.nodes).astype(np.int64)
         self.level = 2
         # Sources live strictly above the target level (Brandes levels are
         # disjoint), so sigma reads and sigma updates never alias.
-        candidates = np.nonzero(self.depth != self.level)[0]
-        self.frontier = np.sort(self.rng.choice(
+        candidates = np.nonzero(depth != self.level)[0]
+        frontier = np.sort(self.rng.choice(
             candidates, size=self.scale, replace=False)).astype(np.int64)
-        self.k_base = mem.place("K", self.frontier)
-        self.depth_base = mem.place("depth", self.depth)
+        self.k_base, self.frontier = mem.place_input("K", frontier)
+        self.depth_base, self.depth = mem.place_input("depth", depth)
+        # sigma is read and updated in place: keep its pristine copy.
         self.sigma0 = self.rng.integers(1, 100, self.nodes).astype(np.int64)
-        self.sigma_base = mem.place("sigma", self.sigma0.copy())
+        self.sigma_base = mem.place("sigma", self.sigma0)
 
     def baseline_traces(self, cores: int) -> list[Trace]:
         traces = []

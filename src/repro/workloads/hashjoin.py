@@ -47,20 +47,19 @@ class RadixJoinHistogram(Workload):
 
     def generate(self, mem: HostMemory) -> None:
         self._remember(mem)
-        self.tuples = self.rng.integers(
-            0, 1 << 30, self.scale).astype(np.int64)
-        self.radix = self._radix(self.tuples)
+        tuples = self.rng.integers(0, 1 << 30, self.scale).astype(np.int64)
         # Partition base offsets scattered over the output table.
-        self.offsets = (self.rng.permutation(self.partitions).astype(np.int64)
-                        * (self.table_space // self.partitions))
-        self.c_base = mem.place("C", self.tuples)
+        offsets = (self.rng.permutation(self.partitions).astype(np.int64)
+                   * (self.table_space // self.partitions))
+        self.c_base, self.tuples = mem.place_input("C", tuples)
+        self.radix = self._radix(self.tuples)
         self.hist_base = mem.place(
             "hist", np.zeros(self.partitions, dtype=np.int64))
-        self.b_base = mem.place("B", self.offsets)
+        self.b_base, self.offsets = mem.place_input("B", offsets)
         self.a_base = mem.place(
             "A", np.zeros(self.table_space, dtype=np.int64))
-        self.ones_base = mem.place(
-            "ones", np.ones(self.scale, dtype=np.int64))
+        self.ones_base, _ = mem.place_input(
+            "ones", np.broadcast_to(np.int64(1), self.scale))
 
     def baseline_traces(self, cores: int) -> list[Trace]:
         traces = []
@@ -128,19 +127,17 @@ class RadixJoinChaining(Workload):
         self._remember(mem)
         n_build = 2 * self.buckets  # exactly two tuples per bucket
         order = self.rng.permutation(n_build).astype(np.int64)
-        self.head = order[:self.buckets].copy()
-        self.next = np.full(n_build, -1, dtype=np.int64)
-        self.next[self.head] = order[self.buckets:]
-        self.payload = self.rng.integers(
-            0, 1 << 20, n_build).astype(np.int64)
-        self.probes = self.rng.integers(
-            0, 1 << 30, self.scale).astype(np.int64)
-        self.probe_radix = self._radix(self.probes)
+        head = order[:self.buckets]
+        nxt = np.full(n_build, -1, dtype=np.int64)
+        nxt[head] = order[self.buckets:]
+        payload = self.rng.integers(0, 1 << 20, n_build).astype(np.int64)
+        probes = self.rng.integers(0, 1 << 30, self.scale).astype(np.int64)
 
-        self.head_base = mem.place("head", self.head)
-        self.next_base = mem.place("next", self.next)
-        self.pay_base = mem.place("payload", self.payload)
-        self.probe_base = mem.place("probes", self.probes)
+        self.head_base, self.head = mem.place_input("head", head)
+        self.next_base, self.next = mem.place_input("next", nxt)
+        self.pay_base, self.payload = mem.place_input("payload", payload)
+        self.probe_base, self.probes = mem.place_input("probes", probes)
+        self.probe_radix = self._radix(self.probes)
         self.res_base = mem.alloc("result", self.scale, DType.I64)
 
     def baseline_traces(self, cores: int) -> list[Trace]:

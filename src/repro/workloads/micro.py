@@ -10,6 +10,8 @@ for the baseline.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from repro.common.config import DRAMConfig, DX100Config
@@ -33,10 +35,10 @@ class _GatherBase(Workload):
     def generate(self, mem: HostMemory) -> None:
         self._remember(mem)
         n = self.scale
-        self.a = self.rng.integers(0, 1 << 30, n).astype(np.uint32)
-        self.b = np.arange(n, dtype=np.uint32)
-        self.a_base = mem.place("A", self.a)
-        self.b_base = mem.place("B", self.b)
+        a = self.rng.integers(0, 1 << 30, n).astype(np.uint32)
+        self.a_base, self.a = mem.place_input("A", a)
+        self.b_base, self.b = mem.place_input(
+            "B", np.arange(n, dtype=np.uint32))
         self.c_base = mem.alloc("C", n, DType.U32)
 
     def warm_lines(self) -> list[int]:
@@ -86,23 +88,28 @@ class GatherSPD(_GatherBase):
             t_p = pb.ild(DType.U32, self.a_base, t_b)
             pb.wait(t_p)
             items += pb.build()
-            # Residual: each core streams its share of the packed tile from
-            # the SPD and stores it to C[i].
             spd = SPD_BASE + t_p * config.tile_elems * 4
-            traces = []
-            for part in split_static(range(lo, hi), cores):
-                tb = TraceBuilder()
-                for i in part:
-                    tb.load(spd + 4 * (i - lo), size=4, extra=1, pc=PC_SPD)
-                    tb.store(self.c_base + 4 * i, size=4, extra=1,
-                             pc=PC_OUTPUT)
-                traces.append(tb.finish())
-            items.append(CoreWork(traces=traces))
+            items.append(CoreWork(functools.partial(
+                self._residual, lo, hi, spd, cores)))
             pb.free_tile(t_b)
             pb.free_tile(t_p)
         # The residual core stores are timing-only; apply their data effect.
         self.mem.view("C")[:] = self.a[self.b]
         return items
+
+    def _residual(self, lo: int, hi: int, spd: int,
+                  cores: int) -> list[Trace]:
+        """Elements ``[lo, hi)``' core work: each core streams its share
+        of the packed tile from the SPD at ``spd`` and stores it to
+        ``C[i]``."""
+        traces = []
+        for part in split_static(range(lo, hi), cores):
+            tb = TraceBuilder()
+            for i in part:
+                tb.load(spd + 4 * (i - lo), size=4, extra=1, pc=PC_SPD)
+                tb.store(self.c_base + 4 * i, size=4, extra=1, pc=PC_OUTPUT)
+            traces.append(tb.finish())
+        return traces
 
 
 class GatherFull(_GatherBase):
@@ -135,12 +142,13 @@ class _RMWBase(Workload):
     def generate(self, mem: HostMemory) -> None:
         self._remember(mem)
         n = self.scale
+        # A is updated in place: keep its pristine copy.
         self.a0 = self.rng.integers(0, 1000, n).astype(np.int64)
-        self.b = np.arange(n, dtype=np.int64)
-        self.c = self.rng.integers(1, 10, n).astype(np.int64)
-        self.a_base = mem.place("A", self.a0.copy())
-        self.b_base = mem.place("B", self.b)
-        self.c_base = mem.place("C", self.c)
+        c = self.rng.integers(1, 10, n).astype(np.int64)
+        self.a_base = mem.place("A", self.a0)
+        self.b_base, self.b = mem.place_input(
+            "B", np.arange(n, dtype=np.int64))
+        self.c_base, self.c = mem.place_input("C", c)
 
     def warm_lines(self) -> list[int]:
         out = []
@@ -208,11 +216,11 @@ class Scatter(Workload):
     def generate(self, mem: HostMemory) -> None:
         self._remember(mem)
         n = self.scale
-        self.b = self.rng.permutation(n).astype(np.int64)
-        self.c = self.rng.integers(0, 1 << 20, n).astype(np.int64)
+        b = self.rng.permutation(n).astype(np.int64)
+        c = self.rng.integers(0, 1 << 20, n).astype(np.int64)
         self.a_base = mem.place("A", np.zeros(n, dtype=np.int64))
-        self.b_base = mem.place("B", self.b)
-        self.c_base = mem.place("C", self.c)
+        self.b_base, self.b = mem.place_input("B", b)
+        self.c_base, self.c = mem.place_input("C", c)
 
     def warm_lines(self) -> list[int]:
         return list(range(self.b_base, self.c_base + self.c.nbytes, 64))
@@ -275,10 +283,10 @@ class GatherAllMiss(Workload):
         dram = DRAMConfig()
         mapper = AddressMapper(dram)
         row_span = 1 << (mapper.total_bits - _field_width(mapper, "row"))
-        # Allocate A aligned to a full row span so rows are not straddled.
+        # Place A aligned to a full row span so rows are not straddled.
         span_bytes = self.rows_per_bank * row_span
-        self.a_base = mem.alloc("A", span_bytes // 4, DType.U32,
-                                align=row_span)
+        a = self.rng.integers(0, 1 << 30, span_bytes // 4).astype(np.uint32)
+        self.a_base, self.a = mem.place_input("A", a, align=row_span)
         row0 = (self.a_base >> _row_shift(mapper)) & (dram.rows - 1)
 
         # Per-bank queues of line addresses, in runs of length L per row.
@@ -310,13 +318,10 @@ class GatherAllMiss(Workload):
 
         order = self._merge(per_bank, dram)
         self.addrs = np.array(order, dtype=np.int64)
-        self.indices = (self.addrs - self.a_base) // 4
-        self.b_base = mem.place("B", self.indices)
+        self.b_base, self.indices = mem.place_input(
+            "B", (self.addrs - self.a_base) // 4)
         self.n = len(self.indices)
         self.c_base = mem.alloc("C", self.n, DType.U32)
-        mem.view("A")[:] = self.rng.integers(
-            0, 1 << 30, span_bytes // 4).astype(np.uint32)
-        self.a = mem.view("A").copy()
 
     def _merge(self, per_bank, dram) -> list[int]:
         """Merge per-bank queues according to the CHI / BGI settings.

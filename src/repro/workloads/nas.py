@@ -10,6 +10,8 @@ Table 1).
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from repro.common.config import DX100Config
@@ -44,12 +46,13 @@ class IntegerSort(Workload):
 
     def generate(self, mem: HostMemory) -> None:
         self._remember(mem)
-        self.keys = self.rng.integers(0, self.bucket_space,
-                                      self.scale).astype(np.int64)
-        self.k_base = mem.place("K", self.keys)
+        # No local name for the generated keys: the array is freed as
+        # soon as it is placed, before ``ones`` is.
+        self.k_base, self.keys = mem.place_input("K", self.rng.integers(
+            0, self.bucket_space, self.scale).astype(np.int64))
         self.count_base = mem.alloc("count", self.bucket_space, DType.U32)
-        self.ones_base = mem.alloc("ones", self.scale, DType.U32)
-        mem.view("ones")[:] = 1
+        self.ones_base, _ = mem.place_input(
+            "ones", np.broadcast_to(np.uint32(1), self.scale))
 
     def baseline_traces(self, cores: int) -> list[Trace]:
         traces = []
@@ -102,16 +105,15 @@ class ConjugateGradient(Workload):
         rows = self.scale
         degrees = self.rng.integers(self.avg_nnz // 2,
                                     self.avg_nnz * 3 // 2 + 1, rows)
-        self.h = np.zeros(rows + 1, dtype=np.int64)
-        self.h[1:] = np.cumsum(degrees)
-        self.nnz = int(self.h[-1])
-        self.col = self.rng.integers(0, self.columns,
-                                     self.nnz).astype(np.int64)
-        self.x = self.rng.integers(0, 1 << 20, self.columns).astype(np.int64)
-        self.h_base = mem.place("H", self.h)
-        self.col_base = mem.place("col", self.col)
+        h = np.zeros(rows + 1, dtype=np.int64)
+        h[1:] = np.cumsum(degrees)
+        self.nnz = int(h[-1])
+        col = self.rng.integers(0, self.columns, self.nnz).astype(np.int64)
+        x = self.rng.integers(0, 1 << 20, self.columns).astype(np.int64)
+        self.h_base, self.h = mem.place_input("H", h)
+        self.col_base, self.col = mem.place_input("col", col)
         self.vals_base = mem.alloc("vals", self.nnz, DType.I64)
-        self.x_base = mem.place("x", self.x)
+        self.x_base, self.x = mem.place_input("x", x)
         self.y_base = mem.alloc("y", rows, DType.I64)
 
     def baseline_traces(self, cores: int) -> list[Trace]:
@@ -155,20 +157,23 @@ class ConjugateGradient(Workload):
                 _instr_count(items + chunk_items) - 1,
                 self.x[self.col[j0:j1]])
             items += chunk_items
-            # Residual: cores stream vals[j] and the packed x tile, FMA,
-            # and store y[i] per row.
-            spd = pb.spd_addr(t_x)
-            traces = []
-            for part in split_static(range(j0, j1), cores):
-                j = np.arange(part.start, part.stop)
-                at = 2 * np.arange(len(j))
-                em = BulkEmitter(2 * len(j))
-                em.load(at, self.vals_base + 8 * j, pc=PC_VALUE, extra=1)
-                em.load(at + 1, spd + 4 * (j - j0), size=4, pc=PC_SPD,
-                        extra=2)
-                traces.append(em.finish())
-            items.append(CoreWork(traces=traces))
+            items.append(CoreWork(functools.partial(
+                self._residual, j0, j1, pb.spd_addr(t_x), cores)))
         return items
+
+    def _residual(self, j0: int, j1: int, spd: int,
+                  cores: int) -> list[Trace]:
+        """Nonzeros ``[j0, j1)``' core work: stream ``vals[j]`` and the
+        packed ``x`` tile at ``spd``, FMA, and store ``y[i]`` per row."""
+        traces = []
+        for part in split_static(range(j0, j1), cores):
+            j = np.arange(part.start, part.stop)
+            at = 2 * np.arange(len(j))
+            em = BulkEmitter(2 * len(j))
+            em.load(at, self.vals_base + 8 * j, pc=PC_VALUE, extra=1)
+            em.load(at + 1, spd + 4 * (j - j0), size=4, pc=PC_SPD, extra=2)
+            traces.append(em.finish())
+        return traces
 
     def expected(self) -> dict[str, Reference]:
         return {}  # validation is via the gathered tiles (expect_gather)

@@ -41,12 +41,11 @@ class SpatterXRAGE(Workload):
         n_blocks = -(-self.scale // self.block)
         starts = self.rng.integers(0, self.region - self.block,
                                    n_blocks).astype(np.int64)
-        self.indices = (starts[:, None]
-                        + np.arange(self.block)).ravel()[:self.scale]
-        self.values = self.rng.integers(0, 1 << 20,
-                                        self.scale).astype(np.int64)
-        self.b_base = mem.place("B", self.indices)
-        self.c_base = mem.place("C", self.values)
+        indices = (starts[:, None] + np.arange(self.block)).ravel()
+        values = self.rng.integers(0, 1 << 20, self.scale).astype(np.int64)
+        self.b_base, self.indices = mem.place_input(
+            "B", indices[:self.scale])
+        self.c_base, self.values = mem.place_input("C", values)
         self.a_base = mem.alloc("A", self.region, DType.I64)  # all zero
 
     def baseline_traces(self, cores: int) -> list[Trace]:

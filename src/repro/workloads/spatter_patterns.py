@@ -97,15 +97,18 @@ class SpatterKernel(Workload):
 
     def generate(self, mem: HostMemory) -> None:
         self._remember(mem)
-        self.a = self.rng.integers(0, 1 << 30, self.span).astype(np.int64)
-        self.values = self.rng.integers(0, 1 << 20,
-                                        self.scale).astype(np.int64)
-        self.a_base = mem.place("A", self.a if self.kernel == "gather"
-                                else np.zeros(self.span, dtype=np.int64))
-        self.b_base = mem.place("B", self.indices)
-        self.c_base = mem.place(
-            "C", self.values if self.kernel == "scatter"
-            else np.zeros(self.scale, dtype=np.int64))
+        a = self.rng.integers(0, 1 << 30, self.span).astype(np.int64)
+        values = self.rng.integers(0, 1 << 20, self.scale).astype(np.int64)
+        # The gather reads A and writes C; the scatter the reverse.
+        if self.kernel == "gather":
+            self.a_base, self.a = mem.place_input("A", a)
+        else:
+            self.a_base = mem.place("A", np.zeros(self.span, np.int64))
+        self.b_base, self.indices = mem.place_input("B", self.indices)
+        if self.kernel == "scatter":
+            self.c_base, self.values = mem.place_input("C", values)
+        else:
+            self.c_base = mem.place("C", np.zeros(self.scale, np.int64))
 
     # -------------------------------------------------------------- traces
 

@@ -13,6 +13,8 @@ about Z/24), reproduced here with Laplacian-distributed offsets:
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from repro.common.config import DX100Config
@@ -49,12 +51,12 @@ class _GradientRMW(Workload):
         z = self.scale
         target = max(z // self.target_divisor, 1024)
         self.target = target
-        self.b = laplace_map(z, target, target // 24, self.rng)
-        self.d = self.rng.integers(0, 100, z).astype(np.int64)
-        self.c = self.rng.integers(1, 1000, z).astype(np.int64)
-        self.b_base = mem.place("B", self.b)
-        self.d_base = mem.place("D", self.d)
-        self.c_base = mem.place("C", self.c)
+        b = laplace_map(z, target, target // 24, self.rng)
+        d = self.rng.integers(0, 100, z).astype(np.int64)
+        c = self.rng.integers(1, 1000, z).astype(np.int64)
+        self.b_base, self.b = mem.place_input("B", b)
+        self.d_base, self.d = mem.place_input("D", d)
+        self.c_base, self.c = mem.place_input("C", c)
         self.a_base = mem.place("A", np.zeros(target, dtype=np.int64))
         # Zone coordinate data read by the gradient computation itself.
         self.gx_base = mem.alloc("gx", z, DType.I64)
@@ -94,18 +96,23 @@ class _GradientRMW(Workload):
             pb.irmw(DType.I64, self.a_base, AluOp.ADD, t_b, t_c, tc=t_cond)
             pb.wait(t_b, t_c)
             items += pb.build()
-            # Residual: cores compute the next tile's contributions
-            # (coordinate load + gradient arithmetic + store of C).
-            traces = []
-            for part in split_static(range(lo, hi), cores):
-                i = np.arange(part.start, part.stop)
-                at = 2 * np.arange(len(i))
-                em = BulkEmitter(2 * len(i))
-                em.load(at, self.gx_base + 8 * i, pc=PC_VALUE, extra=6)
-                em.store(at + 1, self.c_base + 8 * i, pc=PC_INDEX, extra=1)
-                traces.append(em.finish())
-            items.append(CoreWork(traces=traces))
+            items.append(CoreWork(functools.partial(
+                self._residual, lo, hi, cores)))
         return items
+
+    def _residual(self, lo: int, hi: int, cores: int) -> list[Trace]:
+        """Zones ``[lo, hi)``' core work: the next tile's contributions
+        (coordinate load + gradient arithmetic + store of C).  The store
+        is timing only: no trace writes host memory."""
+        traces = []
+        for part in split_static(range(lo, hi), cores):
+            i = np.arange(part.start, part.stop)
+            at = 2 * np.arange(len(i))
+            em = BulkEmitter(2 * len(i))
+            em.load(at, self.gx_base + 8 * i, pc=PC_VALUE, extra=6)
+            em.store(at + 1, self.c_base + 8 * i, pc=PC_INDEX, extra=1)
+            traces.append(em.finish())
+        return traces
 
     def expected(self) -> dict[str, np.ndarray]:
         out = np.zeros(self.target, dtype=np.int64)
@@ -146,24 +153,24 @@ class _GradientIndirectLD(Workload):
         self._remember(mem)
         z = self.zones
         degrees = self.rng.integers(self.corners - 2, self.corners + 3, z)
-        self.h = np.zeros(z + 1, dtype=np.int64)
-        self.h[1:] = np.cumsum(degrees)
-        total = int(self.h[-1])
+        h = np.zeros(z + 1, dtype=np.int64)
+        h[1:] = np.cumsum(degrees)
+        total = int(h[-1])
         target = max(z // self.target_divisor, 1024)
         self.target = target
-        self.c = self.rng.integers(0, z, total).astype(np.int64)
-        self.b = laplace_map(z, target, target // 24, self.rng)
-        self.d = self.rng.integers(0, 100, total).astype(np.int64)
-        self.a = self.rng.integers(0, 1 << 20, target).astype(np.int64)
-        self.frontier = np.sort(self.rng.choice(
+        c = self.rng.integers(0, z, total).astype(np.int64)
+        b = laplace_map(z, target, target // 24, self.rng)
+        d = self.rng.integers(0, 100, total).astype(np.int64)
+        a = self.rng.integers(0, 1 << 20, target).astype(np.int64)
+        frontier = np.sort(self.rng.choice(
             z, size=self.scale, replace=False)).astype(np.int64)
 
-        self.h_base = mem.place("H", self.h)
-        self.c_base = mem.place("C", self.c)
-        self.b_base = mem.place("B", self.b)
-        self.d_base = mem.place("D", self.d)
-        self.a_base = mem.place("A", self.a)
-        self.k_base = mem.place("K", self.frontier)
+        self.h_base, self.h = mem.place_input("H", h)
+        self.c_base, self.c = mem.place_input("C", c)
+        self.b_base, self.b = mem.place_input("B", b)
+        self.d_base, self.d = mem.place_input("D", d)
+        self.a_base, self.a = mem.place_input("A", a)
+        self.k_base, self.frontier = mem.place_input("K", frontier)
 
     def non_roi_instructions(self) -> float:
         # The gradient loop iterates zone corners (~`corners` per zone).
@@ -227,18 +234,23 @@ class _GradientIndirectLD(Workload):
             n_chunk = sum(isinstance(x, Instr) for x in chunk_items)
             self.expect_gather(n_before + n_chunk - 1, expect)
             items += chunk_items
-            # Residual: consume the packed tile and compute gradients.
-            spd = pb.spd_addr(t_a)
             count = int((highs[f0:f1] - lows[f0:f1]).sum())
-            traces = []
-            for part in split_static(range(count), cores):
-                e = np.arange(part.start, part.stop)
-                em = BulkEmitter(len(e))
-                em.load(np.arange(len(e)), spd + 4 * e, size=4, pc=PC_SPD,
-                        extra=4)
-                traces.append(em.finish())
-            items.append(CoreWork(traces=traces))
+            items.append(CoreWork(functools.partial(
+                self._residual, count, pb.spd_addr(t_a), cores)))
         return items
+
+    @staticmethod
+    def _residual(count: int, spd: int, cores: int) -> list[Trace]:
+        """A chunk's core work: consume its ``count``-element packed tile
+        at ``spd`` and compute gradients."""
+        traces = []
+        for part in split_static(range(count), cores):
+            e = np.arange(part.start, part.stop)
+            em = BulkEmitter(len(e))
+            em.load(np.arange(len(e)), spd + 4 * e, size=4, pc=PC_SPD,
+                    extra=4)
+            traces.append(em.finish())
+        return traces
 
     def _expected_chunk(self, f0: int, f1: int) -> np.ndarray:
         parts = []

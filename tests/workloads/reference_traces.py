@@ -10,6 +10,8 @@ these loops are the readable statement of each kernel's op stream that
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from repro.common.types import AluOp, DType
@@ -263,30 +265,37 @@ def cg_residual(wl, config, cores: int) -> list[CoreWork]:
         t_col = pb.ild(DType.I64, wl.col_base, t_inner)
         t_x = pb.ild(DType.I64, wl.x_base, t_col)
         j0, j1 = int(wl.h[r0]), int(wl.h[r1])
-        spd = pb.spd_addr(t_x)
-        traces = []
-        for part in split_static(list(range(j0, j1)), cores):
-            tb = TraceBuilder()
-            for j in part:
-                tb.load(wl.vals_base + 8 * j, pc=PC_VALUE, extra=1)
-                tb.load(spd + 4 * (j - j0), size=4, pc=PC_SPD, extra=2)
-            traces.append(tb.finish())
-        works.append(CoreWork(traces=traces))
+        works.append(CoreWork(functools.partial(
+            _cg_chunk, wl, j0, j1, pb.spd_addr(t_x), cores)))
     return works
+
+
+def _cg_chunk(wl, j0: int, j1: int, spd: int, cores: int) -> list[Trace]:
+    traces = []
+    for part in split_static(list(range(j0, j1)), cores):
+        tb = TraceBuilder()
+        for j in part:
+            tb.load(wl.vals_base + 8 * j, pc=PC_VALUE, extra=1)
+            tb.load(spd + 4 * (j - j0), size=4, pc=PC_SPD, extra=2)
+        traces.append(tb.finish())
+    return traces
 
 
 def gradient_rmw_residual(wl, config, cores: int) -> list[CoreWork]:
-    works = []
-    for lo, hi in chunk_bounds(wl.scale, config.tile_elems):
-        traces = []
-        for part in split_static(list(range(lo, hi)), cores):
-            tb = TraceBuilder()
-            for i in part:
-                tb.load(wl.gx_base + 8 * i, pc=PC_VALUE, extra=6)
-                tb.store(wl.c_base + 8 * i, pc=PC_INDEX, extra=1)
-            traces.append(tb.finish())
-        works.append(CoreWork(traces=traces))
-    return works
+    return [CoreWork(functools.partial(_gradient_rmw_chunk, wl, lo, hi,
+                                       cores))
+            for lo, hi in chunk_bounds(wl.scale, config.tile_elems)]
+
+
+def _gradient_rmw_chunk(wl, lo: int, hi: int, cores: int) -> list[Trace]:
+    traces = []
+    for part in split_static(list(range(lo, hi)), cores):
+        tb = TraceBuilder()
+        for i in part:
+            tb.load(wl.gx_base + 8 * i, pc=PC_VALUE, extra=6)
+            tb.store(wl.c_base + 8 * i, pc=PC_INDEX, extra=1)
+        traces.append(tb.finish())
+    return traces
 
 
 def gradient_indirect_ld_residual(wl, config, cores: int) -> list[CoreWork]:
@@ -307,16 +316,21 @@ def gradient_indirect_ld_residual(wl, config, cores: int) -> list[CoreWork]:
         t_c = pb.ild(DType.I64, wl.c_base, t_inner, tc=t_cond)
         t_b = pb.ild(DType.I64, wl.b_base, t_c, tc=t_cond)
         t_a = pb.ild(DType.I64, wl.a_base, t_b, tc=t_cond)
-        spd = pb.spd_addr(t_a)
         count = int((highs[f0:f1] - lows[f0:f1]).sum())
-        traces = []
-        for part in split_static(list(range(count)), cores):
-            tb = TraceBuilder()
-            for e in part:
-                tb.load(spd + 4 * e, size=4, pc=PC_SPD, extra=4)
-            traces.append(tb.finish())
-        works.append(CoreWork(traces=traces))
+        works.append(CoreWork(functools.partial(
+            _gradient_indirect_ld_chunk, count, pb.spd_addr(t_a), cores)))
     return works
+
+
+def _gradient_indirect_ld_chunk(count: int, spd: int,
+                                cores: int) -> list[Trace]:
+    traces = []
+    for part in split_static(list(range(count)), cores):
+        tb = TraceBuilder()
+        for e in part:
+            tb.load(spd + 4 * e, size=4, pc=PC_SPD, extra=4)
+        traces.append(tb.finish())
+    return traces
 
 
 #: name -> the CoreWork items of its DX100 schedule, in schedule order.

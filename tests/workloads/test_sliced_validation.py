@@ -14,6 +14,22 @@ from repro.workloads.base import VALIDATE_SLICE, key_counts, last_writer
 SLICES = 4
 
 
+class _TwiceWritten(HostMemory):
+    """Host memory that edits XRAGE's inputs as they are placed, so that
+    element 5 and the final element write one target (11, then 22).  The
+    inputs' CRCs are recorded after the edit, as for any generated
+    input."""
+
+    def place_input(self, name, array, align=4096):
+        if name in ("B", "C"):
+            array = array.copy()
+        if name == "B":
+            array[-1] = array[5]
+        elif name == "C":
+            array[5], array[-1] = 11, 22
+        return super().place_input(name, array, align)
+
+
 @pytest.fixture(scope="module")
 def xrage():
     """An XRAGE whose ``A`` spans four slices and whose indices span two
@@ -21,10 +37,9 @@ def xrage():
     chunk, last by the final element.  ``A`` holds the correct state."""
     wl = SpatterXRAGE(scale=VALIDATE_SLICE + 4096,
                       region=SLICES * VALIDATE_SLICE)
-    mem = HostMemory(1 << 26)
+    mem = _TwiceWritten(1 << 26)
     wl.generate(mem)
-    wl.indices[-1] = wl.indices[5]
-    wl.values[5], wl.values[-1] = 11, 22
+    assert wl.indices[-1] == wl.indices[5]
     mem.view("A")[wl.indices] = wl.values   # the last writer wins
     return wl, mem
 
