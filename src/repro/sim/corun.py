@@ -32,6 +32,9 @@ class NamespacedMemory:
     def place(self, name, array, align: int = 4096) -> int:
         return self._mem.place(self._prefix + name, array, align)
 
+    def place_input(self, name, array, align: int = 4096):
+        return self._mem.place_input(self._prefix + name, array, align)
+
     def view(self, name):
         return self._mem.view(self._prefix + name)
 

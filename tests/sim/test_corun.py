@@ -1,5 +1,6 @@
 """Co-run interference study."""
 
+import numpy as np
 import pytest
 
 from repro.common import SystemConfig
@@ -19,6 +20,26 @@ def test_namespaced_memory_isolates_names():
     b.view("X")[:] = 2
     assert mem.view("a:X")[0] == 1 and mem.view("b:X")[0] == 2
     assert a.base == mem.base  # pass-through attributes
+
+
+def test_namespaced_memory_prefixes_inputs():
+    mem = HostMemory(1 << 20)
+    for prefix in ("a:", "b:"):
+        addr, view = NamespacedMemory(mem, prefix).place_input(
+            "B", np.arange(16))
+        assert mem.interval_of(prefix + "B").lo == addr
+        assert np.shares_memory(view, mem.view(prefix + "B"))
+    mem.view("b:B")[0] = 7
+    assert mem.changed_inputs() == ["b:B"]
+
+
+def test_corun_of_workloads_sharing_input_names():
+    """Two tenants that place inputs under the same names (here the same
+    workload twice) get a segment each."""
+    result = run_corun([lambda: SpatterXRAGE(scale=64)] * 2,
+                       SystemConfig.baseline_scaled())
+    assert result.names == ["XRAGE", "XRAGE"]
+    assert all(cycles > 0 for cycles in result.corun_cycles)
 
 
 def test_corun_reports_interference():

@@ -107,7 +107,7 @@ def test_core_work_reads_the_scratchpad_of_its_instance(monkeypatch):
         offset = bases[g * len(bases) // len(groups)] - bases[0]
         want = sorted(addr + offset
                       for item in group if isinstance(item, CoreWork)
-                      for trace in item.traces
+                      for trace in item.build()
                       for addr, pc in zip(trace.addr, trace.pc)
                       if pc == PC_SPD)
         assert sorted(loads[pos:pos + len(want)]) == want, g

@@ -43,7 +43,7 @@ def assert_same_residual(wl, config: DX100Config, cores: int) -> None:
     want = ref.residual(wl, config, cores)
     assert len(got) == len(want)
     for g, w in zip(got, want):
-        assert_same_traces(g.traces, w.traces)
+        assert_same_traces(g.build(), w.build())
 
 
 def generated(wl):
