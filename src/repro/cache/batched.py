@@ -22,6 +22,8 @@ command streams.
 
 from __future__ import annotations
 
+from collections.abc import Container
+
 from repro.common.config import SystemConfig
 from repro.common.types import HitLevel
 from repro.cache.hierarchy import AccessResult, MemoryHierarchy
@@ -58,10 +60,10 @@ class BatchedHierarchy(MemoryHierarchy):
                              "across all cache levels")
         self._line_shift = self.llc._line_shift
         # Optional PC filter for the observers: when every observer is
-        # known to ignore accesses whose PC is not a key of this dict (or
+        # known to ignore accesses whose PC is not in this container (or
         # whose tag is negative), the walk skips the calls entirely.
         # ``None`` = no such guarantee, call observers always.
-        self.observer_pc_filter: dict | None = None
+        self.observer_pc_filter: Container[int] | None = None
         # Per-access hoists: the walk indexes seven per-core structures on
         # every call, and all of them are identity-stable after construction
         # (tag sets and MSHR entry dicts are mutated in place, never

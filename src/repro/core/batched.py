@@ -21,6 +21,12 @@ ideas, both bitwise-neutral by construction:
 
 The fused loop reads the trace's columns by op index and writes each op's
 timing into the core's result columns; no per-op record object is built.
+Ops enter the ROB in trace order and retire in order, so the window is
+the op-index range ``[_head, _next)`` and an op's occupancy (``1 +
+extra``, its LQ or SQ slot) is read back from the trace at retire.  An
+op is pending while its ``op_complete`` is -1; only then does the core
+keep its DRAM request and return latency, in a ring of slots indexed by
+op index (``i & _mask``), and the slot is cleared when the op resolves.
 """
 
 from __future__ import annotations
@@ -36,25 +42,22 @@ from repro.core.ooo import CoreModel
 from repro.core.trace import Trace
 
 
-class _Flight:
-    """In-flight record for the batched core: the scalar ``_InFlight``
-    with the ``AccessResult`` fields folded in and the op named by its
-    index.  The batched hierarchy returns ``(level, issue, complete,
-    request, ret_lat)`` as a tuple, and those fields land directly here —
-    no intermediate result object is ever built on the batched path."""
-
-    __slots__ = ("index", "is_load", "instrs", "done", "request", "ret_lat",
-                 "in_iq", "iq_instrs")
-
-    def __init__(self, index, is_load, instrs, done, request, ret_lat):
-        self.index = index
-        self.is_load = is_load
-        self.instrs = instrs
-        self.done = done          # completion time, -1 while pending
-        self.request = request
-        self.ret_lat = ret_lat
-        self.in_iq = False
-        self.iq_instrs = 0
+def _drain_iq(iq: deque[int], op_complete, extras, now: float,
+              iq_used: int) -> int:
+    """Scalar ``_drain_iq`` over the IQ residents ``iq`` (op indices in
+    window order): drop every op that completed by ``now`` and return the
+    remaining occupancy.  A single pass that rebuilds the deque."""
+    kept: list[int] = []
+    keep = kept.append
+    for j in iq:
+        complete = op_complete[j]
+        if 0 <= complete <= now:
+            iq_used -= 1 + extras[j] // 2
+        else:
+            keep(j)
+    iq.clear()
+    iq.extend(kept)
+    return iq_used
 
 
 class BatchedCoreModel(CoreModel):
@@ -62,66 +65,37 @@ class BatchedCoreModel(CoreModel):
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        # The flights whose consumers still occupy issue-queue slots, in
-        # window (append) order: the scalar model scans the whole ROB
-        # window for them.  Retired flights are removed lazily: they stay
-        # here with ``in_iq`` already cleared and get skipped/popped on the
-        # next drain, so the IQ scan touches only IQ residents.
-        self._iq_flights: deque[_Flight] = deque()
+        # Oldest op still in the ROB; the window is ``[_head, _next)``.
+        self._head = 0
+        # The window holds at most ``rob_size`` ops (each op occupies at
+        # least one ROB entry, and a stalled op waits for room unless the
+        # window is empty), so a ring of ``>= rob_size`` slots indexed by
+        # op index never lets two ops of one window share a slot.
+        slots = 1 << max(self.config.rob_size - 1, 0).bit_length()
+        self._mask = slots - 1
+        self._pending_req: list = [None] * slots
+        self._pending_lat = [0] * slots
+        # The ops whose consumers occupy issue-queue slots, in window
+        # order.  An op leaves when it completes by a drain's ``now`` or
+        # when it retires; since both the deque and the retire order are
+        # by op index, a retiring op is in the IQ exactly when it is the
+        # deque's head.
+        self._iq: deque[int] = deque()
 
     def start(self, trace: Trace, at: int = 0) -> None:
         super().start(trace, at)
-        # Op index -> in-flight record, so dependence resolution is a dict
-        # probe instead of the scalar engine's ROB-window scan.  Entries
-        # are only consulted while the producer's ``op_complete`` is still
-        # -1 (a retired flight has published its completion time), so
-        # nothing needs to be evicted before the next trace resets it.
-        self._unresolved: dict[int, _Flight] = {}
+        self._head = 0
 
-    def _complete(self, flight) -> int:
-        # Scalar ``_complete`` over the folded flight fields.
-        done = flight.done
-        if done < 0:
-            request = flight.request
-            if request.finish < 0:
-                self.dram.complete(request)
-            done = request.finish + flight.ret_lat
-            flight.done = done
-        self.op_complete[flight.index] = done
-        return done
-
-    def _drain_iq(self, now: float) -> None:
-        # Scalar ``_drain_iq`` over the IQ residents: a single pass that
-        # rebuilds the deque (survivors keep their window order).
-        if not self._iq_used:
-            if self._iq_flights:
-                self._iq_flights.clear()
-            return
-        flights = self._iq_flights
-        kept: list[_Flight] = []
-        keep = kept.append
-        iq_used = self._iq_used
-        for flight in flights:
-            if not flight.in_iq:
-                continue
-            complete = flight.done
-            if 0 <= complete <= now:
-                flight.in_iq = False
-                iq_used -= flight.iq_instrs
-            else:
-                keep(flight)
-        self._iq_used = iq_used
-        flights.clear()
-        flights.extend(kept)
-
-    def stepper(self, i_key: int) -> Generator[None, tuple[float, int] | None,
+    def stepper(self, i_key: int) -> Generator[float,
+                                               tuple[float, int] | None,
                                                None]:
-        """The fused op loop as a resumable generator, primed with
-        ``next()``.  Each ``send(bound)`` executes ops until the trace ends
-        (the generator returns) or ``(next_time, i_key)`` is no longer
-        strictly the earliest entry (it writes the core state back and
-        yields).  ``bound`` is the driver heap's current minimum, or None
-        to run the trace out.  Resuming keeps the loop's locals, so cores
+        """The fused op loop as a resumable generator.  ``next()`` primes
+        it and returns the first dispatch time.  Each ``send(bound)``
+        executes ops until the trace ends (the generator returns) or
+        ``(next dispatch time, i_key)`` is no longer strictly the earliest
+        entry (it yields that dispatch time).  ``bound`` is the driver
+        heap's current minimum, or None to run the trace out.  The core's
+        state lives in the loop's locals until the trace ends, so cores
         that dispatch in lockstep pay the set-up below once per trace, not
         once per switch."""
         trace = self._trace
@@ -138,6 +112,7 @@ class BatchedCoreModel(CoreModel):
         op_issue = self.op_issue
         op_complete = self.op_complete
         op_level = self.op_level
+        head = self._head
         next_i = self._next
         cfg = self.config
         width = cfg.width
@@ -146,9 +121,10 @@ class BatchedCoreModel(CoreModel):
         lq_size = cfg.lq_size
         sq_size = cfg.sq_size
         counters = self.stats.counters
-        window = self._window
-        unresolved = self._unresolved
-        iq_flights = self._iq_flights   # never rebound, only mutated
+        mask = self._mask
+        pending_req = self._pending_req
+        pending_lat = self._pending_lat
+        iq = self._iq
         hierarchy_access = self.hierarchy.access
         atomics = self.atomics
         core_id = self.core_id
@@ -161,16 +137,15 @@ class BatchedCoreModel(CoreModel):
         instr_run = 0
         # Occupancy, fetch, and finish state live in locals for the duration
         # of the loop; the forced-retire bodies are inlined below
-        # (``_retire_oldest(forced=True)`` line for line), so only
-        # ``_drain_iq`` still needs its slice of state synced — and
-        # everything is written back unconditionally on exit.
+        # (``_retire_oldest(forced=True)`` line for line) and written back
+        # once, when the trace ends.
         fetch_time = self._fetch_time
         rob_used = self._rob_used
         iq_used = self._iq_used
         lq_used = self._lq_used
         sq_used = self._sq_used
         finish = self._finish
-        bound = yield
+        bound = yield fetch_time
         if bound is None:
             b_time = b_key = None
         else:
@@ -188,23 +163,26 @@ class BatchedCoreModel(CoreModel):
             dispatch = fetch_time
 
             # Structural stalls (ROB / IQ / LQ / SQ), as in CoreModel.step.
-            while window and rob_used + instrs > rob_size:
+            while head < i and rob_used + instrs > rob_size:
                 counters["rob_stalls"] += 1
                 # ---- _retire_oldest(forced=True), inlined ----
-                flight = window.popleft()
-                done = flight.done
+                h = head
+                head += 1
+                done = op_complete[h]
                 if done < 0:
-                    request = flight.request
+                    slot = h & mask
+                    request = pending_req[slot]
+                    pending_req[slot] = None
                     if request.finish < 0:
                         dram_complete(request)
-                    done = request.finish + flight.ret_lat
-                    flight.done = done
-                op_complete[flight.index] = done
-                rob_used -= flight.instrs
-                if flight.in_iq:
-                    iq_used -= flight.iq_instrs
-                    flight.in_iq = False
-                if flight.is_load:
+                    done = request.finish + pending_lat[slot]
+                    op_complete[h] = done
+                h_extra = extras[h]
+                rob_used -= 1 + h_extra
+                if iq and iq[0] == h:
+                    iq.popleft()
+                    iq_used -= 1 + h_extra // 2
+                if kinds[h] is load_kind:
                     lq_used -= 1
                 else:
                     sq_used -= 1
@@ -216,39 +194,47 @@ class BatchedCoreModel(CoreModel):
                                       done)
                     fetch_time = float(done)
             if iq_used + instrs > iq_size:
-                self._iq_used = iq_used
-                self._drain_iq(fetch_time)
-                iq_used = self._iq_used
-                while iq_used + instrs > iq_size:
-                    while iq_flights and not iq_flights[0].in_iq:
-                        iq_flights.popleft()
-                    if not iq_flights:
-                        break
+                iq_used = _drain_iq(iq, op_complete, extras, fetch_time,
+                                    iq_used)
+                while iq and iq_used + instrs > iq_size:
                     counters["iq_stalls"] += 1
-                    done = self._complete(iq_flights[0])
+                    # ---- self._complete(oldest IQ resident), inlined ----
+                    h = iq[0]
+                    done = op_complete[h]
+                    if done < 0:
+                        slot = h & mask
+                        request = pending_req[slot]
+                        pending_req[slot] = None
+                        if request.finish < 0:
+                            dram_complete(request)
+                        done = request.finish + pending_lat[slot]
+                        op_complete[h] = done
                     if done > fetch_time:
                         fetch_time = float(done)
-                    self._drain_iq(fetch_time)
-                    iq_used = self._iq_used
+                    iq_used = _drain_iq(iq, op_complete, extras, fetch_time,
+                                        iq_used)
             stall_key = "lq_stalls" if is_load else "sq_stalls"
-            while window and (lq_used >= lq_size if is_load
-                              else sq_used >= sq_size):
+            while head < i and (lq_used >= lq_size if is_load
+                                else sq_used >= sq_size):
                 counters[stall_key] += 1
                 # ---- _retire_oldest(forced=True), inlined ----
-                flight = window.popleft()
-                done = flight.done
+                h = head
+                head += 1
+                done = op_complete[h]
                 if done < 0:
-                    request = flight.request
+                    slot = h & mask
+                    request = pending_req[slot]
+                    pending_req[slot] = None
                     if request.finish < 0:
                         dram_complete(request)
-                    done = request.finish + flight.ret_lat
-                    flight.done = done
-                op_complete[flight.index] = done
-                rob_used -= flight.instrs
-                if flight.in_iq:
-                    iq_used -= flight.iq_instrs
-                    flight.in_iq = False
-                if flight.is_load:
+                    done = request.finish + pending_lat[slot]
+                    op_complete[h] = done
+                h_extra = extras[h]
+                rob_used -= 1 + h_extra
+                if iq and iq[0] == h:
+                    iq.popleft()
+                    iq_used -= 1 + h_extra // 2
+                if kinds[h] is load_kind:
                     lq_used -= 1
                 else:
                     sq_used -= 1
@@ -270,20 +256,19 @@ class BatchedCoreModel(CoreModel):
                 for dep_idx in deps:
                     complete = op_complete[dep_idx]
                     if complete < 0:
-                        dep_flight = unresolved.get(dep_idx)
-                        if dep_flight is None:
+                        # Pending, so in the window (a retired op has
+                        # published its completion time).
+                        if not head <= dep_idx < i:
                             raise RuntimeError(
                                 f"dependence on op {dep_idx} which never "
                                 f"executed")
-                        # ---- self._complete(dep_flight), inlined ----
-                        complete = dep_flight.done
-                        if complete < 0:
-                            request = dep_flight.request
-                            if request.finish < 0:
-                                dram_complete(request)
-                            complete = (request.finish
-                                        + dep_flight.ret_lat)
-                            dep_flight.done = complete
+                        # ---- self._complete(producer), inlined ----
+                        slot = dep_idx & mask
+                        request = pending_req[slot]
+                        pending_req[slot] = None
+                        if request.finish < 0:
+                            dram_complete(request)
+                        complete = request.finish + pending_lat[slot]
                         op_complete[dep_idx] = complete
                     if complete > ready:
                         ready = complete
@@ -305,9 +290,6 @@ class BatchedCoreModel(CoreModel):
                                          issue, pcs[i], tags[i])
             op_issue[i] = r_issue
             op_level[i] = level
-            if complete >= 0:
-                op_complete[i] = complete
-
             if atomic:
                 # ``AccessResult.resolve`` over the tuple fields.
                 if complete < 0:
@@ -316,15 +298,14 @@ class BatchedCoreModel(CoreModel):
                     complete = request.finish + ret_lat
                 op_complete[i] = complete
                 atomics.release(core_id, issue, complete)
-
-            flight = _Flight(i, is_load, instrs, complete, request, ret_lat)
-            if complete < 0:
-                unresolved[i] = flight
-                flight.iq_instrs = 1 + extra // 2
-                flight.in_iq = True
-                iq_used += flight.iq_instrs
-                iq_flights.append(flight)
-            window.append(flight)
+            elif complete >= 0:
+                op_complete[i] = complete
+            else:
+                slot = i & mask
+                pending_req[slot] = request
+                pending_lat[slot] = ret_lat
+                iq_used += 1 + extra // 2
+                iq.append(i)
             rob_used += instrs
             if is_load:
                 lq_used += 1
@@ -339,18 +320,12 @@ class BatchedCoreModel(CoreModel):
             if b_time is not None and (
                     fetch_time > b_time
                     or (fetch_time == b_time and i_key >= b_key)):
-                self._next = next_i
-                self._fetch_time = fetch_time
-                self._rob_used = rob_used
-                self._iq_used = iq_used
-                self._lq_used = lq_used
-                self._sq_used = sq_used
-                self._finish = finish
-                bound = yield
+                bound = yield fetch_time
                 if bound is None:
                     b_time = b_key = None
                 else:
                     b_time, b_key = bound
+        self._head = head
         self._next = next_i
         self._fetch_time = fetch_time
         self._rob_used = rob_used
@@ -362,33 +337,45 @@ class BatchedCoreModel(CoreModel):
         counters["instructions"] += instr_run
 
     def drain(self) -> int:
-        """`CoreModel.drain` with the per-flight retire inlined."""
-        window = self._window
-        dram_complete = self.dram.complete
+        """`CoreModel.drain` with the per-op retire inlined."""
+        trace = self._trace
+        kinds = trace.kind if trace else []
+        extras = trace.extra if trace else []
+        load_kind = AccessType.LOAD
         op_complete = self.op_complete
+        dram_complete = self.dram.complete
         width = self.config.width
+        mask = self._mask
+        pending_req = self._pending_req
+        pending_lat = self._pending_lat
+        iq = self._iq
+        head = self._head
+        next_i = self._next
         rob_used = self._rob_used
         iq_used = self._iq_used
         lq_used = self._lq_used
         sq_used = self._sq_used
         fetch_time = self._fetch_time
         finish = self._finish
-        while window:
+        while head < next_i:
             # ---- _retire_oldest(forced=False), inlined ----
-            flight = window.popleft()
-            done = flight.done
+            h = head
+            head += 1
+            done = op_complete[h]
             if done < 0:
-                request = flight.request
+                slot = h & mask
+                request = pending_req[slot]
+                pending_req[slot] = None
                 if request.finish < 0:
                     dram_complete(request)
-                done = request.finish + flight.ret_lat
-                flight.done = done
-            op_complete[flight.index] = done
-            rob_used -= flight.instrs
-            if flight.in_iq:
-                iq_used -= flight.iq_instrs
-                flight.in_iq = False
-            if flight.is_load:
+                done = request.finish + pending_lat[slot]
+                op_complete[h] = done
+            h_extra = extras[h]
+            rob_used -= 1 + h_extra
+            if iq and iq[0] == h:
+                iq.popleft()
+                iq_used -= 1 + h_extra // 2
+            if kinds[h] is load_kind:
                 lq_used -= 1
             else:
                 sq_used -= 1
@@ -397,13 +384,13 @@ class BatchedCoreModel(CoreModel):
             refill = done - rob_used / width
             if refill > fetch_time:
                 fetch_time = refill
-        self._iq_flights.clear()   # all retired above; drop stale refs
-        tail = self._trace.tail_instrs if self._trace else 0
+        tail = trace.tail_instrs if trace else 0
         if tail:
             self.stats.counters["instructions"] += tail
             fetch_time += tail / width
         if int(fetch_time) > finish:
             finish = int(fetch_time)
+        self._head = head
         self._rob_used = rob_used
         self._iq_used = iq_used
         self._lq_used = lq_used
@@ -439,19 +426,19 @@ class BatchedMulticore(Multicore):
             core = cores[i]
             core.start(trace, at)
             if not core.done:
-                active.append((core.next_time, i))
-                steppers[i] = core.stepper(i)
-                next(steppers[i])
+                steps = core.stepper(i)
+                active.append((next(steps), i))
+                steppers[i] = steps
         heapq.heapify(active)
         heappop = heapq.heappop
         heappush = heapq.heappush
         while active:
             _, i = heappop(active)
             try:
-                steppers[i].send(active[0] if active else None)
+                heappush(active,
+                         (steppers[i].send(active[0] if active else None), i))
             except StopIteration:
                 continue
-            heappush(active, (cores[i].next_time, i))
         finish = at
         for i in range(len(traces)):
             finish = max(finish, cores[i].drain())

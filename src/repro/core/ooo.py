@@ -20,6 +20,7 @@ before being scheduled — the visibility window FR-FCFS reorders within.
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
 from dataclasses import dataclass
 from typing import Any
@@ -79,9 +80,10 @@ class CoreModel:
     """Timing model for one core executing one trace.
 
     Each run's per-op results go into the result columns ``op_issue``,
-    ``op_complete`` and ``op_level`` (indexed like the trace's columns),
-    which :meth:`start` allocates afresh: a trace carries no timing, so
-    it can be run again and again.
+    ``op_complete`` and ``op_level`` (indexed like the trace's columns;
+    the first two are packed ``array("q")``, -1 until set), which
+    :meth:`start` allocates afresh: a trace carries no timing, so it can
+    be run again and again.
     """
 
     def __init__(self, core_id: int, config: CoreConfig,
@@ -104,8 +106,8 @@ class CoreModel:
         self._trace: Trace | None = None
         self._next = 0
         self._finish = 0
-        self.op_issue: list[int] = []
-        self.op_complete: list[int] = []
+        self.op_issue: array[int] = array("q")
+        self.op_complete: array[int] = array("q")
         self.op_level: list[HitLevel | None] = []
 
     # --------------------------------------------------------------- control
@@ -116,8 +118,8 @@ class CoreModel:
         self._fetch_time = float(at)
         self._finish = at
         n = len(trace)
-        self.op_issue = [-1] * n
-        self.op_complete = [-1] * n
+        self.op_issue = array("q", [-1]) * n
+        self.op_complete = array("q", [-1]) * n
         self.op_level = [None] * n
 
     @property

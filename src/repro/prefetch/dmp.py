@@ -23,10 +23,16 @@ op carries its loop-iteration ``tag``.
 
 from __future__ import annotations
 
+from array import array
+from collections.abc import KeysView
+
 import numpy as np
 
 from repro.common.stats import Stats
 from repro.cache.hierarchy import MemoryHierarchy
+
+#: Targets masked per step of :meth:`DMPEngine.register_stream`.
+REGISTER_SLICE = 1 << 16
 
 
 class DMPEngine:
@@ -43,19 +49,33 @@ class DMPEngine:
         self.coverage = coverage
         self.train_iters = train_iters
         self.stats = Stats()
-        self._streams: dict[int, np.ndarray] = {}
-        #: Per-PC target stream pre-masked to line addresses and converted
-        #: to plain ints once at registration — ``observe`` runs on every
-        #: demand access and must not touch numpy scalars there.
-        self._lines: dict[int, list[int]] = {}
+        #: Per-PC target stream pre-masked to line addresses, packed 8 B
+        #: per target: ``observe`` runs on every demand access and reads
+        #: plain ints from it, never numpy scalars.
+        self._lines: dict[int, array[int]] = {}
         self._issued: dict[int, set[int]] = {}
         self._stride = max(1, round(1.0 / coverage)) if coverage > 0 else 0
 
+    @property
+    def stream_pcs(self) -> KeysView[int]:
+        """Live read-only view of the PCs with a registered stream:
+        ``observe`` ignores every access whose PC is not in it."""
+        return self._lines.keys()
+
     def register_stream(self, pc: int, target_addrs) -> None:
-        """Declare the unconditional indirect target stream for a load PC."""
-        arr = np.asarray(target_addrs, dtype=np.int64)
-        self._streams[pc] = arr
-        self._lines[pc] = (arr & ~63).tolist()
+        """Declare the unconditional indirect target stream for a load PC.
+
+        The line addresses are written into the packed stream one
+        ``REGISTER_SLICE`` at a time, so registration holds at most the
+        caller's addresses, the stream and one slice."""
+        n = len(target_addrs)
+        lines = array("q", [0]) * n
+        out = np.frombuffer(lines, dtype=np.int64)
+        for lo in range(0, n, REGISTER_SLICE):
+            hi = lo + REGISTER_SLICE
+            np.bitwise_and(np.asarray(target_addrs[lo:hi], dtype=np.int64),
+                           ~63, out=out[lo:hi])
+        self._lines[pc] = lines
         self._issued[pc] = set()
 
     def observe(self, core: int, addr: int, pc: int, tag: int,

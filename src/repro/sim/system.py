@@ -43,7 +43,7 @@ class SimSystem:
             # registered stream and the op carries a loop tag; publish that
             # early-out so the batched walk can skip the call.
             if isinstance(self.hierarchy, BatchedHierarchy):
-                self.hierarchy.observer_pc_filter = self.dmp._lines
+                self.hierarchy.observer_pc_filter = self.dmp.stream_pcs
         # Observability: an :class:`repro.obs.events.EventBus` (or None).
         # Attached last so the bus sees the fully-built component graph.
         self.obs = obs

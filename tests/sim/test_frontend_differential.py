@@ -15,7 +15,8 @@ two front-ends must agree on
 
 Three layers: hypothesis property tests drive randomized multi-core trace
 programs (loads/stores/RMWs, dependence chains, atomics, PC/tag streams)
-through paired systems; seeded long runs cross prefetcher and MSHR
+through paired systems, on the default core and on a tiny one whose
+ROB, IQ, LQ and SQ fill after a few ops; seeded long runs cross prefetcher and MSHR
 pressure with the DMP engine attached; and end-to-end pairs replay quick
 benchmarks — including DX100 mode, whose tile path exercises
 ``llc_access``/``access_lines`` — through the sweep's own ``execute_task``.
@@ -191,6 +192,117 @@ def _miss_burst(n: int = 64):
     of unresolved fills."""
     return [(i % CORES, 0, i * 7 + 1, -1, 0, False, 0, -1)
             for i in range(n)]
+
+
+# ----------------------------------------------- tiny core: every stall path
+
+def _tiny_core(config: SystemConfig) -> SystemConfig:
+    """ROB 8, IQ 4, LQ 2, SQ 2: a few ops fill every structure, where the
+    default core (ROB 224, LQ 72, SQ 56) almost never stalls on one."""
+    return replace(config, core=replace(config.core, rob_size=8, iq_size=4,
+                                        lq_size=2, sq_size=2))
+
+
+@pytest.mark.parametrize("mode,engine", [
+    ("baseline", "batched"),
+    ("dmp", "scalar"),
+])
+@settings(max_examples=25, deadline=None)
+@given(program=_program)
+def test_tiny_core_matches_scalar_randomized(mode, engine, program):
+    _assert_equivalent(_tiny_core(_make_config(mode, engine)), program)
+
+
+_STALLS = ("rob_stalls", "iq_stalls", "lq_stalls", "sq_stalls")
+
+
+def _tiny_core_program(n: int = 400):
+    """Mostly misses to random lines (no stride for the prefetchers to
+    learn), loads and stores mixed (LQ and SQ pressure), some ops with a
+    few instructions (IQ pressure), every other op of a core depending on
+    the core's previous op, and every fifth op instead on the op ten
+    back, which the 8-op window has already retired."""
+    import random
+    rng = random.Random(7)
+    return [(i % CORES, rng.choice((0, 0, 1, 2)), rng.randrange(1 << 14),
+             9 if i % 5 == 0 else (0 if i % 2 else -1),
+             rng.choice((0, 0, 1, 3)), i % 17 == 0, i % 3, -1)
+            for i in range(n)]
+
+
+def _record_dependences(system, traces) -> dict[str, int]:
+    """Wrap ``system.hierarchy.access`` (both front ends call it once per
+    op, after the op's stalls and its dependence check) to classify each
+    dependence edge ``d -> i`` of a core's trace:
+
+    * ``unresolved`` -- ``d`` was pending when op ``i``'s segment began
+      (it missed at issue, and the core had not resolved it by op
+      ``i - 1``'s access) and op ``i`` stalled on nothing, so no retire
+      or IQ wait resolved it before the dependence check did;
+    * ``retired`` -- ``d`` missed at issue and is more than ``rob_size``
+      ops back, so the window no longer holds it.
+
+    Returns the live tally, filled in as the run goes."""
+    cores = system.multicore.cores
+    rob_size = system.config.core.rob_size
+    tally = {"unresolved": 0, "retired": 0}
+    # Per core: (stall counts, op_complete copy, missed at issue) of the
+    # previous op's access.
+    previous: list = [None] * len(cores)
+    issued = [0] * len(cores)
+    missed: list[list[bool]] = [[] for _ in cores]
+    access = system.hierarchy.access
+
+    def spy(core_id, *args, **kwargs):
+        core = cores[core_id]
+        i = issued[core_id]
+        issued[core_id] += 1
+        counters = core.stats.counters
+        stalls = tuple(counters.get(key, 0) for key in _STALLS)
+        complete = list(core.op_complete)
+        prev = previous[core_id]
+        for d in traces[core_id].deps[i]:
+            if i - d > rob_size and missed[core_id][d]:
+                tally["retired"] += 1
+            elif prev is not None and prev[0] == stalls:
+                if d == i - 1:
+                    pending = prev[2]
+                else:
+                    pending = prev[1][d] < 0
+                if pending:
+                    tally["unresolved"] += 1
+        result = access(core_id, *args, **kwargs)
+        level_complete = (result.complete if hasattr(result, "complete")
+                          else result[2])
+        atomic = traces[core_id].atomic[i]
+        missed[core_id].append(level_complete < 0)
+        previous[core_id] = (stalls, complete,
+                             level_complete < 0 and not atomic)
+        return result
+
+    system.hierarchy.access = spy
+    return tally
+
+
+@pytest.mark.parametrize("engine", ["batched", "scalar"])
+def test_tiny_core_exercises_every_stall_path(engine):
+    """On both front ends the tiny core takes every forced retire (ROB,
+    LQ, SQ), the IQ stall, a dependence on a still-pending producer and a
+    dependence on a retired one; the per-op result columns, counters and
+    DRAM streams agree."""
+    config = _tiny_core(_make_config("baseline", engine))
+    program = _tiny_core_program()
+    _assert_equivalent(config, program)
+    traces = _build_traces(program)
+    for frontend in ("scalar", "batched"):
+        system = SimSystem(replace(config, frontend=frontend))
+        tally = _record_dependences(system, traces)
+        system.multicore.run(traces)
+        stats = system.multicore.merged_stats()
+        for key in _STALLS:
+            assert stats.get(key) > 0, (frontend, key)
+        assert tally["unresolved"] > 0, frontend
+        assert tally["retired"] > 0, frontend
 
 
 def test_both_dram_engines_same_frontend_answer():
