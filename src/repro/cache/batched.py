@@ -131,9 +131,8 @@ class BatchedHierarchy(MemoryHierarchy):
             if vdirty:
                 counters["dirty_evictions"] += 1
                 if writeback:
-                    self.dram.access(victim << self._line_shift,
-                                     is_write=True,
-                                     arrival=max(0, self._now_hint()))
+                    self.dram.post(victim << self._line_shift, True,
+                                   max(0, self._now_hint()))
         cset[li] = dirty
 
     # ------------------------------------------------------------ demand walk
@@ -456,7 +455,7 @@ class BatchedHierarchy(MemoryHierarchy):
             return
         self._fill_set(cset, li, False, self._llc_ways, writeback=True)
         if self._spd_latency(line) is None:
-            self.dram.access(line, is_write=False, arrival=t)
+            self.dram.post(line, False, t)
             counters["prefetch_dram"] += 1.0
         else:
             counters["prefetch_spd"] += 1.0

@@ -15,7 +15,7 @@ from repro.common.config import SystemConfig
 from repro.common.stats import Stats
 from repro.cache.hierarchy import MemoryHierarchy
 from repro.core.ooo import AtomicsArbiter, CoreModel
-from repro.core.trace import Trace
+from repro.core.trace import BlockTrace, Trace
 from repro.dram.system import DRAMSystem
 
 
@@ -37,7 +37,7 @@ class Multicore:
             for i in range(config.cores)
         ]
 
-    def run(self, traces: list[Trace], at: int = 0) -> int:
+    def run(self, traces: list[Trace | BlockTrace], at: int = 0) -> int:
         """Run one trace per core concurrently; returns the last finish."""
         if len(traces) > len(self.cores):
             raise ValueError(

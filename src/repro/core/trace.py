@@ -1,4 +1,4 @@
-"""Memory-operation traces and the builder workloads use to emit them.
+"""Memory-operation traces and the builders workloads use to emit them.
 
 A trace is the per-core instruction stream reduced to what the timing model
 needs: memory operations with address, dependence edges (which earlier op
@@ -7,11 +7,19 @@ attributed to each op (address arithmetic, loop control, compute).  The
 instruction totals feed Figure 11(a); the dependence edges are what throttle
 the baseline's memory-level parallelism.
 
-A trace is stored as parallel per-op columns: op ``i`` is ``kind[i]``,
-``addr[i]``, ``size[i]``, ``deps[i]``, ``extra[i]``, ``atomic[i]``,
-``pc[i]`` and ``tag[i]``.  It holds inputs only.  The timing a core assigns
-each op (issue, completion, hit level) belongs to the run and lives in the
-core's result columns, so one trace can be run any number of times.
+A :class:`Trace` stores its ops as packed NumPy columns: op ``i`` is
+``kind[i]`` (0 load, 1 store, 2 RMW), ``addr[i]``, ``size[i]``,
+``extra[i]``, ``atomic[i]``, ``pc[i]`` and ``tag[i]``, and its producers
+are ``dep_idx[dep_ptr[i]:dep_ptr[i + 1]]`` (CSR).  That is about 45 bytes
+per op and no Python object per op.  It holds inputs only: the timing a
+core assigns each op belongs to the run, so one trace can be run any number
+of times.
+
+A core reads a trace through :class:`TraceReader`, which cuts plain-int
+list slices of :data:`SLICE` ops from the columns.  A core's trace may also
+be a :class:`BlockTrace`, a sequence of blocks of loop iterations, each
+built when the reader reaches it; op indices (and dependences) run on
+across its blocks as if they were one trace.
 
 Two builders fill the columns.  :class:`TraceBuilder` appends one op per
 call, in program order, which reads like the kernel it traces.
@@ -23,39 +31,185 @@ instead of one Python call per op.  Both enforce the same rules.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Callable, Iterator, Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.common.types import AccessType, MemOp
 
+#: ``kind`` codes, indexed by :class:`AccessType` position.
+KINDS = (AccessType.LOAD, AccessType.STORE, AccessType.RMW)
+_CODE = {kind: code for code, kind in enumerate(KINDS)}
 
-@dataclass
+#: Ops per list slice a core reads at a time.
+SLICE = 1 << 10
+
+_DTYPES = {"kind": np.int8, "addr": np.int64, "size": np.int32,
+           "extra": np.int32, "atomic": np.bool_, "pc": np.int32,
+           "tag": np.int64, "dep_ptr": np.int64, "dep_idx": np.int64}
+
+
+@dataclass(eq=False)
 class Trace:
-    """One core's dynamic stream, one list per op field."""
+    """One core's dynamic stream (or one block of it) as packed columns."""
 
-    kind: list[AccessType] = field(default_factory=list)
-    addr: list[int] = field(default_factory=list)
-    size: list[int] = field(default_factory=list)
-    deps: list[tuple[int, ...]] = field(default_factory=list)
-    extra: list[int] = field(default_factory=list)   # attributed instrs
-    atomic: list[bool] = field(default_factory=list)
-    pc: list[int] = field(default_factory=list)
-    tag: list[int] = field(default_factory=list)
-    tail_instrs: int = 0  # trailing non-memory instructions after the last op
+    kind: np.ndarray
+    addr: np.ndarray
+    size: np.ndarray
+    extra: np.ndarray      # attributed instructions
+    atomic: np.ndarray
+    pc: np.ndarray
+    tag: np.ndarray
+    dep_ptr: np.ndarray    # len + 1 offsets into dep_idx
+    dep_idx: np.ndarray    # producers, op indices within this trace
+    tail_instrs: int = 0   # trailing non-memory instructions
+
+    #: The packed columns, in the order :meth:`__eq__` compares them.
+    COLUMNS = tuple(_DTYPES)
 
     @property
     def instructions(self) -> int:
         """Total dynamic instruction count (memory + attributed compute)."""
-        return len(self.kind) + sum(self.extra) + self.tail_instrs
+        return len(self.kind) + int(self.extra.sum()) + self.tail_instrs
 
     def __len__(self) -> int:
         return len(self.kind)
 
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Trace):
+            return NotImplemented
+        return self.tail_instrs == other.tail_instrs and all(
+            getattr(self, c).dtype == getattr(other, c).dtype
+            and np.array_equal(getattr(self, c), getattr(other, c))
+            for c in self.COLUMNS)
+
     def op(self, i: int) -> MemOp:
-        """Op ``i`` as a fresh :class:`MemOp` (the scalar core's view)."""
-        return MemOp(self.kind[i], self.addr[i], self.size[i], self.deps[i],
-                     self.extra[i], self.atomic[i], self.pc[i], self.tag[i])
+        """Op ``i`` as a fresh :class:`MemOp` of plain ints."""
+        lo, hi = int(self.dep_ptr[i]), int(self.dep_ptr[i + 1])
+        return MemOp(KINDS[self.kind[i]], int(self.addr[i]),
+                     int(self.size[i]), tuple(self.dep_idx[lo:hi].tolist()),
+                     int(self.extra[i]), bool(self.atomic[i]),
+                     int(self.pc[i]), int(self.tag[i]))
+
+    def blocks(self) -> Iterator[Trace]:
+        """The trace as a block source: one block, itself."""
+        yield self
+
+    def lists(self, lo: int, hi: int, shift: int) -> tuple[list, ...]:
+        """Ops ``[lo, hi)`` as plain-int lists in :class:`MemOp` field
+        order: kind codes, addresses, sizes, dependence tuples, extras,
+        atomic flags, PCs and tags.  Each producer ``d`` reads as
+        ``d - shift``; producers below ``shift`` are dropped."""
+        ptr = self.dep_ptr[lo:hi + 1]
+        a, b = int(ptr[0]), int(ptr[-1])
+        deps: list = [()] * (hi - lo)
+        if a < b:
+            flat = self.dep_idx[a:b] - shift
+            count = np.diff(ptr)
+            low = np.flatnonzero(flat < 0)
+            if low.size:
+                np.subtract.at(count, np.searchsorted(
+                    ptr, a + low, side="right") - 1, 1)
+                flat = np.delete(flat, low)
+            start = np.cumsum(count) - count
+            col = np.empty(hi - lo, dtype=object)
+            col.fill(())
+            for c in range(1, int(count.max()) + 1 if flat.size else 1):
+                at = np.flatnonzero(count == c)
+                first = start[at]
+                col[at] = np.fromiter(
+                    zip(*(flat[first + k].tolist() for k in range(c))),
+                    dtype=object, count=at.size)
+            deps = col.tolist()
+        return (self.kind[lo:hi].tolist(), self.addr[lo:hi].tolist(),
+                self.size[lo:hi].tolist(), deps,
+                self.extra[lo:hi].tolist(), self.atomic[lo:hi].tolist(),
+                self.pc[lo:hi].tolist(), self.tag[lo:hi].tolist())
+
+
+def _packed(cols: dict, tail: int) -> Trace:
+    return Trace(**{name: np.asarray(cols[name], dtype=dtype)
+                    for name, dtype in _DTYPES.items()}, tail_instrs=tail)
+
+
+def join_blocks(blocks) -> Trace:
+    """The one :class:`Trace` a block sequence stands for: columns
+    concatenated, each block's producers moved by the ops before it, and
+    the last block's tail."""
+    blocks = list(blocks)
+    if len(blocks) == 1:
+        return blocks[0]
+    cols = {c: np.concatenate([getattr(b, c) for b in blocks])
+            for c in Trace.COLUMNS if not c.startswith("dep_")}
+    ops = np.cumsum([0] + [len(b) for b in blocks])
+    edges = np.cumsum([0] + [len(b.dep_idx) for b in blocks])
+    cols["dep_idx"] = np.concatenate(
+        [b.dep_idx + o for b, o in zip(blocks, ops)])
+    cols["dep_ptr"] = np.concatenate(
+        [[0]] + [b.dep_ptr[1:] + e for b, e in zip(blocks, edges)])
+    return _packed(cols, blocks[-1].tail_instrs)
+
+
+class BlockTrace:
+    """One core's trace as blocks of loop iterations, each built by
+    ``build(part)`` when a reader reaches it.
+
+    ``parts`` are the blocks' iteration sequences, in program order; each
+    block's trace is the whole part's trace for those iterations, with op
+    indices local to the block.  The first block is built here, the rest
+    on every pass of :meth:`blocks`, so a run holds the first block and
+    the block it is reading."""
+
+    def __init__(self, parts: Sequence, build: Callable[[object], Trace]):
+        self.parts = list(parts)
+        self.build = build
+        self.first = build(self.parts[0])
+
+    def blocks(self) -> Iterator[Trace]:
+        """The blocks in order.  Instructions a block attributes past its
+        last op belong to the next op, the next block's first: each tail
+        but the last moves there, so only the last block has one."""
+        carry = 0
+        for k, part in enumerate(self.parts):
+            block = self.build(part) if k else self.first
+            if carry:
+                if len(block):
+                    block.extra[0] += carry
+                else:
+                    block.tail_instrs += carry
+            carry = block.tail_instrs
+            yield block
+
+
+class TraceReader:
+    """Plain-int list slices of a trace's ops, in op order, across its
+    blocks.  After the last slice, :attr:`tail_instrs` is the trace's
+    trailing instruction count."""
+
+    def __init__(self, trace: Trace | BlockTrace) -> None:
+        self._blocks = trace.blocks()
+        self._block: Trace | None = None
+        self._at = 0          # next op within the block
+        self._offset = 0      # op index of the block's first op
+        self.tail_instrs = 0
+
+    def next_slice(self, floor: int = 0) -> tuple[list, ...] | None:
+        """The next at most :data:`SLICE` ops as :meth:`Trace.lists`,
+        producers as op indices minus ``floor`` (those below ``floor``
+        dropped); None once every op has been read."""
+        block = self._block
+        while block is None or self._at >= len(block):
+            if block is not None:
+                self._offset += len(block)
+            block = self._block = next(self._blocks, None)
+            if block is None:
+                return None
+            self._at = 0
+            self.tail_instrs = block.tail_instrs
+        lo = self._at
+        hi = self._at = min(lo + SLICE, len(block))
+        return block.lists(lo, hi, floor - self._offset)
 
 
 class TraceBuilder:
@@ -67,8 +221,12 @@ class TraceBuilder:
     """
 
     def __init__(self) -> None:
-        self._trace = Trace()
+        self._cols: dict[str, list] = {name: [] for name in _DTYPES}
+        self._cols["dep_ptr"].append(0)
         self._pending_extra = 0
+
+    def __len__(self) -> int:
+        return len(self._cols["kind"])
 
     def compute(self, n: int) -> None:
         if n < 0:
@@ -95,30 +253,29 @@ class TraceBuilder:
     def _emit(self, kind: AccessType, addr: int, size: int,
               deps: tuple[int, ...], extra: int, atomic: bool, pc: int,
               tag: int) -> int:
-        trace = self._trace
-        n = len(trace.kind)
+        cols = self._cols
+        n = len(cols["kind"])
         for d in deps:
             if not 0 <= d < n:
                 raise ValueError(f"dependence on unknown op {d}")
-        trace.kind.append(kind)
-        trace.addr.append(addr)
-        trace.size.append(size)
-        trace.deps.append(deps)
-        trace.extra.append(extra + self._pending_extra)
-        trace.atomic.append(atomic)
-        trace.pc.append(pc)
-        trace.tag.append(tag)
+        cols["kind"].append(_CODE[kind])
+        cols["addr"].append(addr)
+        cols["size"].append(size)
+        cols["dep_idx"].extend(deps)
+        cols["dep_ptr"].append(len(cols["dep_idx"]))
+        cols["extra"].append(extra + self._pending_extra)
+        cols["atomic"].append(atomic)
+        cols["pc"].append(pc)
+        cols["tag"].append(tag)
         self._pending_extra = 0
         return n
 
     def finish(self) -> Trace:
-        self._trace.tail_instrs += self._pending_extra
+        trace = _packed(self._cols, self._pending_extra)
         self._pending_extra = 0
-        return self._trace
+        return trace
 
 
-_KINDS = np.array([AccessType.LOAD, AccessType.STORE, AccessType.RMW],
-                  dtype=object)
 _UNFILLED = -1
 
 
@@ -205,28 +362,21 @@ class BulkEmitter:
             raise ValueError(f"{unfilled} of {n} op slots left unfilled")
         if self._filled != n:
             raise ValueError(f"{self._filled - n} op slots filled twice")
-        # Equal dependence targets and equal tags share one int object, as
-        # they do when a kernel hands the same int to several builder calls.
-        ops = np.arange(n).astype(object)
-        deps = np.empty(n, dtype=object)
-        deps.fill(())
+        # CSR dependences: each op's producers in the order its fill named
+        # them (every slot is filled once, so by one fill).
+        count = np.zeros(n, dtype=np.int64)
         for pos, edges in self._deps:
-            deps[pos] = np.fromiter(zip(*(ops[d].tolist() for d in edges)),
-                                    dtype=object, count=pos.size)
+            count[pos] = len(edges)
+        ptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(count, out=ptr[1:])
+        flat = np.empty(int(ptr[n]), dtype=np.int64)
+        for pos, edges in self._deps:
+            for k, d in enumerate(edges):
+                flat[ptr[pos] + k] = d
         self._deps = []
-        del ops
         extra = cols.pop("extra")
-        trace = Trace(kind=_KINDS[cols.pop("kind")].tolist(),
-                      deps=deps.tolist(), extra=extra[:n].tolist(),
-                      tail_instrs=int(extra[n]))
-        del deps, extra
-        tags, where = np.unique(cols.pop("tag"), return_inverse=True)
-        trace.tag = tags.astype(object)[where].tolist()
-        del tags, where
-        # One column at a time, each array released once it is a list.
-        for name in ("addr", "size", "atomic", "pc"):
-            setattr(trace, name, cols.pop(name).tolist())
-        return trace
+        cols.update(extra=extra[:n], dep_ptr=ptr, dep_idx=flat)
+        return _packed(cols, int(extra[n]))
 
 
 def split_static(items, ways: int) -> list:

@@ -107,6 +107,20 @@ class DRAMSystem:
                                                   bank, row)
         return req
 
+    def post(self, addr: int, is_write: bool, arrival: int) -> None:
+        """Enqueue a line request whose completion nothing reads (an LLC
+        writeback, a prefetch fill): :meth:`access` without the request
+        object, through the channel's int path."""
+        cs, cm, ks, km, gs, gm, bs, bm, rs, rm, _, _ = self.mapper.decode
+        far = False
+        remote = self.remote
+        if remote is not None and remote.is_far(addr):
+            far = True
+            arrival = remote.inject(arrival, is_write)
+        self.controllers[(addr >> cs) & cm].enqueue_line(
+            addr, arrival, is_write, (addr >> ks) & km, (addr >> gs) & gm,
+            (addr >> bs) & bm, (addr >> rs) & rm, far)
+
     def access_lines(self, lines: np.ndarray, arrivals: np.ndarray,
                      channels: np.ndarray, ranks: np.ndarray,
                      bankgroups: np.ndarray, banks: np.ndarray,

@@ -21,6 +21,8 @@ import functools
 import gc
 from dataclasses import replace
 
+import numpy as np
+
 from repro.common.config import SystemConfig
 from repro.dx100.api import RegWrite, WaitTiles
 from repro.dx100.coherency import RegionCoherence
@@ -76,8 +78,8 @@ def run_baseline(workload: Workload, config: SystemConfig | None = None,
     cores = 1 if workload.single_core_baseline else config.cores
     traces = workload.baseline_traces(cores)
     if system.dmp is not None:
-        for pc, addrs in workload.dmp_streams().items():
-            system.dmp.register_stream(pc, addrs)
+        for pc, (base, scale, index) in workload.dmp_streams().items():
+            system.dmp.register_stream(pc, index, base, scale)
     finish = system.multicore.run(traces)
     instructions = (system.multicore.total_instructions()
                     + workload.non_roi_instructions())
@@ -117,8 +119,9 @@ def _rebase_spd(traces: list, window: tuple[int, int], offset: int) -> list:
     scratchpad, where schedules address tiles) move by ``offset`` into
     the window of the instance that runs them."""
     lo, hi = window
-    return [replace(trace, addr=[a + offset if lo <= a < hi else a
-                                 for a in trace.addr])
+    return [replace(trace, addr=np.where((trace.addr >= lo)
+                                         & (trace.addr < hi),
+                                         trace.addr + offset, trace.addr))
             for trace in traces]
 
 

@@ -7,9 +7,12 @@ Each paper benchmark provides three views of the same kernel:
   live view :meth:`~repro.dx100.hostmem.HostMemory.place_input` returns;
   an array the program writes keeps a pristine copy only where its
   reference needs one;
-* ``baseline_traces`` — the per-core memory-op trace of the legacy multicore
-  code (index loads feeding indirect accesses, address-calculation
-  instruction counts, atomics where the kernel needs them);
+* ``core_trace``      — the memory-op trace of the legacy multicore code
+  over a run of loop iterations (index loads feeding indirect accesses,
+  address-calculation instruction counts, atomics where the kernel needs
+  them); :meth:`Workload.baseline_traces` deals the iterations over the
+  cores and cuts each core's part into blocks built as the core reaches
+  them;
 * ``dx100_schedule``  — the offloaded version: DX100 program items
   interleaved with the residual core work (:class:`CoreWork` items, whose
   traces are built when the run reaches them), tiled and double-buffered;
@@ -29,7 +32,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from repro.common.config import DX100Config
-from repro.core.trace import Trace
+from repro.core.trace import BlockTrace, Trace, split_static
 from repro.dx100.hostmem import HostMemory
 
 
@@ -64,6 +67,10 @@ BASE_ADDR_CALC = 8     # address arithmetic + loop overhead per element
 #: second copy of the array.
 VALIDATE_SLICE = 1 << 20
 
+#: A DMP target stream, ``(base, scale, index)``: target ``it`` is the
+#: address ``base + scale * index[it]``, with ``index`` read in place.
+DMPStream = tuple[int, int, np.ndarray]
+
 #: An array's expected contents: the whole array, or a function of
 #: ``(lo, hi)`` that returns the contents of ``[lo, hi)``.
 Reference = np.ndarray | Callable[[int, int], np.ndarray]
@@ -81,6 +88,10 @@ class Workload(ABC):
     #: full-scale registry entries (paper-sized footprints) can raise it
     #: past the 64 MiB default without touching every call site.
     mem_bytes: int = 1 << 26
+    #: Loop iterations per block of a core's baseline trace, or None where
+    #: a core's part must be one block (its ops are not one run per
+    #: iteration, as in a two-pass kernel).
+    trace_block: int | None = 1 << 16
 
     def __init__(self, scale: int, seed: int = 0) -> None:
         self.scale = scale
@@ -95,8 +106,31 @@ class Workload(ABC):
         """Allocate arrays in ``mem`` and remember their bases."""
 
     @abstractmethod
-    def baseline_traces(self, cores: int) -> list[Trace]:
-        """Per-core traces of the legacy code."""
+    def core_trace(self, part) -> Trace:
+        """The legacy code's trace over the loop iterations ``part`` (a
+        slice of one core's part), op indices counted from its first op."""
+
+    def trace_parts(self, cores: int) -> list:
+        """Each core's loop iterations, OpenMP ``schedule(static)``; one
+        core's where the kernel cannot run in parallel."""
+        return split_static(range(self.scale),
+                            1 if self.single_core_baseline else cores)
+
+    def baseline_traces(self, cores: int) -> list[Trace | BlockTrace]:
+        """Per-core traces of the legacy code.  A core's part of one
+        :attr:`trace_block` is its :meth:`core_trace`; a longer part is a
+        :class:`BlockTrace` whose first block is built here and the rest
+        when the core reaches them."""
+        traces: list[Trace | BlockTrace] = []
+        for part in self.trace_parts(cores):
+            step = self.trace_block or len(part)
+            if len(part) <= step:
+                traces.append(self.core_trace(part))
+            else:
+                traces.append(BlockTrace(
+                    [part[lo:lo + step] for lo in range(0, len(part), step)],
+                    self.core_trace))
+        return traces
 
     @abstractmethod
     def dx100_schedule(self, config: DX100Config, cores: int) -> list:
@@ -108,8 +142,9 @@ class Workload(ABC):
         Workloads with paper-scale arrays give slice functions, built
         from their own inputs (:func:`last_writer`, :func:`key_counts`)."""
 
-    def dmp_streams(self) -> dict[int, np.ndarray]:
-        """pc -> unconditional indirect target addresses, for the DMP run."""
+    def dmp_streams(self) -> dict[int, DMPStream]:
+        """pc -> the unconditional indirect target stream, for the DMP
+        run."""
         return {}
 
     def non_roi_instructions(self) -> float:

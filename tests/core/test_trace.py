@@ -3,6 +3,7 @@ import pytest
 
 from repro.common import AccessType
 from repro.core import BulkEmitter, TraceBuilder, split_static
+from repro.core.trace import BlockTrace, TraceReader, join_blocks
 
 
 def test_builder_emits_ops_in_order():
@@ -11,11 +12,11 @@ def test_builder_emits_ops_in_order():
     i1 = tb.load(0x200, deps=(i0,))
     i2 = tb.store(0x300, deps=(i1,))
     trace = tb.finish()
-    assert trace.kind == [
+    assert [trace.op(i).kind for i in range(3)] == [
         AccessType.LOAD, AccessType.LOAD, AccessType.STORE
     ]
-    assert trace.deps == [(), (0,), (1,)]
-    assert trace.addr == [0x100, 0x200, 0x300]
+    assert [trace.op(i).deps for i in range(3)] == [(), (0,), (1,)]
+    assert trace.addr.tolist() == [0x100, 0x200, 0x300]
     assert len(trace) == 3
 
 
@@ -24,7 +25,7 @@ def test_compute_attributes_to_next_op():
     tb.compute(5)
     tb.load(0x100, extra=2)
     trace = tb.finish()
-    assert trace.extra == [7]
+    assert trace.extra.tolist() == [7]
     assert trace.instructions == 8  # 1 op + 7 extra
 
 
@@ -54,8 +55,8 @@ def test_rmw_and_atomic_flags():
     tb = TraceBuilder()
     tb.rmw(0x40, atomic=True)
     trace = tb.finish()
-    assert trace.kind == [AccessType.RMW]
-    assert trace.atomic == [True]
+    assert trace.op(0).kind is AccessType.RMW
+    assert trace.atomic.tolist() == [True]
 
 
 def test_split_static_blocks():
@@ -156,13 +157,92 @@ def test_bulk_empty_trace_keeps_its_tail():
     assert len(trace) == 0 and trace.tail_instrs == 6
 
 
-def test_bulk_columns_share_repeated_ints():
-    """Equal tags and dependence targets are one int object each, as when
-    a kernel passes the same int to several builder calls."""
-    em = BulkEmitter(300)
-    em.load(np.arange(298), 8 * np.arange(298), tag=1000)
-    em.load([298], [0], deps=([297],), tag=1000)
-    em.store([299], [8], deps=([297],), tag=1000)
+def test_trace_is_packed_columns():
+    """No Python object per op: the columns are NumPy arrays of fixed
+    width, and ``op`` reads plain ints back out of them."""
+    em = BulkEmitter(1000)
+    em.load(np.arange(999), 8 * np.arange(999), tag=np.arange(999))
+    em.store([999], [8], deps=([998],), tag=7)
     trace = em.finish()
-    assert trace.tag[0] is trace.tag[1] is trace.tag[299]
-    assert trace.deps[298][0] is trace.deps[299][0]
+    nbytes = sum(getattr(trace, c).nbytes for c in trace.COLUMNS)
+    assert nbytes <= 50 * len(trace)
+    op = trace.op(999)
+    assert (type(op.addr), type(op.tag), op.deps) == (int, int, (998,))
+    assert type(op.deps[0]) is int and type(op.atomic) is bool
+
+
+def _random_trace(rng, n):
+    tb = TraceBuilder()
+    for i in range(n):
+        deps = tuple(sorted({int(d) for d in rng.integers(0, i, 3)})) \
+            if i and rng.random() < 0.6 else ()
+        tb.compute(int(rng.integers(0, 3)))
+        tb.load(int(rng.integers(0, 1 << 20)) * 8, deps=deps,
+                pc=int(rng.integers(0, 4)), tag=i)
+    tb.compute(int(rng.integers(0, 3)))
+    return tb.finish()
+
+
+@pytest.mark.parametrize("floor", [0, 5, 40])
+def test_lists_cut_plain_int_slices(floor):
+    """``Trace.lists`` reads ops ``[lo, hi)`` as the ``MemOp`` fields,
+    producers moved down by ``floor`` and those below it dropped."""
+    trace = _random_trace(np.random.default_rng(1), 60)
+    kinds, addrs, sizes, deps, extras, atomics, pcs, tags = \
+        trace.lists(20, 50, floor)
+    for k, i in enumerate(range(20, 50)):
+        op = trace.op(i)
+        assert (trace.op(i).kind, addrs[k], sizes[k], extras[k], atomics[k],
+                pcs[k], tags[k]) == (
+            [AccessType.LOAD, AccessType.STORE, AccessType.RMW][kinds[k]],
+            op.addr, op.size, op.extra_instrs, op.atomic, op.pc, op.tag)
+        assert deps[k] == tuple(d - floor for d in op.deps if d >= floor)
+        assert all(type(d) is int for d in deps[k])
+
+
+def test_block_trace_joins_to_the_whole_trace():
+    """Blocks built from slices of a part join to the part's trace: the
+    producers run on across blocks, and a tail that falls between blocks
+    moves to the next block's first op."""
+    def build(part):
+        tb = TraceBuilder()
+        for i in part:
+            first = tb.load(8 * i, tag=i)
+            tb.store(8 * i + 4, deps=(first,))
+            if i % 3 == 0:
+                tb.compute(2)      # after the iteration's last op
+        return tb.finish()
+
+    part = range(3, 40)
+    blocks = BlockTrace([part[lo:lo + 6] for lo in range(0, len(part), 6)],
+                        build)
+    assert join_blocks(blocks.blocks()) == build(part)
+    # A second pass reads the same blocks.
+    assert join_blocks(blocks.blocks()) == build(part)
+
+
+def test_reader_reads_every_op_once_across_blocks(monkeypatch):
+    """Slices of at most ``SLICE`` ops, in order, none empty, across a
+    block boundary and an empty block; the last block's tail at the end."""
+    monkeypatch.setattr("repro.core.trace.SLICE", 7)
+    whole = _random_trace(np.random.default_rng(2), 50)
+
+    def build(part):
+        tb = TraceBuilder()
+        for i in part:
+            op = whole.op(i)
+            tb.load(op.addr, deps=tuple(d - part.start for d in op.deps
+                                        if d >= part.start),
+                    extra=op.extra_instrs, pc=op.pc, tag=op.tag)
+        if part.stop == len(whole):
+            tb.compute(whole.tail_instrs)
+        return tb.finish()
+
+    reader = TraceReader(BlockTrace([range(0, 20), range(20, 20),
+                                     range(20, 50)], build))
+    seen = []
+    while (cut := reader.next_slice(0)) is not None:
+        assert 0 < len(cut[0]) <= 7
+        seen += cut[1]
+    assert seen == whole.addr.tolist()
+    assert reader.tail_instrs == whole.tail_instrs > 0

@@ -60,8 +60,8 @@ def test_baseline_traces_cover_all_cores(name):
     assert sum(len(t) for t in traces) > 0
     # Dependence edges reference earlier ops only.
     for trace in traces:
-        for k, deps in enumerate(trace.deps):
-            assert all(d < k for d in deps)
+        consumer = np.repeat(np.arange(len(trace)), np.diff(trace.dep_ptr))
+        assert (trace.dep_idx < consumer).all()
 
 
 def test_dmp_streams_are_addresses():
@@ -71,5 +71,26 @@ def test_dmp_streams_are_addresses():
         wl.generate(mem)
         streams = wl.dmp_streams()
         assert streams
-        for pc, addrs in streams.items():
-            assert np.asarray(addrs).min() >= mem.base
+        for pc, (base, scale, index) in streams.items():
+            addrs = base + scale * np.asarray(index, dtype=np.int64)
+            assert addrs.min() >= mem.base
+            assert addrs.max() < mem.base + mem.size
+
+
+@pytest.mark.parametrize("name", list(QUICK_BENCHMARKS))
+def test_dmp_pc_tags_index_inside_their_stream(name):
+    """``DMPEngine.observe`` reads target ``tag + distance`` of the op's
+    PC stream and skips targets past its end, so a tag outside the stream
+    would silently prefetch nothing: every tag a DMP-PC op carries must
+    index inside the stream registered for that PC."""
+    wl = QUICK_BENCHMARKS[name]()
+    wl.generate(HostMemory(wl.mem_bytes))
+    streams = wl.dmp_streams()
+    assert streams
+    tagged = 0
+    for trace in wl.baseline_traces(4):
+        for pc, (_, _, index) in streams.items():
+            tags = trace.tag[(trace.pc == pc) & (trace.tag >= 0)]
+            tagged += tags.size
+            assert tags.size == 0 or tags.max() < len(index), (pc, name)
+    assert tagged > 0
